@@ -1,59 +1,72 @@
 """Numpy layer primitives with exact backward passes.
 
-Data layout is (N, C, T): batch, channels, time. Convolutions slide along
-the time axis with stride 1 and zero same-padding; pooling floor-divides
-the length. Every forward returns (output, cache) and the matching
-backward consumes (grad_output, cache).
+Data layout is time-major (N, T, C): batch, time, channels, the layout the
+windows arrive in. Convolutions slide along the time axis with stride 1
+and zero same-padding, lowered to im2col plus one GEMM; pooling floor-
+divides the length. Weights keep the (O, C, k) layout of the weight files.
+Every forward returns (output, cache) and the matching backward consumes
+(grad_output, cache).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 def conv1d_forward(x, weight, bias):
-    """Same-padded stride-1 correlation. weight: (O, C, k), bias: (O,)."""
-    n, c, t = x.shape
-    k = weight.shape[2]
+    """Same-padded stride-1 correlation. x: (N, T, C), weight: (O, C, k), bias: (O,).
+
+    out[n, t, o] = bias[o] + sum_{c,i} weight[o, c, i] * xpad[n, t + i, c].
+    """
+    n, t, c = x.shape
+    o, _, k = weight.shape
     pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    win = sliding_window_view(xp, k, axis=2)  # (N, C, T, k)
-    out = np.tensordot(win, weight, axes=([1, 3], [1, 2]))  # (N, T, O)
-    out = np.ascontiguousarray(out.transpose(0, 2, 1)) + bias[None, :, None]
-    return out, (xp, win, weight, pad, t)
+    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+    # column i*C + c of row (n, t) holds xpad[n, t + i, c]
+    cols = np.concatenate([xp[:, i : i + t] for i in range(k)], axis=2).reshape(n * t, k * c)
+    wcols = weight.transpose(2, 1, 0).reshape(k * c, o)
+    out = cols @ wcols
+    out += bias
+    return out.reshape(n, t, o), (cols, wcols, weight, pad, t)
 
 
 def conv1d_backward(dout, cache):
-    xp, win, weight, pad, t = cache
-    db = dout.sum(axis=(0, 2))
-    # dW[o,c,i] = sum_{n,t} dout[n,o,t] * win[n,c,t,i]
-    dw = np.tensordot(dout, win, axes=([0, 2], [0, 2]))  # (O, C, k)
-    dxp = np.zeros_like(xp)
-    k = weight.shape[2]
+    cols, wcols, weight, pad, t = cache
+    o, c, k = weight.shape
+    n = dout.shape[0]
+    d2 = dout.reshape(n * t, o)
+    db = d2.sum(axis=0)
+    dw = np.ascontiguousarray((cols.T @ d2).reshape(k, c, o).transpose(2, 1, 0))
+    dcols = (d2 @ wcols.T).reshape(n, t, k, c)
+    dxp = np.zeros((n, t + 2 * pad, c))
     for i in range(k):
-        # dxp[:, :, i:i+T] += dout^T W[:, :, i]
-        dxp[:, :, i : i + t] += np.tensordot(
-            dout, weight[:, :, i], axes=([1], [0])
-        ).transpose(0, 2, 1)
-    dx = dxp[:, :, pad : pad + t] if pad else dxp
-    return dx, dw, db
+        dxp[:, i : i + t] += dcols[:, :, i]
+    return dxp[:, pad : pad + t], dw, db
 
 
 def relu_forward(x):
-    mask = x > 0.0
-    return x * mask, mask
+    out = np.maximum(x, 0.0)
+    return out, out
 
 
-def relu_backward(dout, mask):
-    return dout * mask
+def relu_backward(dout, out):
+    return dout * (out > 0.0)
 
 
 def dropout_forward(x, p, mode, rng):
-    """Inverted dropout: train-mode expectation equals the eval activation."""
+    """Inverted dropout: train-mode expectation equals the eval activation.
+
+    A (N, T, C) mask is drawn in (N, C, T) element order, so a seeded run
+    draws the same masks whatever the activation layout.
+    """
     if mode != "train" or p <= 0.0:
         return x, None
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    if x.ndim == 3:
+        n, t, c = x.shape
+        draw = rng.random((n, c, t)).transpose(0, 2, 1)
+    else:
+        draw = rng.random(x.shape)
+    mask = (draw >= p) / (1.0 - p)
     return x * mask, mask
 
 
@@ -62,23 +75,22 @@ def dropout_backward(dout, mask):
 
 
 def maxpool1d_forward(x, k):
-    """Non-overlapping max pooling (stride == kernel), floor semantics."""
-    n, c, t = x.shape
+    """Non-overlapping max pooling along T (stride == kernel), floor semantics."""
+    n, t, c = x.shape
     t_out = t // k
-    xr = x[:, :, : t_out * k].reshape(n, c, t_out, k)
-    arg = xr.argmax(axis=3)  # ties resolve to the first element
-    out = np.take_along_axis(xr, arg[..., None], axis=3)[..., 0]
-    return out, (arg, x.shape, k)
+    out = x[:, : t_out * k].reshape(n, t_out, k, c).max(axis=2)
+    return out, (x, k)
 
 
 def maxpool1d_backward(dout, cache):
-    arg, shape, k = cache
-    n, c, t = shape
+    """Route each gradient to the first maximum of its pooling window."""
+    x, k = cache
+    n, t, c = x.shape
     t_out = t // k
-    dxr = np.zeros((n, c, t_out, k))
-    np.put_along_axis(dxr, arg[..., None], dout[..., None], axis=3)
-    dx = np.zeros(shape)
-    dx[:, :, : t_out * k] = dxr.reshape(n, c, t_out * k)
+    arg = x[:, : t_out * k].reshape(n, t_out, k, c).argmax(axis=2)  # ties -> first
+    dx = np.zeros(x.shape)
+    for i in range(k):
+        dx[:, i : t_out * k : k] = dout * (arg == i)
     return dx
 
 

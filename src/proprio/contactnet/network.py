@@ -196,7 +196,10 @@ def init_params(spec: ArchitectureSpec, rng) -> list:
 
 
 def _as_batch(window, spec):
-    """(w, C) or (N, w, C) window array -> (N, C, T) network input."""
+    """(w, C) or (N, w, C) window array -> time-major (N, T, C) network input.
+
+    Windows are already time-major, so no copy is made for float64 input.
+    """
     x = np.asarray(window, dtype=float)
     single = x.ndim == 2
     if single:
@@ -206,11 +209,15 @@ def _as_batch(window, spec):
             f"window shape {np.asarray(window).shape} incompatible with "
             f"(w={spec.window}, channels={spec.in_channels})"
         )
-    return np.ascontiguousarray(x.transpose(0, 2, 1)), single
+    return x, single
 
 
-def _forward_cached(params, spec, x, mode, rng):
-    caches = []
+def _forward_cached(params, spec, x, mode, rng, caches=None):
+    """Logits for a (N, T, C) batch.
+
+    Each layer's cache is appended to `caches` when a list is given;
+    inference passes none, so each cache is freed once its layer is done.
+    """
     for layer, p in zip(spec.layers, params):
         if isinstance(layer, Conv):
             x, cache = L.conv1d_forward(x, p[0], p[1])
@@ -221,12 +228,14 @@ def _forward_cached(params, spec, x, mode, rng):
         elif isinstance(layer, Pool):
             x, cache = L.maxpool1d_forward(x, layer.kernel)
         elif isinstance(layer, Flatten):
+            # channel-major order keeps the first Dense weight's meaning
             cache = x.shape
-            x = x.reshape(x.shape[0], -1)
+            x = x.transpose(0, 2, 1).reshape(x.shape[0], -1)
         else:  # Dense
             x, cache = L.dense_forward(x, p[0], p[1])
-        caches.append(cache)
-    return x, caches
+        if caches is not None:
+            caches.append(cache)
+    return x
 
 
 def forward(params, spec, window, mode="eval", rng=None):
@@ -237,7 +246,7 @@ def forward(params, spec, window, mode="eval", rng=None):
     if mode == "train" and rng is None:
         rng = np.random.default_rng(0)
     x, single = _as_batch(window, spec)
-    logits, _ = _forward_cached(params, spec, x, mode, rng)
+    logits = _forward_cached(params, spec, x, mode, rng)
     return logits[0] if single else logits
 
 
@@ -256,7 +265,8 @@ def _backward_from_logits(params, spec, caches, dlogits):
         elif isinstance(layer, Pool):
             dx = L.maxpool1d_backward(dx, cache)
         elif isinstance(layer, Flatten):
-            dx = dx.reshape(cache)
+            n, t, c = cache
+            dx = dx.reshape(n, c, t).transpose(0, 2, 1)
         else:  # Dense
             dx, dw, db = L.dense_backward(dx, cache, params[i][0])
             grads[i] = (dw, db)
@@ -280,7 +290,8 @@ def loss_and_grads(params, spec, windows, labels, mode="train", rng=None):
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     if np.any(labels < 0) or np.any(labels >= spec.n_classes):
         raise LabelOutOfRangeError("label outside class range")
-    logits, caches = _forward_cached(params, spec, x, mode, rng)
+    caches = []
+    logits = _forward_cached(params, spec, x, mode, rng, caches)
     value, dlogits = L.cross_entropy(logits, labels)
     grads = _backward_from_logits(params, spec, caches, dlogits)
     return float(value), grads, logits
@@ -332,59 +343,67 @@ def _descriptor(spec: ArchitectureSpec) -> str:
     return "\n".join(lines)
 
 
-def _parse_descriptor(text: str) -> ArchitectureSpec:
-    meta = {}
-    spec_layers = []
-    for line in text.splitlines():
-        key, _, value = line.partition("=")
-        if key == "layer":
-            parts = value.split()
-            kind = parts[0]
-            if kind == "conv":
-                spec_layers.append(Conv(int(parts[1]), int(parts[2]), int(parts[3])))
-            elif kind == "relu":
-                spec_layers.append(Relu())
-            elif kind == "dropout":
-                spec_layers.append(Dropout(float(parts[1])))
-            elif kind == "pool":
-                spec_layers.append(Pool(int(parts[1])))
-            elif kind == "flatten":
-                spec_layers.append(Flatten())
-            elif kind == "dense":
-                spec_layers.append(Dense(int(parts[1]), int(parts[2])))
-            else:
-                raise SchemaError(f"unknown layer kind {kind!r}")
-        else:
-            meta[key] = value
-    return ArchitectureSpec(
-        tuple(spec_layers),
-        int(meta["window"]),
-        int(meta["in_channels"]),
-        int(meta["n_classes"]),
-        meta.get("name", "custom"),
-    )
+# descriptor layer kind -> (layer class, converter of each field)
+_LAYER_FIELDS = {
+    "conv": (Conv, (int, int, int)),
+    "relu": (Relu, ()),
+    "dropout": (Dropout, (float,)),
+    "pool": (Pool, (int,)),
+    "flatten": (Flatten, ()),
+    "dense": (Dense, (int, int)),
+}
 
 
 class SchemaError(ValueError):
     pass
 
 
+def _parse_descriptor(text: str, path) -> ArchitectureSpec:
+    meta = {}
+    spec_layers = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        key, _, value = line.partition("=")
+        if key != "layer":
+            meta[key] = value
+            continue
+        kind, *fields = value.split() or [""]
+        if kind not in _LAYER_FIELDS:
+            raise SchemaError(f"{path}: descriptor line {lineno}: unknown layer kind {kind!r}")
+        cls, converters = _LAYER_FIELDS[kind]
+        if len(fields) != len(converters):
+            raise SchemaError(
+                f"{path}: descriptor line {lineno}: layer {kind} needs "
+                f"{len(converters)} fields, has {len(fields)}"
+            )
+        try:
+            spec_layers.append(cls(*(conv(f) for conv, f in zip(converters, fields))))
+        except ValueError:
+            raise SchemaError(f"{path}: descriptor line {lineno}: bad {kind} fields {fields}") from None
+    dims = []
+    for key in ("window", "in_channels", "n_classes"):
+        if key not in meta:
+            raise SchemaError(f"{path}: descriptor lacks field {key!r}")
+        try:
+            dims.append(int(meta[key]))
+        except ValueError:
+            raise SchemaError(f"{path}: descriptor field {key}={meta[key]!r} is not an integer") from None
+    return ArchitectureSpec(tuple(spec_layers), *dims, meta.get("name", "custom"))
+
+
 def save_params(params, spec: ArchitectureSpec, path):
     """Bit-exact weight file with a CRC32 trailer."""
     desc = _descriptor(spec).encode()
-    tensors = []
-    for p in params:
-        if p is not None:
-            tensors.extend(p)
-    body = struct.pack("<HI", WEIGHTS_VERSION, len(desc)) + desc
-    body += struct.pack("<I", len(tensors))
-    for t in tensors:
-        arr = np.ascontiguousarray(t, dtype="<f8")
-        body += struct.pack("<B", arr.ndim)
-        body += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        body += arr.tobytes()
+    tensors = [np.ascontiguousarray(t, dtype="<f8") for p in params if p is not None for t in p]
+    chunks = [struct.pack("<HI", WEIGHTS_VERSION, len(desc)), desc, struct.pack("<I", len(tensors))]
+    for arr in tensors:
+        chunks += [struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr]
+    crc = 0
     with open(path, "wb") as f:
-        f.write(WEIGHTS_MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+        f.write(WEIGHTS_MAGIC)
+        for chunk in chunks:
+            f.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        f.write(struct.pack("<I", crc))
 
 
 def load_params(path):
@@ -402,7 +421,7 @@ def load_params(path):
     if version != WEIGHTS_VERSION:
         raise VersionMismatchError(f"{path}: version {version}")
     off = 6
-    spec = _parse_descriptor(body[off : off + desc_len].decode())
+    spec = _parse_descriptor(body[off : off + desc_len].decode(), path)
     off += desc_len
     (n_tensors,) = struct.unpack("<I", body[off : off + 4])
     off += 4

@@ -141,6 +141,7 @@ def train(train_windows: WindowSet, config: TrainConfig, spec, val_windows=None)
             y = train_windows.labels[idx]
             value, grads, logits = net.loss_and_grads(params, spec, x, y, "train", rng)
             params = opt.step(params, grads)
+            del grads  # free them before the next backward allocates its own
             total_loss += value * len(idx)
             total_correct += int(np.sum(np.argmax(logits, axis=1) == y))
         train_loss = total_loss / n

@@ -133,6 +133,129 @@ class TestLoss:
             assert abs(loss(logits, label) - float(expected)) < 1e-12
 
 
+def ref_conv(x, w, b):
+    """Direct-loop same-padded correlation on (N, T, C) input, weight (O, C, k)."""
+    n, t, c = x.shape
+    o, _, k = w.shape
+    pad = (k - 1) // 2
+    out = np.empty((n, t, o))
+    for ni in range(n):
+        for ti in range(t):
+            for oi in range(o):
+                acc = b[oi]
+                for ci in range(c):
+                    for i in range(k):
+                        s = ti + i - pad
+                        if 0 <= s < t:
+                            acc += w[oi, ci, i] * x[ni, s, ci]
+                out[ni, ti, oi] = acc
+    return out
+
+
+def ref_conv_backward(x, w, dout):
+    """Direct-loop (dx, dw, db) of ref_conv."""
+    n, t, c = x.shape
+    o, _, k = w.shape
+    pad = (k - 1) // 2
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for ni in range(n):
+        for ti in range(t):
+            for oi in range(o):
+                for ci in range(c):
+                    for i in range(k):
+                        s = ti + i - pad
+                        if 0 <= s < t:
+                            dx[ni, s, ci] += dout[ni, ti, oi] * w[oi, ci, i]
+                            dw[oi, ci, i] += dout[ni, ti, oi] * x[ni, s, ci]
+    return dx, dw, dout.sum(axis=(0, 1))
+
+
+def ref_maxpool(x, k, dout):
+    """Direct-loop floor max pool along T and its backward; ties route to the first max."""
+    n, t, c = x.shape
+    out = np.empty((n, t // k, c))
+    dx = np.zeros_like(x)
+    for ni in range(n):
+        for ci in range(c):
+            for j in range(t // k):
+                best = j * k
+                for s in range(j * k + 1, j * k + k):
+                    if x[ni, s, ci] > x[ni, best, ci]:
+                        best = s
+                out[ni, j, ci] = x[ni, best, ci]
+                dx[ni, best, ci] = dout[ni, j, ci]
+    return out, dx
+
+
+def ref_flatten(x):
+    """(N, T, C) -> (N, C*T) with index c*T + t, the weight-file order."""
+    n, t, c = x.shape
+    flat = np.empty((n, c * t))
+    for ci in range(c):
+        for ti in range(t):
+            flat[:, ci * t + ti] = x[:, ti, ci]
+    return flat
+
+
+class TestLayerReference:
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_conv_matches_loops(self, k):
+        from proprio.contactnet import layers
+
+        rng = np.random.default_rng(30 + k)
+        x = rng.normal(size=(2, 7, 3))
+        w = rng.normal(size=(4, 3, k))
+        b = rng.normal(size=4)
+        out, cache = layers.conv1d_forward(x, w, b)
+        np.testing.assert_allclose(out, ref_conv(x, w, b), atol=1e-12, rtol=0)
+        dout = rng.normal(size=out.shape)
+        for got, want in zip(layers.conv1d_backward(dout, cache), ref_conv_backward(x, w, dout)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+
+    def test_maxpool_odd_length_and_tie(self):
+        from proprio.contactnet import layers
+
+        rng = np.random.default_rng(33)
+        x = rng.normal(size=(2, 7, 3))
+        x[:, 3] = x[:, 2]  # every channel ties inside the second window
+        out, cache = layers.maxpool1d_forward(x, 2)
+        dout = rng.normal(size=out.shape)
+        want_out, want_dx = ref_maxpool(x, 2, dout)
+        np.testing.assert_allclose(out, want_out, atol=1e-12, rtol=0)
+        dx = layers.maxpool1d_backward(dout, cache)
+        np.testing.assert_allclose(dx, want_dx, atol=1e-12, rtol=0)
+        assert not dx[:, 3].any() and not dx[:, 6].any()  # tie loser, floored tail
+
+    def test_flatten_is_channel_major(self):
+        # Conv -> Flatten -> Dense against the loop references, forward and backward
+        spec = ArchitectureSpec((Conv(3, 4, 5), Flatten(), Dense(4 * 7, 5)), window=7, in_channels=3, n_classes=5)
+        rng = np.random.default_rng(34)
+        params = init_params(spec, rng)
+        params[0] = (params[0][0], rng.normal(size=4))
+        x = rng.normal(size=(2, 7, 3))
+        labels = np.array([1, 4])
+        (wc, bc), (wd, bd) = params[0], params[2]
+        conv = ref_conv(x, wc, bc)
+        flat = ref_flatten(conv)
+        logits = flat @ wd.T + bd
+        np.testing.assert_allclose(forward(params, spec, x), logits, atol=1e-12, rtol=0)
+
+        _, grads, _ = net.loss_and_grads(params, spec, x, labels, "eval")
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        dlogits = (probs - np.eye(5)[labels]) / 2
+        dflat = dlogits @ wd
+        dconv = np.empty_like(conv)
+        for ci in range(4):
+            for ti in range(7):
+                dconv[:, ti, ci] = dflat[:, ci * 7 + ti]
+        _, dwc, dbc = ref_conv_backward(x, wc, dconv)
+        np.testing.assert_allclose(grads[2][0], dlogits.T @ flat, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(grads[0][0], dwc, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(grads[0][1], dbc, atol=1e-12, rtol=0)
+
+
 def relative_grad_error(spec, params, window, label, h=1e-5, seed=7):
     """Max relative error of analytic vs central-difference gradients."""
 
@@ -312,6 +435,34 @@ class TestTraining:
                 continue
             assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
+    def test_seeded_dropout_log_pinned(self):
+        # Dropout after the conv (3-D mask) and in the head (2-D mask): the
+        # log below was recorded with channel-major activations, so this
+        # pins both the mask draw order and the arithmetic.
+        from proprio.contactnet import TrainConfig, train
+
+        spec = ArchitectureSpec(
+            (
+                Conv(6, 8), Relu(), Dropout(0.2), Pool(2), Flatten(),
+                Dense(8 * 8, 16), Relu(), Dropout(0.2), Dense(16, 2),
+            ),
+            window=16,
+            in_channels=6,
+            n_classes=2,
+        )
+        cfg = TrainConfig(batch_size=15, learning_rate=1e-3, epochs=3, dropout=0.2, seed=42)
+        _, log = train(self._toy(n=60), cfg, spec)
+        expected = [
+            (1, 1.3329256079872422, 0.5166666666666667),
+            (2, 0.7520294025212956, 0.6166666666666667),
+            (3, 0.9089639087099426, 0.5333333333333333),
+        ]
+        assert [row["epoch"] for row in log] == [e for e, _, _ in expected]
+        for row, (_, loss_value, acc) in zip(log, expected):
+            assert abs(row["train_loss"] - loss_value) < 1e-9
+            assert abs(row["train_acc"] - acc) < 1e-9
+            assert abs(row["val_acc"] - acc) < 1e-9
+
     def test_full_batch_order_invariance(self):
         from proprio.contactnet import TrainConfig, train
 
@@ -425,3 +576,39 @@ class TestSerialization:
         loaded, spec2 = load_params(path)
         logits = forward(loaded, spec2, rng.normal(size=(64, 54)))
         assert logits.shape == (16,)
+
+
+    def test_file_bytes_pinned(self, tmp_path):
+        # digest of this file as written by the original one-buffer writer
+        import hashlib
+
+        spec = tiny_spec()
+        params = init_params(spec, np.random.default_rng(23))
+        path = tmp_path / "w.pcnw"
+        save_params(params, spec, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "3d3a32d6e70a786905829c9a6a33ef19d3e62a32893a27342bfc39bccefb7df9"
+
+    @pytest.mark.parametrize(
+        "descriptor,field",
+        [
+            ("in_channels=3\nn_classes=4\nlayer=flatten", "window"),
+            ("window=8\nn_classes=4\nlayer=flatten", "in_channels"),
+            ("window=8\nin_channels=3\nlayer=flatten", "n_classes"),
+            ("window=eight\nin_channels=3\nn_classes=4", "window"),
+            ("window=8\nin_channels=3\nn_classes=4\nlayer=conv 3", "conv"),
+            ("window=8\nin_channels=3\nn_classes=4\nlayer=dense 3 x", "dense"),
+            ("window=8\nin_channels=3\nn_classes=4\nlayer=", "''"),
+        ],
+    )
+    def test_bad_descriptor_schema_error(self, tmp_path, descriptor, field):
+        import struct
+        import zlib
+
+        desc = descriptor.encode()
+        body = struct.pack("<HI", net.WEIGHTS_VERSION, len(desc)) + desc + struct.pack("<I", 0)
+        path = tmp_path / "bad.pcnw"
+        path.write_bytes(net.WEIGHTS_MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(net.SchemaError) as info:
+            load_params(path)
+        assert str(path) in str(info.value) and field in str(info.value)
