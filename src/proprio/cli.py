@@ -131,7 +131,6 @@ def cmd_train(args, cfg):
         batch_size=cn.batch_size,
         learning_rate=cn.learning_rate,
         epochs=args.epochs if args.epochs is not None else cn.epochs,
-        dropout=cn.dropout,
         seed=args.seed,
         optimizer=cn.optimizer,
     )
@@ -267,7 +266,7 @@ def cmd_pipeline(args, cfg):
     spec = preset(cn.preset, window=cn.window, n_classes=cn.classes, dropout=cn.dropout)
     tc = TrainConfig(
         batch_size=cn.batch_size, learning_rate=cn.learning_rate, epochs=cn.epochs,
-        dropout=cn.dropout, seed=rng_seed, optimizer=cn.optimizer,
+        seed=rng_seed, optimizer=cn.optimizer,
     )
     params, log = train(train_set, tc, spec, val_set)
     save_params(params, spec, os.path.join(out, "weights.pcnw"))

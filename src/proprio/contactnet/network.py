@@ -1,9 +1,16 @@
-"""Contact classifier network: architecture presets, forward/backward, I/O.
+"""Contact classifier network: layer kinds, architecture presets, forward/backward, I/O.
 
 The default "2blocks" network is two convolution blocks (each: two same-
 padded Conv1D layers, ReLU after each, dropout after the second, then a
 halving max pool) followed by three fully connected layers sized 2048,
 512 and 2^L. Ablation variants reuse the same layer vocabulary.
+
+Each layer kind (Conv, Relu, Dropout, Pool, Flatten, Dense) is one class
+holding its shape rule, parameter shapes, forward and backward passes and
+descriptor keyword; the network functions below are plain loops over
+`spec.layers`, so adding a layer kind means adding one class. Same padding
+keeps the length only for an odd kernel, so even conv kernels are rejected,
+as is a dropout rate outside [0, 1).
 
 Weight files: magic "PCNW", version u16, a text descriptor of the layer
 list, then per-tensor dims and float64 data, CRC32 trailer.
@@ -11,9 +18,12 @@ list, then per-tensor dims and float64 data, CRC32 trailer.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
+
 import numpy as np
 
 from . import layers as L
@@ -38,37 +48,144 @@ class VersionMismatchError(ValueError):
     pass
 
 
+class _Layer:
+    """Base of the layer kinds: one class holds everything about one kind.
+
+    A kind is a frozen dataclass whose fields follow `kind` in its descriptor
+    line. Shapes are (C, T) before Flatten and (flat,) after it; the
+    defaults below fit a shape-preserving layer without parameters. Each
+    kind defines forward(p, x, mode, rng) -> (out, cache) and
+    backward(p, dx, cache) -> (dx, grads), where p and grads are
+    (weight, bias) pairs for a layer with parameters and None otherwise.
+    Passes call their primitive through the layers module at call time, so
+    a profiler that replaces a primitive there sees every call.
+    """
+
+    kind = ""
+
+    def out_shape(self, shape):
+        """Output shape for an input shape; raises ShapeMismatchError."""
+        return shape
+
+    def param_shapes(self):
+        return ()
+
+    def describe(self):
+        return " ".join([self.kind, *(str(getattr(self, f.name)) for f in fields(self))])
+
+
 @dataclass(frozen=True)
-class Conv:
+class Conv(_Layer):
     in_ch: int
     out_ch: int
     kernel: int = 3
+    kind = "conv"
+
+    def out_shape(self, shape):
+        if len(shape) != 2 or shape[0] != self.in_ch:
+            raise ShapeMismatchError(f"conv expects {self.in_ch} channels, has shape {shape}")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ShapeMismatchError(f"conv kernel {self.kernel} is not a positive odd number")
+        return (self.out_ch, shape[1])
+
+    def param_shapes(self):
+        return (self.out_ch, self.in_ch, self.kernel), (self.out_ch,)
+
+    def forward(self, p, x, mode, rng):
+        return L.conv1d_forward(x, p[0], p[1])
+
+    def backward(self, p, dx, cache):
+        dx, dw, db = L.conv1d_backward(dx, cache)
+        return dx, (dw, db)
 
 
 @dataclass(frozen=True)
-class Relu:
-    pass
+class Relu(_Layer):
+    kind = "relu"
+
+    def forward(self, p, x, mode, rng):
+        return L.relu_forward(x)
+
+    def backward(self, p, dx, cache):
+        return L.relu_backward(dx, cache), None
 
 
 @dataclass(frozen=True)
-class Dropout:
+class Dropout(_Layer):
     p: float = 0.2
+    kind = "dropout"
+
+    def out_shape(self, shape):
+        if not 0.0 <= self.p < 1.0:
+            raise ShapeMismatchError(f"dropout rate {self.p} outside [0, 1)")
+        return shape
+
+    def forward(self, p, x, mode, rng):
+        return L.dropout_forward(x, self.p, mode, rng)
+
+    def backward(self, p, dx, cache):
+        return L.dropout_backward(dx, cache), None
 
 
 @dataclass(frozen=True)
-class Pool:
+class Pool(_Layer):
     kernel: int = 2
+    kind = "pool"
+
+    def out_shape(self, shape):
+        if len(shape) != 2:
+            raise ShapeMismatchError("pool after flatten")
+        if self.kernel < 1 or shape[1] // self.kernel < 1:
+            raise ShapeMismatchError(f"pool {self.kernel} on length {shape[1]}: pooled length reached zero")
+        return (shape[0], shape[1] // self.kernel)
+
+    def forward(self, p, x, mode, rng):
+        return L.maxpool1d_forward(x, self.kernel)
+
+    def backward(self, p, dx, cache):
+        return L.maxpool1d_backward(dx, cache), None
 
 
 @dataclass(frozen=True)
-class Flatten:
-    pass
+class Flatten(_Layer):
+    kind = "flatten"
+
+    def out_shape(self, shape):
+        if len(shape) != 2:
+            raise ShapeMismatchError("flatten after flatten")
+        return (shape[0] * shape[1],)
+
+    def forward(self, p, x, mode, rng):
+        # channel-major order keeps the first Dense weight's meaning
+        return x.transpose(0, 2, 1).reshape(x.shape[0], -1), x.shape
+
+    def backward(self, p, dx, cache):
+        n, t, c = cache
+        return dx.reshape(n, c, t).transpose(0, 2, 1), None
 
 
 @dataclass(frozen=True)
-class Dense:
+class Dense(_Layer):
     in_dim: int
     out_dim: int
+    kind = "dense"
+
+    def out_shape(self, shape):
+        if len(shape) != 1:
+            raise ShapeMismatchError("dense before flatten")
+        if shape[0] != self.in_dim:
+            raise ShapeMismatchError(f"dense expects {self.in_dim} inputs, has {shape[0]}")
+        return (self.out_dim,)
+
+    def param_shapes(self):
+        return (self.out_dim, self.in_dim), (self.out_dim,)
+
+    def forward(self, p, x, mode, rng):
+        return L.dense_forward(x, p[0], p[1])
+
+    def backward(self, p, dx, cache):
+        dx, dw, db = L.dense_backward(dx, cache, p[0])
+        return dx, (dw, db)
 
 
 @dataclass(frozen=True)
@@ -109,70 +226,41 @@ def _head(flat_dim, n_classes, dropout):
 
 def preset(name, window=150, in_channels=54, n_classes=16, dropout=0.2) -> ArchitectureSpec:
     """Build a named architecture for the given window length."""
-    t = window
     spec_layers = []
     if name == "2blocks":
         for ch_in, ch_out in ((in_channels, 64), (64, 128)):
             spec_layers += _block(ch_in, ch_out, dropout)
-            t //= 2
-        flat = 128 * t
     elif name == "1block":
         spec_layers += _block(in_channels, 64, dropout)
-        t //= 2
-        flat = 64 * t
     elif name == "4blocks":
         chans = (64, 128, 256, 512)
         ch_in = in_channels
         for ch_out in chans:
             spec_layers += _block(ch_in, ch_out, dropout)
             ch_in = ch_out
-            t //= 2
-        flat = 512 * t
     elif name == "convpool":
         spec_layers += [Conv(in_channels, 64), Relu(), Pool(2)]
-        t //= 2
         spec_layers += [Conv(64, 128), Relu(), Pool(2)]
-        t //= 2
-        flat = 128 * t
     else:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
-    if t < 1:
-        raise ShapeMismatchError(f"window {window} too short for preset {name}")
-    spec_layers += _head(flat, n_classes, dropout)
-    return ArchitectureSpec(tuple(spec_layers), window, in_channels, n_classes, name)
+    shape = (in_channels, window)
+    for layer in spec_layers:
+        shape = layer.out_shape(shape)
+    spec_layers += _head(shape[0] * shape[1], n_classes, dropout)
+    spec = ArchitectureSpec(tuple(spec_layers), window, in_channels, n_classes, name)
+    trace_shapes(spec)
+    return spec
 
 
 def trace_shapes(spec: ArchitectureSpec):
     """Per-stage shapes [(C, T) or (flat,)], validating layer compatibility."""
-    c, t = spec.in_channels, spec.window
-    flat = None
-    shapes = [(c, t)]
+    shapes = [(spec.in_channels, spec.window)]
     for layer in spec.layers:
-        if isinstance(layer, Conv):
-            if flat is not None or layer.in_ch != c:
-                raise ShapeMismatchError(f"conv expects {layer.in_ch} channels, has {c}")
-            c = layer.out_ch
-        elif isinstance(layer, Pool):
-            if flat is not None:
-                raise ShapeMismatchError("pool after flatten")
-            t //= layer.kernel
-            if t < 1:
-                raise ShapeMismatchError("pooled length reached zero")
-        elif isinstance(layer, Flatten):
-            flat = c * t
-        elif isinstance(layer, Dense):
-            if flat is None:
-                raise ShapeMismatchError("dense before flatten")
-            if layer.in_dim != flat:
-                raise ShapeMismatchError(
-                    f"dense expects {layer.in_dim} inputs, has {flat}"
-                )
-            flat = layer.out_dim
-        elif not isinstance(layer, (Relu, Dropout)):
+        if not isinstance(layer, _Layer):
             raise ShapeMismatchError(f"unknown layer {layer!r}")
-        shapes.append((c, t) if flat is None else (flat,))
-    if flat != spec.n_classes:
-        raise ShapeMismatchError(f"final width {flat} != n_classes {spec.n_classes}")
+        shapes.append(layer.out_shape(shapes[-1]))
+    if shapes[-1] != (spec.n_classes,):
+        raise ShapeMismatchError(f"final shape {shapes[-1]} != (n_classes,) = ({spec.n_classes},)")
     return shapes
 
 
@@ -181,17 +269,13 @@ def init_params(spec: ArchitectureSpec, rng) -> list:
     trace_shapes(spec)
     params = []
     for layer in spec.layers:
-        if isinstance(layer, Conv):
-            fan_in = layer.in_ch * layer.kernel
-            bound = np.sqrt(6.0 / fan_in)
-            w = rng.uniform(-bound, bound, size=(layer.out_ch, layer.in_ch, layer.kernel))
-            params.append((w, np.zeros(layer.out_ch)))
-        elif isinstance(layer, Dense):
-            bound = np.sqrt(6.0 / layer.in_dim)
-            w = rng.uniform(-bound, bound, size=(layer.out_dim, layer.in_dim))
-            params.append((w, np.zeros(layer.out_dim)))
-        else:
+        shapes = layer.param_shapes()
+        if not shapes:
             params.append(None)
+            continue
+        w_shape, b_shape = shapes
+        bound = np.sqrt(6.0 / math.prod(w_shape[1:]))  # fan-in: every weight axis but the output
+        params.append((rng.uniform(-bound, bound, size=w_shape), np.zeros(b_shape)))
     return params
 
 
@@ -218,21 +302,10 @@ def _forward_cached(params, spec, x, mode, rng, caches=None):
     Each layer's cache is appended to `caches` when a list is given;
     inference passes none, so each cache is freed once its layer is done.
     """
+    if mode == "train" and rng is None:
+        rng = np.random.default_rng(0)
     for layer, p in zip(spec.layers, params):
-        if isinstance(layer, Conv):
-            x, cache = L.conv1d_forward(x, p[0], p[1])
-        elif isinstance(layer, Relu):
-            x, cache = L.relu_forward(x)
-        elif isinstance(layer, Dropout):
-            x, cache = L.dropout_forward(x, layer.p, mode, rng)
-        elif isinstance(layer, Pool):
-            x, cache = L.maxpool1d_forward(x, layer.kernel)
-        elif isinstance(layer, Flatten):
-            # channel-major order keeps the first Dense weight's meaning
-            cache = x.shape
-            x = x.transpose(0, 2, 1).reshape(x.shape[0], -1)
-        else:  # Dense
-            x, cache = L.dense_forward(x, p[0], p[1])
+        x, cache = layer.forward(p, x, mode, rng)
         if caches is not None:
             caches.append(cache)
     return x
@@ -243,34 +316,9 @@ def forward(params, spec, window, mode="eval", rng=None):
 
     Eval mode is deterministic; train mode needs an rng for dropout.
     """
-    if mode == "train" and rng is None:
-        rng = np.random.default_rng(0)
     x, single = _as_batch(window, spec)
     logits = _forward_cached(params, spec, x, mode, rng)
     return logits[0] if single else logits
-
-
-def _backward_from_logits(params, spec, caches, dlogits):
-    grads = [None] * len(params)
-    dx = dlogits
-    for i in range(len(spec.layers) - 1, -1, -1):
-        layer, cache = spec.layers[i], caches[i]
-        if isinstance(layer, Conv):
-            dx, dw, db = L.conv1d_backward(dx, cache)
-            grads[i] = (dw, db)
-        elif isinstance(layer, Relu):
-            dx = L.relu_backward(dx, cache)
-        elif isinstance(layer, Dropout):
-            dx = L.dropout_backward(dx, cache)
-        elif isinstance(layer, Pool):
-            dx = L.maxpool1d_backward(dx, cache)
-        elif isinstance(layer, Flatten):
-            n, t, c = cache
-            dx = dx.reshape(n, c, t).transpose(0, 2, 1)
-        else:  # Dense
-            dx, dw, db = L.dense_backward(dx, cache, params[i][0])
-            grads[i] = (dw, db)
-    return grads
 
 
 def loss(logits, label) -> float:
@@ -284,16 +332,16 @@ def loss(logits, label) -> float:
 
 def loss_and_grads(params, spec, windows, labels, mode="train", rng=None):
     """Batched loss (mean reduction) and parameter gradients."""
-    if mode == "train" and rng is None:
-        rng = np.random.default_rng(0)
     x, single = _as_batch(windows, spec)
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     if np.any(labels < 0) or np.any(labels >= spec.n_classes):
         raise LabelOutOfRangeError("label outside class range")
     caches = []
     logits = _forward_cached(params, spec, x, mode, rng, caches)
-    value, dlogits = L.cross_entropy(logits, labels)
-    grads = _backward_from_logits(params, spec, caches, dlogits)
+    value, dx = L.cross_entropy(logits, labels)
+    grads = [None] * len(params)
+    for i in range(len(spec.layers) - 1, -1, -1):
+        dx, grads[i] = spec.layers[i].backward(params[i], dx, caches[i])
     return float(value), grads, logits
 
 
@@ -327,31 +375,12 @@ def _descriptor(spec: ArchitectureSpec) -> str:
         f"in_channels={spec.in_channels}",
         f"n_classes={spec.n_classes}",
     ]
-    for layer in spec.layers:
-        if isinstance(layer, Conv):
-            lines.append(f"layer=conv {layer.in_ch} {layer.out_ch} {layer.kernel}")
-        elif isinstance(layer, Relu):
-            lines.append("layer=relu")
-        elif isinstance(layer, Dropout):
-            lines.append(f"layer=dropout {layer.p!r}")
-        elif isinstance(layer, Pool):
-            lines.append(f"layer=pool {layer.kernel}")
-        elif isinstance(layer, Flatten):
-            lines.append("layer=flatten")
-        else:
-            lines.append(f"layer=dense {layer.in_dim} {layer.out_dim}")
+    lines += [f"layer={layer.describe()}" for layer in spec.layers]
     return "\n".join(lines)
 
 
-# descriptor layer kind -> (layer class, converter of each field)
-_LAYER_FIELDS = {
-    "conv": (Conv, (int, int, int)),
-    "relu": (Relu, ()),
-    "dropout": (Dropout, (float,)),
-    "pool": (Pool, (int,)),
-    "flatten": (Flatten, ()),
-    "dense": (Dense, (int, int)),
-}
+# descriptor layer kind -> layer class
+_KINDS = {cls.kind: cls for cls in (Conv, Relu, Dropout, Pool, Flatten, Dense)}
 
 
 class SchemaError(ValueError):
@@ -366,19 +395,21 @@ def _parse_descriptor(text: str, path) -> ArchitectureSpec:
         if key != "layer":
             meta[key] = value
             continue
-        kind, *fields = value.split() or [""]
-        if kind not in _LAYER_FIELDS:
+        kind, *values = value.split() or [""]
+        if kind not in _KINDS:
             raise SchemaError(f"{path}: descriptor line {lineno}: unknown layer kind {kind!r}")
-        cls, converters = _LAYER_FIELDS[kind]
-        if len(fields) != len(converters):
+        cls = _KINDS[kind]
+        hints = get_type_hints(cls)
+        converters = [hints[f.name] for f in fields(cls)]
+        if len(values) != len(converters):
             raise SchemaError(
                 f"{path}: descriptor line {lineno}: layer {kind} needs "
-                f"{len(converters)} fields, has {len(fields)}"
+                f"{len(converters)} fields, has {len(values)}"
             )
         try:
-            spec_layers.append(cls(*(conv(f) for conv, f in zip(converters, fields))))
+            spec_layers.append(cls(*(conv(v) for conv, v in zip(converters, values))))
         except ValueError:
-            raise SchemaError(f"{path}: descriptor line {lineno}: bad {kind} fields {fields}") from None
+            raise SchemaError(f"{path}: descriptor line {lineno}: bad {kind} fields {values}") from None
     dims = []
     for key in ("window", "in_channels", "n_classes"):
         if key not in meta:
@@ -422,6 +453,10 @@ def load_params(path):
         raise VersionMismatchError(f"{path}: version {version}")
     off = 6
     spec = _parse_descriptor(body[off : off + desc_len].decode(), path)
+    try:
+        trace_shapes(spec)
+    except ShapeMismatchError as exc:
+        raise ShapeMismatchError(f"{path}: {exc}") from None
     off += desc_len
     (n_tensors,) = struct.unpack("<I", body[off : off + 4])
     off += 4
@@ -436,10 +471,15 @@ def load_params(path):
         off += size
     params = []
     it = iter(tensors)
-    for layer in spec.layers:
-        if isinstance(layer, (Conv, Dense)):
-            params.append((next(it), next(it)))
-        else:
-            params.append(None)
-    trace_shapes(spec)
+    for i, layer in enumerate(spec.layers):
+        p = []
+        for shape in layer.param_shapes():
+            arr = next(it, None)
+            if arr is None or arr.shape != shape:
+                found = "no tensor" if arr is None else f"shape {arr.shape}"
+                raise SchemaError(f"{path}: layer {i} ({layer.kind}) needs shape {shape}, file has {found}")
+            p.append(arr)
+        params.append(tuple(p) or None)
+    if next(it, None) is not None:
+        raise SchemaError(f"{path}: {len(tensors)} tensors, more than the layers take")
     return params, spec

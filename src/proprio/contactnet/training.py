@@ -26,7 +26,6 @@ class TrainConfig:
     batch_size: int = 30
     learning_rate: float = 1e-4
     epochs: int = 30
-    dropout: float = 0.2
     seed: int = 0
     optimizer: str = "adam"  # "adam" | "sgd"
     adam_beta1: float = 0.9
@@ -38,8 +37,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.learning_rate <= 0.0:
             raise ValueError("learning rate must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
+        if self.optimizer not in _OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}; expected one of {sorted(_OPTIMIZERS)}")
 
 
 class _Adam:
@@ -94,6 +93,9 @@ class _Sgd:
         return params
 
 
+_OPTIMIZERS = {"adam": _Adam, "sgd": _Sgd}
+
+
 def _batches(n, batch_size, rng):
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
@@ -127,7 +129,7 @@ def train(train_windows: WindowSet, config: TrainConfig, spec, val_windows=None)
         raise EmptyDatasetError("training windows carry no labels")
     rng = np.random.default_rng(config.seed)
     params = net.init_params(spec, rng)
-    opt = (_Adam if config.optimizer == "adam" else _Sgd)(params, config)
+    opt = _OPTIMIZERS[config.optimizer](params, config)
 
     best_params = [None if p is None else (p[0].copy(), p[1].copy()) for p in params]
     best_score = -1.0

@@ -119,24 +119,6 @@ def bool_to_codes(mat) -> np.ndarray:
 
 
 @dataclass
-class SensorFrame:
-    """One synchronized proprioceptive sample."""
-
-    t: float
-    q: np.ndarray  # (12,) rad
-    qd: np.ndarray  # (12,) rad/s
-    acc: np.ndarray  # (3,) m/s^2
-    gyro: np.ndarray  # (3,) rad/s
-    pf: np.ndarray  # (12,) m, hip frame
-    vf: np.ndarray  # (12,) m/s, hip frame
-    tau: Optional[np.ndarray] = None  # (12,) N*m
-    gt_code: Optional[int] = None
-
-    def features(self) -> np.ndarray:
-        return np.concatenate([self.q, self.qd, self.acc, self.gyro, self.pf, self.vf])
-
-
-@dataclass
 class FrameSequence:
     """Columnar storage of a frame stream (the practical in-memory form)."""
 
@@ -152,19 +134,6 @@ class FrameSequence:
 
     def __len__(self) -> int:
         return self.t.shape[0]
-
-    def frame(self, i: int) -> SensorFrame:
-        return SensorFrame(
-            float(self.t[i]),
-            self.q[i],
-            self.qd[i],
-            self.acc[i],
-            self.gyro[i],
-            self.pf[i],
-            self.vf[i],
-            None if self.tau is None else self.tau[i],
-            None if self.gt is None else int(self.gt[i]),
-        )
 
     def features(self) -> np.ndarray:
         """(N, 54) feature matrix in the fixed column order."""

@@ -115,11 +115,6 @@ class SimulationResult:
     traj_vel: np.ndarray  # (N_imu, 3)
 
 
-def _smoothstep(x):
-    x = np.clip(x, 0.0, 1.0)
-    return x * x * (3.0 - 2.0 * x)
-
-
 def _swing_bump(s, land_w=0.0):
     """Unit-scale vertical swing profile; land_w blends in a component with
     finite landing speed so the descent stays steep through touchdown."""

@@ -32,12 +32,6 @@ def skew(v) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def unskew(m) -> np.ndarray:
-    """Inverse of skew for (anti-symmetric) 3x3 matrices."""
-    m = np.asarray(m, dtype=float)
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
 def so3_exp(omega) -> np.ndarray:
     """Rodrigues' formula, series fallback for tiny angles."""
     omega = np.asarray(omega, dtype=float)
@@ -138,14 +132,6 @@ class GroupElement:
         m[:3, :3] = self.rot
         m[:3, 3:] = self.cols.T
         return m
-
-    @staticmethod
-    def from_matrix(m) -> "GroupElement":
-        m = np.asarray(m, dtype=float)
-        k = m.shape[0] - 3
-        if k < 1 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(f"not an SE_K(3) embedding: shape {m.shape}")
-        return GroupElement(m[:3, :3].copy(), m[:3, 3:].T.copy())
 
 
 def sek3_exp(xi) -> GroupElement:

@@ -88,7 +88,7 @@ def trained(training_data):
     t0 = time.monotonic()
     train_set, val_set, test_set = dataio.split_dataset(training_data, seed=1)
     spec = preset("2blocks", window=WINDOW, in_channels=54, n_classes=CLASSES)
-    cfg = TrainConfig(batch_size=30, learning_rate=1e-4, epochs=3, dropout=0.2, seed=5)
+    cfg = TrainConfig(batch_size=30, learning_rate=1e-4, epochs=3, seed=5)
     params, log = train(train_set, cfg, spec, val_set)
     pred = _predict_codes(params, spec, test_set)
     runtime = time.monotonic() - t0

@@ -4,6 +4,7 @@ import pytest
 
 from proprio import dataio
 from proprio.cli import main
+from proprio.contactnet import ArchitectureSpec, Dense, Flatten, save_params
 
 FAST_CFG = """
 [gaitsim]
@@ -88,6 +89,24 @@ def test_infer_window_mismatch_exit_2(workdir, tmp_path):
     dataio.write_dataset(short, short_path)
     code = main(["--config", cfg, "--out", str(tmp_path), "infer", "--data", short_path, "--weights", f"{out}/weights.pcnw"])
     assert code == 2
+
+
+def test_infer_weights_missing_tensors_exit_2(workdir, tmp_path, capsys):
+    _, cfg, out = workdir
+    spec = ArchitectureSpec((Flatten(), Dense(54 * 40, 16)), window=40, in_channels=54, n_classes=16)
+    weights = str(tmp_path / "no_tensors.pcnw")
+    save_params([None, None], spec, weights)
+    code = main(["--config", cfg, "--out", str(tmp_path), "infer", "--data", f"{out}/imu.csv", "--weights", weights])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert weights in err and "layer 1 (dense)" in err
+
+
+def test_train_dropout_one_exit_2(workdir, tmp_path):
+    _, _, out = workdir
+    cfg = tmp_path / "dropout.cfg"
+    cfg.write_text(FAST_CFG + "dropout = 1.0\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "train", "--data", f"{out}/imu.csv"]) == 2
 
 
 def test_eval_requires_inputs(workdir):

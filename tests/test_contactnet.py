@@ -68,6 +68,25 @@ class TestShapes:
         with pytest.raises(ShapeMismatchError):
             trace_shapes(spec)
 
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            (Conv(3, 4, 2), Flatten(), Dense(4 * 8, 4)),  # even kernel: T - 1 outputs
+            (Conv(3, 4, 0), Flatten(), Dense(4 * 8, 4)),
+            (Dropout(1.0), Flatten(), Dense(3 * 8, 4)),
+            (Dropout(-0.1), Flatten(), Dense(3 * 8, 4)),
+            (Pool(0), Flatten(), Dense(3 * 8, 4)),
+        ],
+        ids=["even-kernel", "zero-kernel", "dropout-one", "dropout-negative", "pool-zero"],
+    )
+    def test_layer_rules_rejected(self, layers):
+        with pytest.raises(ShapeMismatchError):
+            trace_shapes(ArchitectureSpec(layers, window=8, in_channels=3, n_classes=4))
+
+    def test_preset_rejects_dropout_one(self):
+        with pytest.raises(ShapeMismatchError):
+            preset("2blocks", window=16, in_channels=4, dropout=1.0)
+
     def test_wrong_window_shape(self):
         spec = tiny_spec()
         params = init_params(spec, np.random.default_rng(0))
@@ -407,7 +426,7 @@ class TestTraining:
 
         windows = self._toy()
         spec = self._spec()
-        cfg = TrainConfig(batch_size=20, learning_rate=3e-3, epochs=10, dropout=0.0, seed=0)
+        cfg = TrainConfig(batch_size=20, learning_rate=3e-3, epochs=10, seed=0)
         params, log = train(windows, cfg, spec)
         assert log[-1]["train_acc"] >= 0.99
         assert evaluate_accuracy(params, spec, windows) >= 0.99
@@ -416,7 +435,7 @@ class TestTraining:
         from proprio.contactnet import TrainConfig, train
 
         windows = self._toy(seed=15)
-        cfg = TrainConfig(batch_size=20, learning_rate=1e-3, epochs=3, dropout=0.0, seed=1)
+        cfg = TrainConfig(batch_size=20, learning_rate=1e-3, epochs=3, seed=1)
         _, log = train(windows, cfg, self._spec())
         losses = [row["train_loss"] for row in log]
         assert all(np.isfinite(losses))
@@ -450,7 +469,7 @@ class TestTraining:
             in_channels=6,
             n_classes=2,
         )
-        cfg = TrainConfig(batch_size=15, learning_rate=1e-3, epochs=3, dropout=0.2, seed=42)
+        cfg = TrainConfig(batch_size=15, learning_rate=1e-3, epochs=3, seed=42)
         _, log = train(self._toy(n=60), cfg, spec)
         expected = [
             (1, 1.3329256079872422, 0.5166666666666667),
@@ -469,7 +488,7 @@ class TestTraining:
         windows = self._toy(n=40, seed=17)
         perm = np.random.default_rng(0).permutation(40)
         shuffled = windows.subset(perm)
-        cfg = TrainConfig(batch_size=40, learning_rate=1e-3, epochs=2, dropout=0.0, seed=3)
+        cfg = TrainConfig(batch_size=40, learning_rate=1e-3, epochs=2, seed=3)
         p1, _ = train(windows, cfg, self._spec())
         p2, _ = train(shuffled, cfg, self._spec())
         for a, b in zip(p1, p2):
@@ -485,11 +504,18 @@ class TestTraining:
         with pytest.raises(EmptyDatasetError):
             train(empty, TrainConfig(), self._spec())
 
+    @pytest.mark.parametrize("name", ["Adam", "adamw", "momentum"])
+    def test_unknown_optimizer_rejected(self, name):
+        from proprio.contactnet import TrainConfig
+
+        with pytest.raises(ValueError, match="optimizer"):
+            TrainConfig(optimizer=name)
+
     def test_sgd_option(self):
         from proprio.contactnet import TrainConfig, train
 
         windows = self._toy(n=40, seed=18)
-        cfg = TrainConfig(batch_size=20, learning_rate=1e-2, epochs=2, dropout=0.0, seed=4, optimizer="sgd")
+        cfg = TrainConfig(batch_size=20, learning_rate=1e-2, epochs=2, seed=4, optimizer="sgd")
         _, log = train(windows, cfg, self._spec())
         assert log[-1]["train_loss"] < log[0]["train_loss"] * 1.2
 
@@ -602,13 +628,52 @@ class TestSerialization:
         ],
     )
     def test_bad_descriptor_schema_error(self, tmp_path, descriptor, field):
-        import struct
-        import zlib
-
-        desc = descriptor.encode()
-        body = struct.pack("<HI", net.WEIGHTS_VERSION, len(desc)) + desc + struct.pack("<I", 0)
         path = tmp_path / "bad.pcnw"
-        path.write_bytes(net.WEIGHTS_MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+        _write_descriptor_only(path, descriptor)
         with pytest.raises(net.SchemaError) as info:
             load_params(path)
         assert str(path) in str(info.value) and field in str(info.value)
+
+    @pytest.mark.parametrize(
+        "layer,expected",
+        [
+            ("conv 3 4 2\nlayer=flatten\nlayer=dense 32 4", "kernel 2"),
+            ("dropout 1.0\nlayer=flatten\nlayer=dense 24 4", "dropout rate 1.0"),
+            ("pool 0\nlayer=flatten\nlayer=dense 24 4", "pool 0"),
+        ],
+        ids=["even-kernel", "dropout-one", "pool-zero"],
+    )
+    def test_descriptor_layer_rule_rejected(self, tmp_path, layer, expected):
+        path = tmp_path / "bad.pcnw"
+        _write_descriptor_only(path, "window=8\nin_channels=3\nn_classes=4\nlayer=" + layer)
+        with pytest.raises(ShapeMismatchError) as info:
+            load_params(path)
+        assert str(path) in str(info.value) and expected in str(info.value)
+
+    @pytest.mark.parametrize(
+        "params,expected",
+        [
+            ([None, None], "layer 1 (dense) needs shape (4, 24), file has no tensor"),
+            ([None, (np.zeros((4, 24)),)], "layer 1 (dense) needs shape (4,), file has no tensor"),
+            ([None, (np.zeros((4, 5)), np.zeros(4))], "layer 1 (dense) needs shape (4, 24), file has shape (4, 5)"),
+            ([None, (np.zeros((4, 24)), np.zeros(4), np.zeros(4))], "3 tensors"),
+        ],
+        ids=["no-weight", "no-bias", "wrong-shape", "extra-tensor"],
+    )
+    def test_tensors_checked_against_layers(self, tmp_path, params, expected):
+        spec = ArchitectureSpec((Flatten(), Dense(3 * 8, 4)), window=8, in_channels=3, n_classes=4)
+        path = tmp_path / "w.pcnw"
+        save_params(params, spec, path)
+        with pytest.raises(net.SchemaError) as info:
+            load_params(path)
+        assert str(path) in str(info.value) and expected in str(info.value)
+
+
+def _write_descriptor_only(path, descriptor):
+    """A weight file with the given descriptor, no tensors and a valid CRC."""
+    import struct
+    import zlib
+
+    desc = descriptor.encode()
+    body = struct.pack("<HI", net.WEIGHTS_VERSION, len(desc)) + desc + struct.pack("<I", 0)
+    path.write_bytes(net.WEIGHTS_MAGIC + body + struct.pack("<I", zlib.crc32(body)))
