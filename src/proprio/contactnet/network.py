@@ -12,20 +12,22 @@ descriptor keyword; the network functions below are plain loops over
 keeps the length only for an odd kernel, so even conv kernels are rejected,
 as is a dropout rate outside [0, 1).
 
-Weight files: magic "PCNW", version u16, a text descriptor of the layer
-list, then per-tensor dims and float64 data, CRC32 trailer.
+Weight files are framed `.pcnw` files (see `formats`) whose payload is the
+descriptor length u32, the UTF-8 text descriptor of the layer list, the
+tensor count u32, then per tensor its ndim u8, dims u32 and float64 data.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-import zlib
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 import numpy as np
 
+from ..formats import SchemaMismatchError, read_framed, write_framed
+from ..formats import ChecksumFailureError, VersionMismatchError  # noqa: F401 (re-exported)
 from . import layers as L
 
 WEIGHTS_MAGIC = b"PCNW"
@@ -37,14 +39,6 @@ class ShapeMismatchError(ValueError):
 
 
 class LabelOutOfRangeError(ValueError):
-    pass
-
-
-class ChecksumFailureError(ValueError):
-    pass
-
-
-class VersionMismatchError(ValueError):
     pass
 
 
@@ -383,10 +377,6 @@ def _descriptor(spec: ArchitectureSpec) -> str:
 _KINDS = {cls.kind: cls for cls in (Conv, Relu, Dropout, Pool, Flatten, Dense)}
 
 
-class SchemaError(ValueError):
-    pass
-
-
 def _parse_descriptor(text: str, path) -> ArchitectureSpec:
     meta = {}
     spec_layers = []
@@ -397,27 +387,27 @@ def _parse_descriptor(text: str, path) -> ArchitectureSpec:
             continue
         kind, *values = value.split() or [""]
         if kind not in _KINDS:
-            raise SchemaError(f"{path}: descriptor line {lineno}: unknown layer kind {kind!r}")
+            raise SchemaMismatchError(f"{path}: descriptor line {lineno}: unknown layer kind {kind!r}")
         cls = _KINDS[kind]
         hints = get_type_hints(cls)
         converters = [hints[f.name] for f in fields(cls)]
         if len(values) != len(converters):
-            raise SchemaError(
+            raise SchemaMismatchError(
                 f"{path}: descriptor line {lineno}: layer {kind} needs "
                 f"{len(converters)} fields, has {len(values)}"
             )
         try:
             spec_layers.append(cls(*(conv(v) for conv, v in zip(converters, values))))
         except ValueError:
-            raise SchemaError(f"{path}: descriptor line {lineno}: bad {kind} fields {values}") from None
+            raise SchemaMismatchError(f"{path}: descriptor line {lineno}: bad {kind} fields {values}") from None
     dims = []
     for key in ("window", "in_channels", "n_classes"):
         if key not in meta:
-            raise SchemaError(f"{path}: descriptor lacks field {key!r}")
+            raise SchemaMismatchError(f"{path}: descriptor lacks field {key!r}")
         try:
             dims.append(int(meta[key]))
         except ValueError:
-            raise SchemaError(f"{path}: descriptor field {key}={meta[key]!r} is not an integer") from None
+            raise SchemaMismatchError(f"{path}: descriptor field {key}={meta[key]!r} is not an integer") from None
     return ArchitectureSpec(tuple(spec_layers), *dims, meta.get("name", "custom"))
 
 
@@ -425,61 +415,38 @@ def save_params(params, spec: ArchitectureSpec, path):
     """Bit-exact weight file with a CRC32 trailer."""
     desc = _descriptor(spec).encode()
     tensors = [np.ascontiguousarray(t, dtype="<f8") for p in params if p is not None for t in p]
-    chunks = [struct.pack("<HI", WEIGHTS_VERSION, len(desc)), desc, struct.pack("<I", len(tensors))]
+    chunks = [struct.pack("<I", len(desc)), desc, struct.pack("<I", len(tensors))]
     for arr in tensors:
         chunks += [struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr]
-    crc = 0
-    with open(path, "wb") as f:
-        f.write(WEIGHTS_MAGIC)
-        for chunk in chunks:
-            f.write(chunk)
-            crc = zlib.crc32(chunk, crc)
-        f.write(struct.pack("<I", crc))
+    write_framed(path, WEIGHTS_MAGIC, WEIGHTS_VERSION, chunks)
 
 
 def load_params(path):
-    """Inverse of save_params; returns (params, spec)."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != WEIGHTS_MAGIC:
-        raise SchemaError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 4 + 6 + 4:
-        raise ChecksumFailureError(f"{path}: truncated file")
-    body, (crc,) = blob[4:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) != crc:
-        raise ChecksumFailureError(f"{path}: CRC mismatch")
-    version, desc_len = struct.unpack("<HI", body[:6])
-    if version != WEIGHTS_VERSION:
-        raise VersionMismatchError(f"{path}: version {version}")
-    off = 6
-    spec = _parse_descriptor(body[off : off + desc_len].decode(), path)
+    """Inverse of save_params; returns (params, spec), each tensor checked against its layer."""
+    cur = read_framed(path, WEIGHTS_MAGIC, WEIGHTS_VERSION)
+    (desc_len,) = cur.unpack("<I")
+    spec = _parse_descriptor(cur.text(desc_len), path)
     try:
         trace_shapes(spec)
     except ShapeMismatchError as exc:
         raise ShapeMismatchError(f"{path}: {exc}") from None
-    off += desc_len
-    (n_tensors,) = struct.unpack("<I", body[off : off + 4])
-    off += 4
-    tensors = []
-    for _ in range(n_tensors):
-        ndim = body[off]
-        off += 1
-        shape = struct.unpack(f"<{ndim}I", body[off : off + 4 * ndim])
-        off += 4 * ndim
-        size = int(np.prod(shape)) * 8
-        tensors.append(np.frombuffer(body[off : off + size], dtype="<f8").reshape(shape).astype(float))
-        off += size
+    (n_tensors,) = cur.unpack("<I")
     params = []
-    it = iter(tensors)
+    n_read = 0
     for i, layer in enumerate(spec.layers):
         p = []
         for shape in layer.param_shapes():
-            arr = next(it, None)
-            if arr is None or arr.shape != shape:
-                found = "no tensor" if arr is None else f"shape {arr.shape}"
-                raise SchemaError(f"{path}: layer {i} ({layer.kind}) needs shape {shape}, file has {found}")
-            p.append(arr)
+            dims = None
+            if n_read < n_tensors:
+                (ndim,) = cur.unpack("<B")
+                dims = cur.unpack(f"<{ndim}I")
+            if dims != shape:
+                found = "no tensor" if dims is None else f"shape {dims}"
+                raise SchemaMismatchError(f"{path}: layer {i} ({layer.kind}) needs shape {shape}, file has {found}")
+            p.append(cur.array(shape))
+            n_read += 1
         params.append(tuple(p) or None)
-    if next(it, None) is not None:
-        raise SchemaError(f"{path}: {len(tensors)} tensors, more than the layers take")
+    if n_read < n_tensors:
+        raise SchemaMismatchError(f"{path}: header counts {n_tensors} tensors, the layers take {n_read}")
+    cur.end()
     return params, spec

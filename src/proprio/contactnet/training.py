@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dataio import WindowSet, normalize_window
+from ..formats import write_csv
 from . import network as net
 
 
@@ -162,9 +163,5 @@ def train(train_windows: WindowSet, config: TrainConfig, spec, val_windows=None)
 
 
 def write_training_log(path, log):
-    with open(path, "w") as f:
-        f.write("epoch,train_loss,train_acc,val_acc\n")
-        for row in log:
-            f.write(
-                f"{row['epoch']},{row['train_loss']!r},{row['train_acc']!r},{row['val_acc']!r}\n"
-            )
+    columns = ["epoch", "train_loss", "train_acc", "val_acc"]
+    write_csv(path, columns, [[row[c] for c in columns] for row in log])

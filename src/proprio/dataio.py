@@ -6,23 +6,22 @@ velocities, 12 foot positions (hip frame), 12 foot velocities (hip frame),
 with legs ordered RF, LF, RH, LH. Optional per-frame extras: 12 joint
 torques and a ground-truth contact code.
 
-Two on-disk formats:
-  * CSV, header of 1 + 54 + 12 + 1 columns (timestamp, features, torques,
-    contact code); missing optionals are empty fields.
-  * binary, magic "PCDS", version u16, frame count u64, then 68 packed
-    little-endian float64 per frame (NaN marks missing optionals), CRC32
-    trailer over everything after the magic.
+A dataset file holds one row of CSV_COLUMNS per frame (NaN marks a missing
+optional): a `.csv` path is a CSV table, any other a framed `.pcds` file
+whose payload is the frame count u64 and the rows as float64. `formats`
+holds the frame, the CSV rules and the error classes.
 """
 
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .formats import EmptyStreamError, SchemaMismatchError, read_csv, read_framed, write_csv, write_framed
+from .formats import ChecksumFailureError, VersionMismatchError  # noqa: F401 (re-exported)
 from .kinematics import LEG_NAMES
 
 N_FEATURES = 54
@@ -36,28 +35,12 @@ class OutOfRangeError(ValueError):
     """Contact code outside [0, 2^L - 1]."""
 
 
-class EmptyStreamError(ValueError):
-    pass
-
-
 class NonMonotoneTimestampsError(ValueError):
     pass
 
 
 class InsufficientHistoryError(ValueError):
     """Window end index has fewer than w-1 predecessors."""
-
-
-class SchemaMismatchError(ValueError):
-    pass
-
-
-class ChecksumFailureError(ValueError):
-    pass
-
-
-class VersionMismatchError(ValueError):
-    pass
 
 
 class TooFewWindowsError(ValueError):
@@ -138,20 +121,6 @@ class FrameSequence:
     def features(self) -> np.ndarray:
         """(N, 54) feature matrix in the fixed column order."""
         return np.hstack([self.q, self.qd, self.acc, self.gyro, self.pf, self.vf])
-
-    def validate(self):
-        n = len(self)
-        if n == 0:
-            raise EmptyStreamError("empty frame sequence")
-        if np.any(np.diff(self.t) <= 0.0):
-            raise NonMonotoneTimestampsError("timestamps must strictly increase")
-        for name, arr, width in (
-            ("q", self.q, 12), ("qd", self.qd, 12), ("acc", self.acc, 3),
-            ("gyro", self.gyro, 3), ("pf", self.pf, 12), ("vf", self.vf, 12),
-        ):
-            if arr.shape != (n, width):
-                raise SchemaMismatchError(f"{name} has shape {arr.shape}, want ({n},{width})")
-        return self
 
 
 def upsample(frames: FrameSequence, target_rate: float) -> FrameSequence:
@@ -336,7 +305,16 @@ def _pack_rows(frames: FrameSequence) -> np.ndarray:
     return rows
 
 
-def _unpack_rows(rows: np.ndarray) -> FrameSequence:
+def _contact_codes(col, path) -> np.ndarray:
+    """Float column of contact codes -> int64; each must be a non-negative integer."""
+    bad = ~((col >= 0) & (col < 2.0**63) & (col == np.floor(col)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SchemaMismatchError(f"{path}: data row {i + 1}: bad contact code {float(col[i])!r}")
+    return col.astype(np.int64)
+
+
+def _unpack_rows(rows: np.ndarray, path) -> FrameSequence:
     tau = rows[:, 55:67]
     gt = rows[:, 67]
     return FrameSequence(
@@ -348,102 +326,43 @@ def _unpack_rows(rows: np.ndarray) -> FrameSequence:
         pf=rows[:, 31:43].copy(),
         vf=rows[:, 43:55].copy(),
         tau=None if np.all(np.isnan(tau)) else tau.copy(),
-        gt=None if np.all(np.isnan(gt)) else gt.astype(np.int64),
+        gt=None if np.all(np.isnan(gt)) else _contact_codes(gt, path),
     )
 
 
-def write_dataset_csv(frames: FrameSequence, path):
-    rows = _pack_rows(frames)
-    with open(path, "w") as f:
-        f.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            f.write(",".join("" if np.isnan(v) else repr(float(v)) for v in row) + "\n")
-
-
-def read_dataset_csv(path) -> FrameSequence:
-    want = len(CSV_COLUMNS)
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split(",")
-        if len(header) != want:
-            raise SchemaMismatchError(
-                f"{path}:1: expected {want} columns, found {len(header)}"
-            )
-        data = []
-        for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != want:
-                raise SchemaMismatchError(
-                    f"{path}:{lineno}: expected {want} columns, found {len(parts)}"
-                )
-            data.append([np.nan if p == "" else float(p) for p in parts])
-    if not data:
-        raise EmptyStreamError(f"{path}: no data rows")
-    return _unpack_rows(np.asarray(data))
-
-
-def write_dataset_binary(frames: FrameSequence, path):
-    rows = _pack_rows(frames)
-    body = struct.pack("<HQ", DATASET_VERSION, len(frames))
-    body += rows.astype("<f8").tobytes()
-    with open(path, "wb") as f:
-        f.write(DATASET_MAGIC + body + struct.pack("<I", zlib.crc32(body)))
-
-
-def read_dataset_binary(path) -> FrameSequence:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != DATASET_MAGIC:
-        raise SchemaMismatchError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 4 + 10 + 4:
-        raise ChecksumFailureError(f"{path}: truncated file")
-    body, (crc,) = blob[4:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) != crc:
-        raise ChecksumFailureError(f"{path}: CRC mismatch")
-    version, count = struct.unpack("<HQ", body[:10])
-    if version != DATASET_VERSION:
-        raise VersionMismatchError(f"{path}: version {version}")
-    width = 1 + N_FEATURES + N_JOINTS + 1
-    expected = count * width * 8
-    if len(body) - 10 != expected:
-        raise ChecksumFailureError(f"{path}: payload size mismatch")
-    rows = np.frombuffer(body[10:], dtype="<f8").reshape(count, width).astype(float)
-    return _unpack_rows(rows)
-
-
 def write_dataset(frames: FrameSequence, path):
-    """Dispatch on extension: .csv is text, anything else binary."""
+    """Write a dataset; a .csv path gets a CSV table, any other a .pcds file."""
+    rows = _pack_rows(frames)
     if str(path).endswith(".csv"):
-        write_dataset_csv(frames, path)
+        write_csv(path, CSV_COLUMNS, (row.tolist() for row in rows))
     else:
-        write_dataset_binary(frames, path)
+        payload = [struct.pack("<Q", len(frames)), rows.astype("<f8", copy=False)]
+        write_framed(path, DATASET_MAGIC, DATASET_VERSION, payload)
 
 
 def read_dataset(path) -> FrameSequence:
+    """Read a dataset written by write_dataset, dispatching on the extension."""
     if str(path).endswith(".csv"):
-        return read_dataset_csv(path)
-    return read_dataset_binary(path)
+        return _unpack_rows(read_csv(path, CSV_COLUMNS), path)
+    cur = read_framed(path, DATASET_MAGIC, DATASET_VERSION)
+    (count,) = cur.unpack("<Q")
+    if count == 0:
+        raise EmptyStreamError(f"{path}: no frames")
+    rows = cur.array((count, len(CSV_COLUMNS)))
+    cur.end()
+    return _unpack_rows(rows, path)
 
 
 # contact stream files: t, decimal code
 
+CONTACTS_COLUMNS = ["t", "contact_code"]
+
 
 def write_contacts(path, t, codes):
-    with open(path, "w") as f:
-        f.write("t,contact_code\n")
-        for ti, ci in zip(t, codes):
-            f.write(f"{float(ti)!r},{int(ci)}\n")
+    rows = zip(np.asarray(t, dtype=float).tolist(), np.asarray(codes, dtype=np.int64).tolist())
+    write_csv(path, CONTACTS_COLUMNS, rows)
 
 
 def read_contacts(path):
-    t, codes = [], []
-    with open(path) as f:
-        header = f.readline().rstrip("\n")
-        if header != "t,contact_code":
-            raise SchemaMismatchError(f"{path}:1: unexpected header {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 2:
-                raise SchemaMismatchError(f"{path}:{lineno}: expected 2 columns")
-            t.append(float(parts[0]))
-            codes.append(int(parts[1]))
-    return np.asarray(t), np.asarray(codes, dtype=np.int64)
+    rows = read_csv(path, CONTACTS_COLUMNS)
+    return rows[:, 0], _contact_codes(rows[:, 1], path)

@@ -17,6 +17,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from .formats import read_csv, write_csv
 from .kinematics import LEG_NAMES
 
 ASSOC_TOL_S = 0.002
@@ -171,24 +172,17 @@ def trajectory_metrics(est: Trajectory, gt: Trajectory, tol: float = ASSOC_TOL_S
 # ---------------------------------------------------------------------------
 # trajectory files (t, x, y, z)
 
-TRAJECTORY_HEADER = "t,x,y,z"
+TRAJECTORY_COLUMNS = ["t", "x", "y", "z"]
 
 
 def write_trajectory(path, traj: Trajectory):
-    with open(path, "w") as f:
-        f.write(TRAJECTORY_HEADER + "\n")
-        for ti, pi in zip(traj.t, traj.p):
-            f.write(f"{float(ti)!r},{float(pi[0])!r},{float(pi[1])!r},{float(pi[2])!r}\n")
+    rows = np.column_stack([traj.t, traj.p[:, :3]]).astype(float)
+    write_csv(path, TRAJECTORY_COLUMNS, (row.tolist() for row in rows))
 
 
 def read_trajectory(path) -> Trajectory:
-    with open(path) as f:
-        header = f.readline().rstrip("\n")
-        if header != TRAJECTORY_HEADER:
-            raise ValueError(f"{path}:1: unexpected header {header!r}")
-        rows = [[float(v) for v in line.rstrip("\n").split(",")] for line in f if line.strip()]
-    arr = np.asarray(rows)
-    return Trajectory(arr[:, 0], arr[:, 1:4])
+    rows = read_csv(path, TRAJECTORY_COLUMNS)
+    return Trajectory(rows[:, 0], rows[:, 1:4])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import os
+import struct
+import zlib
 
+import numpy as np
 import pytest
 
 from proprio import dataio
@@ -100,6 +103,65 @@ def test_infer_weights_missing_tensors_exit_2(workdir, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert weights in err and "layer 1 (dense)" in err
+
+
+def test_infer_weights_count_past_end_exit_2(workdir, tmp_path, capsys):
+    _, cfg, out = workdir
+    spec = ArchitectureSpec((Flatten(), Dense(54 * 40, 16)), window=40, in_channels=54, n_classes=16)
+    weights = tmp_path / "count_past_end.pcnw"
+    save_params([None, (np.zeros((16, 54 * 40)), np.zeros(16))], spec, weights)
+    blob = bytearray(weights.read_bytes())
+    (desc_len,) = struct.unpack_from("<I", blob, 6)
+    struct.pack_into("<I", blob, 10 + desc_len, 3)  # the file holds 2 tensors
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[4:-4]))
+    weights.write_bytes(bytes(blob))
+    code = main(["--config", cfg, "--out", str(tmp_path), "infer", "--data", f"{out}/imu.csv", "--weights", str(weights)])
+    assert code == 2
+    assert str(weights) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--data", "--weights"])
+def test_infer_directory_path_exit_2(workdir, tmp_path, capsys, flag):
+    _, cfg, out = workdir
+    paths = {"--data": f"{out}/imu.csv", "--weights": f"{out}/weights.pcnw"}
+    paths[flag] = str(tmp_path)
+    code = main(
+        ["--config", cfg, "--out", str(tmp_path / "out"), "infer",
+         "--data", paths["--data"], "--weights", paths["--weights"]]
+    )
+    assert code == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_filter_header_only_contacts_exit_2(workdir, tmp_path, capsys):
+    _, cfg, out = workdir
+    contacts = tmp_path / "empty.csv"
+    contacts.write_text("t,contact_code\n")
+    code = main(["--config", cfg, "--out", str(tmp_path), "filter", "--data", f"{out}/imu.csv", "--contacts", str(contacts)])
+    assert code == 2
+    assert str(contacts) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", [[100.0, 101.0], [-10.0, -9.0]], ids=["after-data", "before-data"])
+def test_filter_non_overlapping_contacts_exit_2(workdir, tmp_path, capsys, t):
+    _, cfg, out = workdir
+    contacts = tmp_path / "late.csv"
+    dataio.write_contacts(contacts, t, [6, 6])
+    code = main(["--config", cfg, "--out", str(tmp_path), "filter", "--data", f"{out}/imu.csv", "--contacts", str(contacts)])
+    assert code == 2
+    assert str(contacts) in capsys.readouterr().err
+
+
+def test_eval_header_only_trajectory_exit_2(workdir, tmp_path, capsys):
+    _, cfg, out = workdir
+    est = tmp_path / "empty_traj.csv"
+    est.write_text("t,x,y,z\n")
+    code = main(
+        ["--config", cfg, "--out", str(tmp_path), "eval",
+         "--traj-est", str(est), "--traj-gt", f"{out}/trajectory_gt.csv"]
+    )
+    assert code == 2
+    assert str(est) in capsys.readouterr().err
 
 
 def test_train_dropout_one_exit_2(workdir, tmp_path):

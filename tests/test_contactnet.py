@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -630,7 +632,7 @@ class TestSerialization:
     def test_bad_descriptor_schema_error(self, tmp_path, descriptor, field):
         path = tmp_path / "bad.pcnw"
         _write_descriptor_only(path, descriptor)
-        with pytest.raises(net.SchemaError) as info:
+        with pytest.raises(net.SchemaMismatchError) as info:
             load_params(path)
         assert str(path) in str(info.value) and field in str(info.value)
 
@@ -664,16 +666,43 @@ class TestSerialization:
         spec = ArchitectureSpec((Flatten(), Dense(3 * 8, 4)), window=8, in_channels=3, n_classes=4)
         path = tmp_path / "w.pcnw"
         save_params(params, spec, path)
-        with pytest.raises(net.SchemaError) as info:
+        with pytest.raises(net.SchemaMismatchError) as info:
+            load_params(path)
+        assert str(path) in str(info.value) and expected in str(info.value)
+
+    _DENSE_DESC = b"window=8\nin_channels=3\nn_classes=4\nlayer=flatten\nlayer=dense 24 4"
+
+    @pytest.mark.parametrize(
+        "desc,tail,expected",
+        [
+            (
+                _DENSE_DESC,
+                struct.pack("<IB2I", 3, 2, 4, 24) + bytes(8 * 96) + struct.pack("<BI", 1, 4) + bytes(32),
+                "header counts 3 tensors",
+            ),
+            (_DENSE_DESC, struct.pack("<IBI", 2, 2, 4), "field '<2I'"),
+            (_DENSE_DESC, struct.pack("<IB2I", 2, 2, 4, 24) + bytes(10), "array of shape (4, 24)"),
+            (b"window=8\xff\nin_channels=3", struct.pack("<I", 0), "not UTF-8"),
+            (_DENSE_DESC, struct.pack("<IB", 2, 200) + bytes(4 * 200), "file has shape (0, 0, 0"),
+        ],
+        ids=["count-plus-one", "short-shape", "short-data", "non-utf8-descriptor", "ndim-200"],
+    )
+    def test_bad_payload_schema_error(self, tmp_path, desc, tail, expected):
+        path = tmp_path / "bad.pcnw"
+        _write_weight_bytes(path, desc, tail)
+        with pytest.raises(net.SchemaMismatchError) as info:
             load_params(path)
         assert str(path) in str(info.value) and expected in str(info.value)
 
 
 def _write_descriptor_only(path, descriptor):
     """A weight file with the given descriptor, no tensors and a valid CRC."""
-    import struct
+    _write_weight_bytes(path, descriptor.encode(), struct.pack("<I", 0))
+
+
+def _write_weight_bytes(path, desc, tail):
+    """A weight file with the given descriptor bytes, then `tail`, and a valid CRC."""
     import zlib
 
-    desc = descriptor.encode()
-    body = struct.pack("<HI", net.WEIGHTS_VERSION, len(desc)) + desc + struct.pack("<I", 0)
+    body = struct.pack("<HI", net.WEIGHTS_VERSION, len(desc)) + desc + tail
     path.write_bytes(net.WEIGHTS_MAGIC + body + struct.pack("<I", zlib.crc32(body)))
