@@ -117,7 +117,7 @@ def cmd_train(args, cfg):
     out = _ensure_out(args)
     frames = dataio.read_dataset(args.data)
     if frames.gt is None:
-        raise dataio.SchemaMismatchError("training dataset has no contact labels")
+        raise dataio.SchemaMismatchError(f"{args.data}: training dataset has no contact labels")
     cn = cfg.contactnet
     windows = dataio.window_set(frames, cn.window, cn.stride)
     train_set, val_set, _ = dataio.split_dataset(windows, args.seed)
@@ -160,15 +160,19 @@ def cmd_infer(args, cfg):
     return 0
 
 
+def _require_overlap(t_a, path_a, t_b, path_b):
+    """Raise NoOverlapError naming both files when two time spans share no instant."""
+    if t_a[0] > t_b[-1] or t_a[-1] < t_b[0]:
+        raise evalkit.NoOverlapError(
+            f"{path_a} spans {t_a[0]:g}..{t_a[-1]:g} s, {path_b} {t_b[0]:g}..{t_b[-1]:g} s: no overlap"
+        )
+
+
 def cmd_filter(args, cfg):
     out = _ensure_out(args)
     frames = dataio.read_dataset(args.data)
     t_c, codes = dataio.read_contacts(args.contacts)
-    if t_c[0] > frames.t[-1] or t_c[-1] < frames.t[0]:
-        raise evalkit.NoOverlapError(
-            f"{args.contacts}: contacts span {t_c[0]:g}..{t_c[-1]:g} s, "
-            f"the data {frames.t[0]:g}..{frames.t[-1]:g} s"
-        )
+    _require_overlap(t_c, args.contacts, frames.t, args.data)
     # align contacts to frames by nearest timestamp, zero-order hold before
     idx = np.clip(np.searchsorted(t_c, frames.t + 1e-9) - 1, 0, len(t_c) - 1)
     num_legs = len(cfg.kinematics.legs())
@@ -209,6 +213,7 @@ def cmd_eval(args, cfg):
     if args.pred and args.gt:
         tp, cp = dataio.read_contacts(args.pred)
         tg, cg = dataio.read_contacts(args.gt)
+        _require_overlap(tp, args.pred, tg, args.gt)
         n = min(len(cp), len(cg))
         # align on the common timestamp range
         num_legs = 4

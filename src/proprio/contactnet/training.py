@@ -42,15 +42,29 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}; expected one of {sorted(_OPTIMIZERS)}")
 
 
+# Elements per Adam chunk: a chunk of the parameter, its gradient, m, v and
+# the buffer (5 x 256 KB in float64) stays in a core's L2 for all 13 passes.
+_CHUNK = 32768
+
+
 class _Adam:
-    """In-place Adam; scratch buffers keep the big layers allocation-free."""
+    """In-place Adam, walked one cache-sized chunk at a time.
+
+    Each chunk of a tensor goes through the whole update, thirteen in-place
+    ufunc calls through one chunk-sized buffer, before the next chunk
+    starts, so its operands are read from memory once per step rather than
+    once per call. Every element gets the same operations in the same order
+    as in a whole-array pass, so the result is bit-identical to one.
+    Parameters, ``m`` and ``v`` are contiguous, so their 1-D reshapes are
+    views and the chunks write through to them.
+    """
 
     def __init__(self, params, config):
         self.cfg = config
         self.step_count = 0
         self.m = [None if p is None else (np.zeros_like(p[0]), np.zeros_like(p[1])) for p in params]
         self.v = [None if p is None else (np.zeros_like(p[0]), np.zeros_like(p[1])) for p in params]
-        self.scratch = [None if p is None else (np.empty_like(p[0]), np.empty_like(p[1])) for p in params]
+        self.buf = np.empty(_CHUNK)
 
     def step(self, params, grads):
         cfg = self.cfg
@@ -63,21 +77,25 @@ class _Adam:
             if grad is None:
                 continue
             for j in range(2):
-                g = grad[j]
-                m, v, buf = self.m[i][j], self.v[i][j], self.scratch[i][j]
-                m *= cfg.adam_beta1
-                np.multiply(g, 1.0 - cfg.adam_beta1, out=buf)
-                m += buf
-                v *= cfg.adam_beta2
-                np.multiply(g, g, out=buf)
-                buf *= 1.0 - cfg.adam_beta2
-                v += buf
-                np.sqrt(v, out=buf)
-                buf /= sqrt_b2c
-                buf += cfg.adam_eps
-                np.divide(m, buf, out=buf)
-                buf *= scale
-                np.subtract(params[i][j], buf, out=params[i][j])
+                flat_p, flat_g = params[i][j].reshape(-1), grad[j].reshape(-1)
+                flat_m, flat_v = self.m[i][j].reshape(-1), self.v[i][j].reshape(-1)
+                for start in range(0, flat_p.size, _CHUNK):
+                    s = slice(start, start + _CHUNK)
+                    p, g, m, v = flat_p[s], flat_g[s], flat_m[s], flat_v[s]
+                    buf = self.buf[: p.size]
+                    m *= cfg.adam_beta1
+                    np.multiply(g, 1.0 - cfg.adam_beta1, out=buf)
+                    m += buf
+                    v *= cfg.adam_beta2
+                    np.multiply(g, g, out=buf)
+                    buf *= 1.0 - cfg.adam_beta2
+                    v += buf
+                    np.sqrt(v, out=buf)
+                    buf /= sqrt_b2c
+                    buf += cfg.adam_eps
+                    np.divide(m, buf, out=buf)
+                    buf *= scale
+                    np.subtract(p, buf, out=p)
         return params
 
 

@@ -341,15 +341,28 @@ def write_dataset(frames: FrameSequence, path):
 
 
 def read_dataset(path) -> FrameSequence:
-    """Read a dataset written by write_dataset, dispatching on the extension."""
-    if str(path).endswith(".csv"):
-        return _unpack_rows(read_csv(path, CSV_COLUMNS), path)
-    cur = read_framed(path, DATASET_MAGIC, DATASET_VERSION)
-    (count,) = cur.unpack("<Q")
-    if count == 0:
-        raise EmptyStreamError(f"{path}: no frames")
-    rows = cur.array((count, len(CSV_COLUMNS)))
-    cur.end()
+    """Read a dataset written by write_dataset, dispatching on the extension.
+
+    Timestamps must be finite and strictly increasing; the first one that is
+    not is reported as `path:line` for a CSV and by frame index for a .pcds.
+    """
+    is_csv = str(path).endswith(".csv")
+    if is_csv:
+        rows = read_csv(path, CSV_COLUMNS)
+    else:
+        cur = read_framed(path, DATASET_MAGIC, DATASET_VERSION)
+        (count,) = cur.unpack("<Q")
+        if count == 0:
+            raise EmptyStreamError(f"{path}: no frames")
+        rows = cur.array((count, len(CSV_COLUMNS)))
+        cur.end()
+    t = rows[:, 0]
+    bad = ~np.isfinite(t)
+    bad[1:] |= ~(t[1:] > t[:-1])
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f"{path}:{i + 2}" if is_csv else f"{path}: frame {i}"  # CSV line 1 is the header
+        raise SchemaMismatchError(f"{where}: timestamp {float(t[i])!r} is not finite or does not exceed the one before it")
     return _unpack_rows(rows, path)
 
 

@@ -152,6 +152,38 @@ def test_filter_non_overlapping_contacts_exit_2(workdir, tmp_path, capsys, t):
     assert str(contacts) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_pred", [[100.0, 100.9], [-100.9, -100.0]], ids=["pred-after-gt", "pred-before-gt"])
+def test_eval_non_overlapping_contacts_exit_2(workdir, tmp_path, capsys, t_pred):
+    _, cfg, _ = workdir
+    pred, gt = tmp_path / "pred.csv", tmp_path / "gt.csv"
+    dataio.write_contacts(pred, t_pred, [6, 9])
+    dataio.write_contacts(gt, [0.0, 0.9], [6, 9])
+    code = main(["--config", cfg, "--out", str(tmp_path), "eval", "--pred", str(pred), "--gt", str(gt)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(pred) in err and str(gt) in err
+
+
+def test_label_unordered_timestamps_exit_2(workdir, tmp_path, capsys):
+    _, cfg, out = workdir
+    frames = dataio.read_dataset(f"{out}/encoder.csv")
+    frames.t[[10, 11]] = frames.t[[11, 10]]
+    path = tmp_path / "swapped.csv"
+    dataio.write_dataset(frames, path)
+    assert main(["--config", cfg, "--out", str(tmp_path), "label", "--data", str(path)]) == 2
+    assert f"{path}:13:" in capsys.readouterr().err
+
+
+def test_train_unlabeled_dataset_names_file(workdir, tmp_path, capsys):
+    _, cfg, out = workdir
+    frames = dataio.read_dataset(f"{out}/imu.csv")
+    frames.gt = None
+    path = tmp_path / "nolabels.csv"
+    dataio.write_dataset(frames, path)
+    assert main(["--config", cfg, "--out", str(tmp_path), "train", "--data", str(path)]) == 2
+    assert f"{path}: training dataset has no contact labels" in capsys.readouterr().err
+
+
 def test_eval_header_only_trajectory_exit_2(workdir, tmp_path, capsys):
     _, cfg, out = workdir
     est = tmp_path / "empty_traj.csv"

@@ -522,6 +522,64 @@ class TestTraining:
         assert log[-1]["train_loss"] < log[0]["train_loss"] * 1.2
 
 
+def ref_adam_step(params, grads, m, v, t, cfg):
+    """Adam as one whole-array pass per tensor, the in-place sequence the
+    chunked step must reproduce bit for bit."""
+    b1c = 1.0 - cfg.adam_beta1**t
+    b2c = 1.0 - cfg.adam_beta2**t
+    scale = cfg.learning_rate / b1c
+    sqrt_b2c = np.sqrt(b2c)
+    for i, grad in enumerate(grads):
+        if grad is None:
+            continue
+        for j in range(2):
+            g, p, mm, vv = grad[j], params[i][j], m[i][j], v[i][j]
+            buf = np.empty_like(p)
+            mm *= cfg.adam_beta1
+            np.multiply(g, 1.0 - cfg.adam_beta1, out=buf)
+            mm += buf
+            vv *= cfg.adam_beta2
+            np.multiply(g, g, out=buf)
+            buf *= 1.0 - cfg.adam_beta2
+            vv += buf
+            np.sqrt(vv, out=buf)
+            buf /= sqrt_b2c
+            buf += cfg.adam_eps
+            np.divide(mm, buf, out=buf)
+            buf *= scale
+            np.subtract(p, buf, out=p)
+
+
+class TestAdam:
+    def test_chunked_step_matches_whole_array_reference(self):
+        from proprio.contactnet import TrainConfig
+        from proprio.contactnet.training import _CHUNK, _Adam
+
+        rng = np.random.default_rng(23)
+        big = (3, _CHUNK // 2 + 7)  # 1.5 chunks + 21 elements: a partial tail chunk
+        assert np.prod(big) > _CHUNK and np.prod(big) % _CHUNK
+        shapes = [(big, (3,)), None, ((4, 6, 3), (4,))]
+        params = [None if s is None else (rng.standard_normal(s[0]), rng.standard_normal(s[1])) for s in shapes]
+        ref = [None if p is None else (p[0].copy(), p[1].copy()) for p in params]
+        cfg = TrainConfig(learning_rate=1e-2)
+        opt = _Adam(params, cfg)
+        arrays = [(params[i][j], opt.m[i][j], opt.v[i][j]) for i in (0, 2) for j in (0, 1)]
+        ref_m = [None if p is None else (np.zeros_like(p[0]), np.zeros_like(p[1])) for p in ref]
+        ref_v = [None if p is None else (np.zeros_like(p[0]), np.zeros_like(p[1])) for p in ref]
+        for t in range(1, 5):
+            grads = [None if s is None else (rng.standard_normal(s[0]), rng.standard_normal(s[1])) for s in shapes]
+            assert opt.step(params, grads) is params
+            ref_adam_step(ref, grads, ref_m, ref_v, t, cfg)
+        assert params[1] is None
+        for i in (0, 2):
+            for j in (0, 1):
+                assert np.array_equal(params[i][j], ref[i][j])
+                assert np.array_equal(opt.m[i][j], ref_m[i][j])
+                assert np.array_equal(opt.v[i][j], ref_v[i][j])
+        updated = [(params[i][j], opt.m[i][j], opt.v[i][j]) for i in (0, 2) for j in (0, 1)]
+        assert all(a is b for old, new in zip(arrays, updated) for a, b in zip(old, new))
+
+
 class TestPredict:
     def test_forced_class_six(self):
         spec = tiny_spec()

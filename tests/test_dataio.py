@@ -253,6 +253,20 @@ class TestDatasetFiles:
         with pytest.raises(SchemaMismatchError, match=str(len(cols))):
             dataio.read_dataset(path)
 
+    @pytest.mark.parametrize("ext, where", [(".csv", ":6: "), (".pcds", ": frame 4: ")])
+    @pytest.mark.parametrize("fault", ["swapped", "repeated"])
+    def test_timestamps_must_increase(self, tmp_path, ext, where, fault):
+        frames = random_frames(np.random.default_rng(21), 8)
+        if fault == "swapped":
+            frames.t[[3, 4]] = frames.t[[4, 3]]
+        else:
+            frames.t[4] = frames.t[3]
+        path = tmp_path / f"d{ext}"
+        dataio.write_dataset(frames, path)
+        with pytest.raises(SchemaMismatchError) as info:
+            dataio.read_dataset(path)
+        assert str(info.value).startswith(f"{path}{where}")
+
     def test_contacts_roundtrip(self, tmp_path):
         t = np.arange(5) * 0.1
         codes = np.array([0, 6, 15, 9, 3])
