@@ -16,9 +16,11 @@ from . import baselines, dataio, evalkit, gaitsim, inekf, labelgen
 from .config import load_config
 from .contactnet import (
     TrainConfig,
+    cast_params,
     evaluate_accuracy,
     load_params,
-    predict_batch,
+    predict_batch,  # noqa: F401 (called through predict_codes; perfbench/perlayer.py traces cli.predict_batch)
+    predict_codes,
     preset,
     save_params,
     train,
@@ -137,25 +139,14 @@ def cmd_train(args, cfg):
     return 0
 
 
-def _infer_codes(frames, params, spec, batch=256):
-    windows = dataio.window_set(frames, spec.window, stride=1)
-    n = len(windows)
-    codes = np.zeros(n, dtype=np.int64)
-    for start in range(0, n, batch):
-        idx = np.arange(start, min(start + batch, n))
-        x = dataio.normalize_window(windows.batch(idx))
-        codes[idx] = predict_batch(params, spec, x)
-    t = frames.t[windows.end_indices]
-    return t, codes, windows.end_indices
-
-
 def cmd_infer(args, cfg):
     out = _ensure_out(args)
     frames = dataio.read_dataset(args.data)
     params, spec = load_params(args.weights)
-    t, codes, _ = _infer_codes(frames, params, spec)
+    windows = dataio.window_set(frames, spec.window, stride=1)
+    codes = predict_codes(cast_params(params), spec, windows)
     path = os.path.join(out, "contacts_pred.csv")
-    dataio.write_contacts(path, t, codes)
+    dataio.write_contacts(path, frames.t[windows.end_indices], codes)
     print(f"wrote {path}")
     return 0
 
@@ -173,18 +164,12 @@ def cmd_filter(args, cfg):
     frames = dataio.read_dataset(args.data)
     t_c, codes = dataio.read_contacts(args.contacts)
     _require_overlap(t_c, args.contacts, frames.t, args.data)
+    legs = cfg.kinematics.legs()
     # align contacts to frames by nearest timestamp, zero-order hold before
     idx = np.clip(np.searchsorted(t_c, frames.t + 1e-9) - 1, 0, len(t_c) - 1)
-    num_legs = len(cfg.kinematics.legs())
-    contacts = dataio.codes_to_bool(codes[idx], num_legs)
+    contacts = dataio.codes_to_bool(codes[idx], len(legs))
     first = int(np.argmax(frames.t >= t_c[0]))
-    sub = dataio.FrameSequence(
-        frames.t[first:], frames.q[first:], frames.qd[first:], frames.acc[first:],
-        frames.gyro[first:], frames.pf[first:], frames.vf[first:],
-        None if frames.tau is None else frames.tau[first:],
-        None if frames.gt is None else frames.gt[first:],
-    )
-    legs = cfg.kinematics.legs()
+    sub = frames.rows(slice(first, None))
     t, rot, vel, pos = inekf.filter_sequence(sub, contacts[first:], legs, cfg.inekf.noise())
     path = os.path.join(out, "trajectory_est.csv")
     evalkit.write_trajectory(path, evalkit.Trajectory(t, pos, rot))
@@ -214,12 +199,15 @@ def cmd_eval(args, cfg):
         tp, cp = dataio.read_contacts(args.pred)
         tg, cg = dataio.read_contacts(args.gt)
         _require_overlap(tp, args.pred, tg, args.gt)
-        n = min(len(cp), len(cg))
-        # align on the common timestamp range
-        num_legs = 4
-        idx = np.clip(np.searchsorted(tg, tp[:n] + 1e-9) - 1, 0, len(tg) - 1)
+        # every prediction inside the common time span, against the last
+        # ground-truth code at or before it (zero-order hold)
+        hold = np.searchsorted(tg, tp + 1e-9, side="right") - 1
+        inside = (hold >= 0) & (tp <= tg[-1] + 1e-9)
+        if not inside.any():
+            raise evalkit.NoOverlapError(f"{args.pred}: no prediction inside the span of {args.gt}")
+        num_legs = len(cfg.kinematics.legs())
         rep = evalkit.classification_metrics(
-            dataio.codes_to_bool(cp[:n], num_legs), dataio.codes_to_bool(cg[idx], num_legs)
+            dataio.codes_to_bool(cp[inside], num_legs), dataio.codes_to_bool(cg[hold[inside]], num_legs)
         )
         class_reports["contacts"] = rep
         print(f"full-state accuracy: {rep.full_state_accuracy:.4f} leg avg: {rep.leg_average_accuracy:.4f}")
@@ -251,7 +239,7 @@ def cmd_pipeline(args, cfg):
     )
 
     # self-supervised labels at the encoder rate, upsampled onto IMU frames
-    heights = sim.encoder_frames.pf.reshape(len(sim.encoder_frames), 4, 3)[:, :, 2]
+    heights = sim.encoder_frames.pf.reshape(len(sim.encoder_frames), len(legs), 3)[:, :, 2]
     gait_cfg = cfg.labelgen.to_labelgen()
     if cfg.gaitsim.gait in labelgen.HALF_POWER_FREQ:
         gait_cfg.gait = cfg.gaitsim.gait
@@ -276,24 +264,22 @@ def cmd_pipeline(args, cfg):
     write_training_log(os.path.join(out, "trainlog.csv"), log)
     test_acc = evaluate_accuracy(params, spec, test_set)
 
-    t_pred, codes, ends = _infer_codes(sim.imu_frames, params, spec)
-    dataio.write_contacts(os.path.join(out, "contacts_pred.csv"), t_pred, codes)
+    stream = dataio.window_set(sim.imu_frames, spec.window, stride=1)
+    codes = predict_codes(params, spec, stream)
+    ends = stream.end_indices
+    dataio.write_contacts(os.path.join(out, "contacts_pred.csv"), sim.imu_frames.t[ends], codes)
     dataio.write_contacts(
         os.path.join(out, "contacts_gt.csv"), sim.imu_frames.t, dataio.bool_to_codes(sim.contacts_imu)
     )
 
     # filter from the first classified frame
     first = int(ends[0])
-    frames = sim.imu_frames
-    sub = dataio.FrameSequence(
-        frames.t[first:], frames.q[first:], frames.qd[first:], frames.acc[first:],
-        frames.gyro[first:], frames.pf[first:], frames.vf[first:], None, None,
-    )
-    contacts = dataio.codes_to_bool(codes, 4)
+    contacts = dataio.codes_to_bool(codes, len(legs))
     init = inekf.make_initial_state(
         rot=sim.traj_rot[first], vel=sim.traj_vel[first], pos=sim.traj_pos[first],
-        t=float(frames.t[first]),
+        t=float(sim.imu_frames.t[first]),
     )
+    sub = sim.imu_frames.rows(slice(first, None))
     t_f, rot_f, vel_f, pos_f = inekf.filter_sequence(sub, contacts, legs, cfg.inekf.noise(), init)
     est = evalkit.Trajectory(t_f, pos_f)
     gt_traj = evalkit.Trajectory(sim.traj_t, sim.traj_pos)

@@ -5,7 +5,8 @@ windows arrive in. Convolutions slide along the time axis with stride 1
 and zero same-padding, lowered to im2col plus one GEMM; pooling floor-
 divides the length. Weights keep the (O, C, k) layout of the weight files.
 Every forward returns (output, cache) and the matching backward consumes
-(grad_output, cache).
+(grad_output, cache). Outputs, gradients and masks keep the dtype of the
+activations they are computed from.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def conv1d_backward(dout, cache):
     db = d2.sum(axis=0)
     dw = np.ascontiguousarray((cols.T @ d2).reshape(k, c, o).transpose(2, 1, 0))
     dcols = (d2 @ wcols.T).reshape(n, t, k, c)
-    dxp = np.zeros((n, t + 2 * pad, c))
+    dxp = np.zeros((n, t + 2 * pad, c), dout.dtype)
     for i in range(k):
         dxp[:, i : i + t] += dcols[:, :, i]
     return dxp[:, pad : pad + t], dw, db
@@ -57,7 +58,9 @@ def dropout_forward(x, p, mode, rng):
     """Inverted dropout: train-mode expectation equals the eval activation.
 
     A (N, T, C) mask is drawn in (N, C, T) element order, so a seeded run
-    draws the same masks whatever the activation layout.
+    draws the same masks whatever the activation layout. The mask is drawn
+    in float64 and cast to the activations' dtype, so a seeded run draws the
+    same masks whatever the compute dtype.
     """
     if mode != "train" or p <= 0.0:
         return x, None
@@ -66,7 +69,7 @@ def dropout_forward(x, p, mode, rng):
         draw = rng.random((n, c, t)).transpose(0, 2, 1)
     else:
         draw = rng.random(x.shape)
-    mask = (draw >= p) / (1.0 - p)
+    mask = ((draw >= p) / (1.0 - p)).astype(x.dtype, copy=False)
     return x * mask, mask
 
 
@@ -88,7 +91,7 @@ def maxpool1d_backward(dout, cache):
     n, t, c = x.shape
     t_out = t // k
     arg = x[:, : t_out * k].reshape(n, t_out, k, c).argmax(axis=2)  # ties -> first
-    dx = np.zeros(x.shape)
+    dx = np.zeros(x.shape, x.dtype)
     for i in range(k):
         dx[:, i : t_out * k : k] = dout * (arg == i)
     return dx

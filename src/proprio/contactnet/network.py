@@ -12,9 +12,16 @@ descriptor keyword; the network functions below are plain loops over
 keeps the length only for an odd kernel, so even conv kernels are rejected,
 as is a dropout rate outside [0, 1).
 
+The network computes in the dtype of its parameters: every input batch is
+cast once to it, and every activation, gradient and optimizer buffer
+follows it. `init_params` makes float32 parameters by default
+(`DEFAULT_DTYPE`); float64 is kept for gradient checks and pinned logs.
+
 Weight files are framed `.pcnw` files (see `formats`) whose payload is the
 descriptor length u32, the UTF-8 text descriptor of the layer list, the
 tensor count u32, then per tensor its ndim u8, dims u32 and float64 data.
+Float32 parameters upcast to float64 exactly on save; `load_params`
+returns float64, and `cast_params` converts them for inference.
 """
 
 from __future__ import annotations
@@ -32,6 +39,10 @@ from . import layers as L
 
 WEIGHTS_MAGIC = b"PCNW"
 WEIGHTS_VERSION = 1
+
+# compute dtype of new parameters: numpy has no float16 BLAS, and float32
+# halves the memory traffic of every GEMM and optimizer pass against float64
+DEFAULT_DTYPE = np.float32
 
 
 class ShapeMismatchError(ValueError):
@@ -258,8 +269,12 @@ def trace_shapes(spec: ArchitectureSpec):
     return shapes
 
 
-def init_params(spec: ArchitectureSpec, rng) -> list:
-    """Kaiming-uniform fan-in weights, zero biases; one entry per layer."""
+def init_params(spec: ArchitectureSpec, rng, dtype=DEFAULT_DTYPE) -> list:
+    """Kaiming-uniform fan-in weights, zero biases; one entry per layer.
+
+    The weights are drawn in float64 and then cast, so every dtype consumes
+    the same random numbers.
+    """
     trace_shapes(spec)
     params = []
     for layer in spec.layers:
@@ -269,16 +284,28 @@ def init_params(spec: ArchitectureSpec, rng) -> list:
             continue
         w_shape, b_shape = shapes
         bound = np.sqrt(6.0 / math.prod(w_shape[1:]))  # fan-in: every weight axis but the output
-        params.append((rng.uniform(-bound, bound, size=w_shape), np.zeros(b_shape)))
+        weight = rng.uniform(-bound, bound, size=w_shape).astype(dtype, copy=False)
+        params.append((weight, np.zeros(b_shape, dtype)))
     return params
 
 
-def _as_batch(window, spec):
+def cast_params(params, dtype=DEFAULT_DTYPE) -> list:
+    """The parameters in `dtype` (the default compute dtype unless given); no copy of a tensor already in it."""
+    return [None if p is None else tuple(t.astype(dtype, copy=False) for t in p) for p in params]
+
+
+def params_dtype(params):
+    """Compute dtype of a parameter list (float64 when no layer has parameters)."""
+    return next((p[0].dtype for p in params if p is not None), np.dtype(np.float64))
+
+
+def _as_batch(window, spec, dtype):
     """(w, C) or (N, w, C) window array -> time-major (N, T, C) network input.
 
-    Windows are already time-major, so no copy is made for float64 input.
+    The batch is cast once to the compute dtype, so every GEMM sees one
+    dtype; windows are already time-major, so input in that dtype is not copied.
     """
-    x = np.asarray(window, dtype=float)
+    x = np.asarray(window, dtype=dtype)
     single = x.ndim == 2
     if single:
         x = x[None]
@@ -310,7 +337,7 @@ def forward(params, spec, window, mode="eval", rng=None):
 
     Eval mode is deterministic; train mode needs an rng for dropout.
     """
-    x, single = _as_batch(window, spec)
+    x, single = _as_batch(window, spec, params_dtype(params))
     logits = _forward_cached(params, spec, x, mode, rng)
     return logits[0] if single else logits
 
@@ -326,7 +353,7 @@ def loss(logits, label) -> float:
 
 def loss_and_grads(params, spec, windows, labels, mode="train", rng=None):
     """Batched loss (mean reduction) and parameter gradients."""
-    x, single = _as_batch(windows, spec)
+    x, single = _as_batch(windows, spec, params_dtype(params))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     if np.any(labels < 0) or np.any(labels >= spec.n_classes):
         raise LabelOutOfRangeError("label outside class range")

@@ -1,4 +1,4 @@
-"""Mini-batch training loop for the contact classifier.
+"""Mini-batch training loop and batched inference for the contact classifier.
 
 Adam by default (plain SGD selectable), mean-reduced cross-entropy,
 per-window z-score normalization applied on the fly. Deterministic given
@@ -9,6 +9,7 @@ accuracy along with a per-epoch log.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,13 @@ class EmptyDatasetError(ValueError):
 
 @dataclass
 class TrainConfig:
+    """Optimizer settings, seed and compute dtype of one training run.
+
+    `dtype` is the dtype of the parameters, activations, gradients and Adam
+    moments: float32 by default, float64 for runs that must match a float64
+    reference. Saved weights are float64 either way.
+    """
+
     batch_size: int = 30
     learning_rate: float = 1e-4
     epochs: int = 30
@@ -32,6 +40,7 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
+    dtype: type = net.DEFAULT_DTYPE
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -43,7 +52,8 @@ class TrainConfig:
 
 
 # Elements per Adam chunk: a chunk of the parameter, its gradient, m, v and
-# the buffer (5 x 256 KB in float64) stays in a core's L2 for all 13 passes.
+# the buffer (5 x 256 KB in float64, half that in float32) stays in a
+# core's L2 for all 13 passes.
 _CHUNK = 32768
 
 
@@ -56,7 +66,9 @@ class _Adam:
     once per call. Every element gets the same operations in the same order
     as in a whole-array pass, so the result is bit-identical to one.
     Parameters, ``m`` and ``v`` are contiguous, so their 1-D reshapes are
-    views and the chunks write through to them.
+    views and the chunks write through to them. ``m``, ``v`` and the buffer
+    take the parameters' dtype, and the step's scalars are Python floats, so
+    no pass promotes a float32 chunk to float64.
     """
 
     def __init__(self, params, config):
@@ -64,7 +76,7 @@ class _Adam:
         self.step_count = 0
         self.m = [None if p is None else (np.zeros_like(p[0]), np.zeros_like(p[1])) for p in params]
         self.v = [None if p is None else (np.zeros_like(p[0]), np.zeros_like(p[1])) for p in params]
-        self.buf = np.empty(_CHUNK)
+        self.buf = np.empty(_CHUNK, net.params_dtype(params))
 
     def step(self, params, grads):
         cfg = self.cfg
@@ -72,7 +84,7 @@ class _Adam:
         b1c = 1.0 - cfg.adam_beta1**self.step_count
         b2c = 1.0 - cfg.adam_beta2**self.step_count
         scale = cfg.learning_rate / b1c
-        sqrt_b2c = np.sqrt(b2c)
+        sqrt_b2c = math.sqrt(b2c)
         for i, grad in enumerate(grads):
             if grad is None:
                 continue
@@ -121,18 +133,26 @@ def _batches(n, batch_size, rng):
         yield order[start : start + batch_size]
 
 
+def predict_codes(params, spec, windows: WindowSet, batch=256) -> np.ndarray:
+    """Predicted code of every window: gather, normalize and classify `batch` at a time.
+
+    The network runs in the parameters' dtype; cast loaded float64 weights
+    with `network.cast_params` first to infer in float32.
+    """
+    n = len(windows)
+    codes = np.zeros(n, dtype=np.int64)
+    for start in range(0, n, batch):
+        idx = np.arange(start, min(start + batch, n))
+        codes[idx] = net.predict_batch(params, spec, normalize_window(windows.batch(idx)))
+    return codes
+
+
 def evaluate_accuracy(params, spec, windows: WindowSet, batch_size=256):
     """Fraction of windows whose predicted code matches the label."""
     if windows.labels is None:
         raise EmptyDatasetError("window set has no labels")
-    n = len(windows)
-    correct = 0
-    for start in range(0, n, batch_size):
-        idx = np.arange(start, min(start + batch_size, n))
-        x = normalize_window(windows.batch(idx))
-        pred = net.predict_batch(params, spec, x)
-        correct += int(np.sum(pred == windows.labels[idx]))
-    return correct / n
+    correct = np.count_nonzero(predict_codes(params, spec, windows, batch_size) == windows.labels)
+    return int(correct) / len(windows)
 
 
 def train(train_windows: WindowSet, config: TrainConfig, spec, val_windows=None):
@@ -147,7 +167,7 @@ def train(train_windows: WindowSet, config: TrainConfig, spec, val_windows=None)
     if train_windows.labels is None:
         raise EmptyDatasetError("training windows carry no labels")
     rng = np.random.default_rng(config.seed)
-    params = net.init_params(spec, rng)
+    params = net.init_params(spec, rng, config.dtype)
     opt = _OPTIMIZERS[config.optimizer](params, config)
 
     best_params = [None if p is None else (p[0].copy(), p[1].copy()) for p in params]

@@ -15,7 +15,7 @@ holds the frame, the CSV rules and the error classes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -117,6 +117,11 @@ class FrameSequence:
 
     def __len__(self) -> int:
         return self.t.shape[0]
+
+    def rows(self, index) -> "FrameSequence":
+        """Frames `index` (a slice or index array) of every column; absent columns stay None."""
+        columns = (getattr(self, f.name) for f in fields(self))
+        return FrameSequence(*(None if col is None else col[index] for col in columns))
 
     def features(self) -> np.ndarray:
         """(N, 54) feature matrix in the fixed column order."""

@@ -23,12 +23,13 @@ from proprio.contactnet import (
     init_params,
     load_params,
     loss,
+    predict_codes,
     preset,
     save_params,
     train,
 )
 from proprio.contactnet import network as net
-from proprio.dataio import WindowSet, codes_to_bool, normalize_window
+from proprio.dataio import WindowSet, codes_to_bool
 from proprio.inekf import ImuSample, NoiseParams, make_initial_state
 
 WINDOW = 150
@@ -50,16 +51,6 @@ def _per_leg_accuracy(pred_codes, gt_codes, num_legs=4):
     pred = codes_to_bool(pred_codes, num_legs)
     gt = codes_to_bool(gt_codes, num_legs)
     return (pred == gt).mean(axis=0)
-
-
-def _predict_codes(params, spec, windows, batch=256):
-    n = len(windows)
-    out = np.zeros(n, dtype=np.int64)
-    for start in range(0, n, batch):
-        idx = np.arange(start, min(start + batch, n))
-        x = normalize_window(windows.batch(idx))
-        out[idx] = net.predict_batch(params, spec, x)
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +81,7 @@ def trained(training_data):
     spec = preset("2blocks", window=WINDOW, in_channels=54, n_classes=CLASSES)
     cfg = TrainConfig(batch_size=30, learning_rate=1e-4, epochs=3, seed=5)
     params, log = train(train_set, cfg, spec, val_set)
-    pred = _predict_codes(params, spec, test_set)
+    pred = predict_codes(params, spec, test_set)
     runtime = time.monotonic() - t0
     return {
         "params": params,
@@ -147,7 +138,7 @@ class TestA1Gradients:
         worst = 0.0
         for layers, _name in self.LAYER_CASES:
             spec = ArchitectureSpec(tuple(layers), window=8, in_channels=3, n_classes=4)
-            params = init_params(spec, rng)
+            params = init_params(spec, rng, dtype=np.float64)
             worst = max(worst, self._max_rel_error(spec, params, rng.normal(size=(8, 3)), 1))
         tiny = ArchitectureSpec(
             (
@@ -157,7 +148,7 @@ class TestA1Gradients:
             ),
             window=8, in_channels=3, n_classes=4,
         )
-        params = init_params(tiny, rng)
+        params = init_params(tiny, rng, dtype=np.float64)
         worst = max(worst, self._max_rel_error(tiny, params, rng.normal(size=(8, 3)), 2))
         elapsed = time.monotonic() - t0
         assert worst < 1e-5
@@ -260,7 +251,7 @@ class TestA5Filter:
 
         # the same run driven by the trained network's contacts
         windows = dataio.window_set(sim.imu_frames, WINDOW, stride=1)
-        codes = _predict_codes(trained["params"], trained["spec"], windows)
+        codes = predict_codes(trained["params"], trained["spec"], windows)
         contacts = np.vstack(
             [sim.contacts_imu[: WINDOW - 1], codes_to_bool(codes, 4)]
         )
@@ -328,7 +319,7 @@ class TestA7BaselineOrdering:
 
         # network: predictions at the encoder rate (windows over IMU frames)
         windows = dataio.window_set(sim.imu_frames, WINDOW, stride=2)
-        codes = _predict_codes(trained["params"], trained["spec"], windows)
+        codes = predict_codes(trained["params"], trained["spec"], windows)
         gt_net = codes_to_bool(sim.imu_frames.gt[windows.end_indices], 4)
         rep_net = evalkit.classification_metrics(codes_to_bool(codes, 4), gt_net)
 

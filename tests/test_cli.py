@@ -164,6 +164,30 @@ def test_eval_non_overlapping_contacts_exit_2(workdir, tmp_path, capsys, t_pred)
     assert str(pred) in err and str(gt) in err
 
 
+def test_eval_compares_every_prediction_in_common_span(workdir, tmp_path):
+    # a 1 kHz prediction against 100 Hz ground truth: each prediction row is
+    # compared with the last ground-truth code at or before it
+    _, cfg, _ = workdir
+    pred, gt = tmp_path / "pred.csv", tmp_path / "gt.csv"
+    t_pred = np.arange(1001) / 1000.0
+    dataio.write_contacts(pred, t_pred, np.where(t_pred < 0.5, 6, 9))
+    dataio.write_contacts(gt, np.arange(101) / 100.0, np.full(101, 6))
+    assert main(["--config", cfg, "--out", str(tmp_path), "eval", "--pred", str(pred), "--gt", str(gt)]) == 0
+    row = open(tmp_path / "classification.csv").read().splitlines()[1].split(",")
+    assert float(row[2]) == pytest.approx(500 / 1001, abs=1e-6)  # 6 -> 9 flips all four legs
+
+
+def test_eval_no_prediction_inside_gt_span_exit_2(workdir, tmp_path, capsys):
+    _, cfg, _ = workdir
+    pred, gt = tmp_path / "pred.csv", tmp_path / "gt.csv"
+    dataio.write_contacts(pred, [0.0, 1.0], [6, 9])
+    dataio.write_contacts(gt, [0.3, 0.6], [6, 9])
+    code = main(["--config", cfg, "--out", str(tmp_path), "eval", "--pred", str(pred), "--gt", str(gt)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(pred) in err and str(gt) in err
+
+
 def test_label_unordered_timestamps_exit_2(workdir, tmp_path, capsys):
     _, cfg, out = workdir
     frames = dataio.read_dataset(f"{out}/encoder.csv")

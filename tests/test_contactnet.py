@@ -15,6 +15,7 @@ from proprio.contactnet import (
     Relu,
     ShapeMismatchError,
     backward,
+    cast_params,
     forward,
     init_params,
     load_params,
@@ -24,7 +25,7 @@ from proprio.contactnet import (
     save_params,
     trace_shapes,
 )
-from proprio.dataio import decode_contact
+from proprio.dataio import decode_contact, normalize_window
 
 
 def tiny_spec(dropout=0.2):
@@ -116,7 +117,7 @@ class TestForward:
     def test_batch_matches_single(self):
         spec = tiny_spec()
         rng = np.random.default_rng(3)
-        params = init_params(spec, rng)
+        params = init_params(spec, rng, dtype=np.float64)
         wins = rng.normal(size=(5, 8, 3))
         batched = forward(params, spec, wins)
         for i in range(5):
@@ -252,7 +253,7 @@ class TestLayerReference:
         # Conv -> Flatten -> Dense against the loop references, forward and backward
         spec = ArchitectureSpec((Conv(3, 4, 5), Flatten(), Dense(4 * 7, 5)), window=7, in_channels=3, n_classes=5)
         rng = np.random.default_rng(34)
-        params = init_params(spec, rng)
+        params = init_params(spec, rng, dtype=np.float64)
         params[0] = (params[0][0], rng.normal(size=4))
         x = rng.normal(size=(2, 7, 3))
         labels = np.array([1, 4])
@@ -314,7 +315,7 @@ class TestGradients:
     def test_end_to_end_tiny(self):
         spec = tiny_spec()
         rng = np.random.default_rng(6)
-        params = init_params(spec, rng)
+        params = init_params(spec, rng, dtype=np.float64)
         window = rng.normal(size=(8, 3))
         assert relative_grad_error(spec, params, window, 2) < 1e-5
 
@@ -331,7 +332,7 @@ class TestGradients:
     def test_each_layer_type(self, layers, channels):
         spec = ArchitectureSpec(tuple(layers), window=8, in_channels=channels, n_classes=4)
         rng = np.random.default_rng(8)
-        params = init_params(spec, rng)
+        params = init_params(spec, rng, dtype=np.float64)
         window = rng.normal(size=(8, channels))
         assert relative_grad_error(spec, params, window, 1) < 1e-5
 
@@ -346,7 +347,7 @@ class TestGradients:
         # mean-reduced batch gradient equals the average of single gradients
         spec = tiny_spec(dropout=0.0)
         rng = np.random.default_rng(10)
-        params = init_params(spec, rng)
+        params = init_params(spec, rng, dtype=np.float64)
         w1, w2 = rng.normal(size=(2, 8, 3))
         _, g_batch, _ = net.loss_and_grads(params, spec, np.stack([w1, w2]), [1, 3], "eval")
         _, g1, _ = net.loss_and_grads(params, spec, w1, [1], "eval")
@@ -362,7 +363,7 @@ class TestGradients:
         # i.e. the summed gradient doubles
         spec = tiny_spec(dropout=0.0)
         rng = np.random.default_rng(11)
-        params = init_params(spec, rng)
+        params = init_params(spec, rng, dtype=np.float64)
         w = rng.normal(size=(8, 3))
         _, g1, _ = net.loss_and_grads(params, spec, w, [2], "eval")
         _, g2, _ = net.loss_and_grads(params, spec, np.stack([w, w]), [2, 2], "eval")
@@ -471,7 +472,7 @@ class TestTraining:
             in_channels=6,
             n_classes=2,
         )
-        cfg = TrainConfig(batch_size=15, learning_rate=1e-3, epochs=3, seed=42)
+        cfg = TrainConfig(batch_size=15, learning_rate=1e-3, epochs=3, seed=42, dtype=np.float64)
         _, log = train(self._toy(n=60), cfg, spec)
         expected = [
             (1, 1.3329256079872422, 0.5166666666666667),
@@ -484,13 +485,42 @@ class TestTraining:
             assert abs(row["train_acc"] - acc) < 1e-9
             assert abs(row["val_acc"] - acc) < 1e-9
 
+    def test_seeded_dropout_log_pinned_float32(self):
+        # the same run in the default float32: the dropout masks are drawn in
+        # float64 and cast, so the draws match the float64 run above and the
+        # log differs from it only by float32 rounding (about 1e-7 here)
+        from proprio.contactnet import TrainConfig, train
+
+        spec = ArchitectureSpec(
+            (
+                Conv(6, 8), Relu(), Dropout(0.2), Pool(2), Flatten(),
+                Dense(8 * 8, 16), Relu(), Dropout(0.2), Dense(16, 2),
+            ),
+            window=16,
+            in_channels=6,
+            n_classes=2,
+        )
+        cfg = TrainConfig(batch_size=15, learning_rate=1e-3, epochs=3, seed=42)
+        assert cfg.dtype == np.float32
+        _, log = train(self._toy(n=60), cfg, spec)
+        expected = [
+            (1, 1.3329257369041443, 0.5166666666666667),
+            (2, 0.7520295083522797, 0.6166666666666667),
+            (3, 0.9089639782905579, 0.5333333333333333),
+        ]
+        assert [row["epoch"] for row in log] == [e for e, _, _ in expected]
+        for row, (_, loss_value, acc) in zip(log, expected):
+            assert abs(row["train_loss"] - loss_value) < 1e-6  # about 8 float32 ulps at 1.0
+            assert abs(row["train_acc"] - acc) < 1e-9
+            assert abs(row["val_acc"] - acc) < 1e-9
+
     def test_full_batch_order_invariance(self):
         from proprio.contactnet import TrainConfig, train
 
         windows = self._toy(n=40, seed=17)
         perm = np.random.default_rng(0).permutation(40)
         shuffled = windows.subset(perm)
-        cfg = TrainConfig(batch_size=40, learning_rate=1e-3, epochs=2, seed=3)
+        cfg = TrainConfig(batch_size=40, learning_rate=1e-3, epochs=2, seed=3, dtype=np.float64)
         p1, _ = train(windows, cfg, self._spec())
         p2, _ = train(shuffled, cfg, self._spec())
         for a, b in zip(p1, p2):
@@ -580,6 +610,62 @@ class TestAdam:
         assert all(a is b for old, new in zip(arrays, updated) for a, b in zip(old, new))
 
 
+class TestComputeDtype:
+    def test_float32_spec_stays_float32(self):
+        # conv, relu, dropout (3-D and 2-D masks), pool, flatten and dense layers
+        from proprio.contactnet import TrainConfig
+        from proprio.contactnet.training import _Adam
+
+        spec = tiny_spec(dropout=0.2)
+        rng = np.random.default_rng(40)
+        params = init_params(spec, rng)
+        assert all(t.dtype == np.float32 for p in params if p is not None for t in p)
+        windows = rng.normal(size=(5, 8, 3))  # float64 input, cast by the network
+        _, grads, logits = net.loss_and_grads(params, spec, windows, [0, 1, 2, 3, 0], "train", rng)
+        assert logits.dtype == np.float32
+        for p, g in zip(params, grads):
+            assert (p is None) == (g is None)
+            if g is not None:
+                assert g[0].dtype == np.float32 and g[1].dtype == np.float32
+        opt = _Adam(params, TrainConfig())
+        opt.step(params, grads)
+        assert opt.buf.dtype == np.float32
+        for i, p in enumerate(params):
+            if p is None:
+                continue
+            for j in range(2):
+                assert p[j].dtype == opt.m[i][j].dtype == opt.v[i][j].dtype == np.float32
+
+    def _forward_pair(self, seed):
+        """2blocks logits in float32 and float64 on identical weights and inputs."""
+        spec = preset("2blocks", window=150, in_channels=54, n_classes=16)
+        rng = np.random.default_rng(seed)
+        p32 = init_params(spec, rng)
+        p64 = cast_params(p32, np.float64)  # exact upcast: the same weights
+        x = normalize_window(rng.normal(size=(64, 150, 54)))
+        return spec, p32, p64, x
+
+    def test_float32_forward_matches_float64(self):
+        # float32 eps is 1.2e-7; rounding over the 4736-input dense layer
+        # stays far below 1e-5 of the largest logit (5e-7 measured)
+        spec, p32, p64, x = self._forward_pair(41)
+        l32, l64 = forward(p32, spec, x), forward(p64, spec, x)
+        assert l32.dtype == np.float32 and l64.dtype == np.float64
+        assert np.max(np.abs(l32 - l64)) < 1e-5 * np.max(np.abs(l64))
+
+    def test_float32_and_float64_codes_identical(self):
+        spec, p32, p64, x = self._forward_pair(42)
+        assert np.array_equal(net.predict_batch(p32, spec, x), net.predict_batch(p64, spec, x))
+
+    def test_cast_params(self):
+        spec = tiny_spec()
+        p64 = init_params(spec, np.random.default_rng(43), dtype=np.float64)
+        p32 = cast_params(p64)
+        assert all(t.dtype == np.float32 for p in p32 if p is not None for t in p)
+        assert cast_params(p32)[0][0] is p32[0][0]  # already float32: no copy
+        assert [p is None for p in p32] == [p is None for p in p64]
+
+
 class TestPredict:
     def test_forced_class_six(self):
         spec = tiny_spec()
@@ -602,6 +688,19 @@ class TestPredict:
         code, probs = predict(params, spec, np.random.default_rng(21).normal(size=(8, 3)))
         assert code == 0  # ties resolve to the lowest class
         assert abs(probs.sum() - 1.0) < 1e-12
+
+    def test_predict_codes_matches_one_batch(self):
+        # 11 windows in batches of 4: two full batches and a partial one
+        from proprio.contactnet import predict_codes
+        from proprio.dataio import WindowSet
+
+        spec = tiny_spec()
+        rng = np.random.default_rng(44)
+        params = init_params(spec, rng)
+        windows = WindowSet(rng.normal(size=(18, 3)), np.arange(7, 18), None, 8)
+        want = net.predict_batch(params, spec, normalize_window(windows.batch(np.arange(11))))
+        codes = predict_codes(params, spec, windows, batch=4)
+        assert codes.dtype == np.int64 and np.array_equal(codes, want)
 
     def test_probabilities_sum(self):
         spec = tiny_spec()
@@ -669,7 +768,7 @@ class TestSerialization:
         import hashlib
 
         spec = tiny_spec()
-        params = init_params(spec, np.random.default_rng(23))
+        params = init_params(spec, np.random.default_rng(23), dtype=np.float64)
         path = tmp_path / "w.pcnw"
         save_params(params, spec, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()

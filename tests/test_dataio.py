@@ -36,6 +36,20 @@ def random_frames(rng, n, rate=500.0, with_tau=True, with_gt=True):
     )
 
 
+class TestFrameRows:
+    @pytest.mark.parametrize("optionals", [True, False], ids=["tau-and-gt", "no-optionals"])
+    def test_rows_slice_every_column(self, optionals):
+        frames = random_frames(np.random.default_rng(60), 10, with_tau=optionals, with_gt=optionals)
+        for index in (slice(3, None), np.array([0, 4, 9])):
+            sub = frames.rows(index)
+            for name in ("t", "q", "qd", "acc", "gyro", "pf", "vf", "tau", "gt"):
+                col = getattr(frames, name)
+                if col is None:
+                    assert getattr(sub, name) is None
+                else:
+                    assert np.array_equal(getattr(sub, name), col[index])
+
+
 class TestContactEncoding:
     def test_paper_example(self):
         assert encode_contact([0, 1, 1, 0]) == 6
