@@ -27,7 +27,6 @@ class MissingTorquesError(ValueError):
 class GrfConfig:
     threshold: float = 15.0  # N
     cutoff: float = 0.04  # cycles/sample, half-power frequency
-    leg_signs: tuple = (1.0, 1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if self.threshold <= 0.0:
@@ -89,8 +88,7 @@ def grf_threshold_detect(frames, config: GrfConfig, legs) -> np.ndarray:
     forces, _ = estimate_grf(frames.tau, alpha, legs)
     out = np.zeros((len(frames), 4), dtype=bool)
     for leg in range(4):
-        fz = config.leg_signs[leg] * forces[:, leg, 2]
-        fz = lowpass(fz, config.cutoff)
+        fz = lowpass(forces[:, leg, 2], config.cutoff)
         out[:, leg] = np.abs(fz) > config.threshold
     return out
 

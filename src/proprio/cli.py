@@ -115,27 +115,32 @@ def cmd_label(args, cfg):
     return 0
 
 
+def _train_stage(frames, cfg, seed, epochs, out):
+    """Window, split and train on labeled frames; writes weights.pcnw and trainlog.csv.
+
+    Returns (params, spec, log, test windows).
+    """
+    cn = cfg.contactnet
+    tc = TrainConfig(
+        batch_size=cn.batch_size, learning_rate=cn.learning_rate, epochs=epochs, seed=seed, optimizer=cn.optimizer
+    )
+    windows = dataio.window_set(frames, cn.window, cn.stride)
+    train_set, val_set, test_set = dataio.split_dataset(windows, seed)
+    spec = preset(cn.preset, window=cn.window, n_classes=cn.classes, dropout=cn.dropout)
+    params, log = train(train_set, tc, spec, val_set)
+    save_params(params, spec, os.path.join(out, "weights.pcnw"))
+    write_training_log(os.path.join(out, "trainlog.csv"), log)
+    return params, spec, log, test_set
+
+
 def cmd_train(args, cfg):
     out = _ensure_out(args)
     frames = dataio.read_dataset(args.data)
     if frames.gt is None:
         raise dataio.SchemaMismatchError(f"{args.data}: training dataset has no contact labels")
-    cn = cfg.contactnet
-    windows = dataio.window_set(frames, cn.window, cn.stride)
-    train_set, val_set, _ = dataio.split_dataset(windows, args.seed)
-    spec = preset(cn.preset, window=cn.window, n_classes=cn.classes, dropout=cn.dropout)
-    tc = TrainConfig(
-        batch_size=cn.batch_size,
-        learning_rate=cn.learning_rate,
-        epochs=args.epochs if args.epochs is not None else cn.epochs,
-        seed=args.seed,
-        optimizer=cn.optimizer,
-    )
-    params, log = train(train_set, tc, spec, val_set)
-    weights = os.path.join(out, "weights.pcnw")
-    save_params(params, spec, weights)
-    write_training_log(os.path.join(out, "trainlog.csv"), log)
-    print(f"wrote {weights} (best val acc {max(r['val_acc'] for r in log):.4f})")
+    epochs = args.epochs if args.epochs is not None else cfg.contactnet.epochs
+    _, _, log, _ = _train_stage(frames, cfg, args.seed, epochs, out)
+    print(f"wrote {os.path.join(out, 'weights.pcnw')} (best val acc {max(r['val_acc'] for r in log):.4f})")
     return 0
 
 
@@ -159,6 +164,15 @@ def _require_overlap(t_a, path_a, t_b, path_b):
         )
 
 
+def _run_filter(frames, contacts, legs, cfg, out, rot=None, vel=None, pos=None):
+    """Filter from the first frame at the given pose and `[inekf] init_cov`; writes trajectory_est.csv."""
+    init = inekf.make_initial_state(rot, vel, pos, float(frames.t[0]), cfg.inekf.init_cov)
+    t, rot_f, _, pos_f = inekf.filter_sequence(frames, contacts, legs, cfg.inekf.noise(), init)
+    est = evalkit.Trajectory(t, pos_f, rot_f)
+    evalkit.write_trajectory(os.path.join(out, "trajectory_est.csv"), est)
+    return est
+
+
 def cmd_filter(args, cfg):
     out = _ensure_out(args)
     frames = dataio.read_dataset(args.data)
@@ -169,11 +183,8 @@ def cmd_filter(args, cfg):
     idx = np.clip(np.searchsorted(t_c, frames.t + 1e-9) - 1, 0, len(t_c) - 1)
     contacts = dataio.codes_to_bool(codes[idx], len(legs))
     first = int(np.argmax(frames.t >= t_c[0]))
-    sub = frames.rows(slice(first, None))
-    t, rot, vel, pos = inekf.filter_sequence(sub, contacts[first:], legs, cfg.inekf.noise())
-    path = os.path.join(out, "trajectory_est.csv")
-    evalkit.write_trajectory(path, evalkit.Trajectory(t, pos, rot))
-    print(f"wrote {path}")
+    _run_filter(frames.rows(slice(first, None)), contacts[first:], legs, cfg, out)
+    print(f"wrote {os.path.join(out, 'trajectory_est.csv')}")
     return 0
 
 
@@ -229,9 +240,7 @@ def cmd_pipeline(args, cfg):
     """sim -> label -> train -> infer -> filter -> eval on synthetic data."""
     out = _ensure_out(args)
     legs = cfg.kinematics.legs()
-    rng_seed = args.seed
-
-    sim = gaitsim.simulate(cfg.gaitsim.spec(seed=rng_seed), cfg.gaitsim.duration, legs)
+    sim = gaitsim.simulate(cfg.gaitsim.spec(seed=args.seed), cfg.gaitsim.duration, legs)
     dataio.write_dataset(sim.encoder_frames, os.path.join(out, "encoder.csv"))
     dataio.write_dataset(sim.imu_frames, os.path.join(out, "imu.csv"))
     evalkit.write_trajectory(
@@ -251,17 +260,7 @@ def cmd_pipeline(args, cfg):
     frames_imu.gyro = sim.imu_frames.gyro
     dataio.write_dataset(labeled, os.path.join(out, "encoder_labeled.csv"))
 
-    cn = cfg.contactnet
-    windows = dataio.window_set(frames_imu, cn.window, cn.stride)
-    train_set, val_set, test_set = dataio.split_dataset(windows, rng_seed)
-    spec = preset(cn.preset, window=cn.window, n_classes=cn.classes, dropout=cn.dropout)
-    tc = TrainConfig(
-        batch_size=cn.batch_size, learning_rate=cn.learning_rate, epochs=cn.epochs,
-        seed=rng_seed, optimizer=cn.optimizer,
-    )
-    params, log = train(train_set, tc, spec, val_set)
-    save_params(params, spec, os.path.join(out, "weights.pcnw"))
-    write_training_log(os.path.join(out, "trainlog.csv"), log)
+    params, spec, _, test_set = _train_stage(frames_imu, cfg, args.seed, cfg.contactnet.epochs, out)
     test_acc = evaluate_accuracy(params, spec, test_set)
 
     stream = dataio.window_set(sim.imu_frames, spec.window, stride=1)
@@ -275,15 +274,9 @@ def cmd_pipeline(args, cfg):
     # filter from the first classified frame
     first = int(ends[0])
     contacts = dataio.codes_to_bool(codes, len(legs))
-    init = inekf.make_initial_state(
-        rot=sim.traj_rot[first], vel=sim.traj_vel[first], pos=sim.traj_pos[first],
-        t=float(sim.imu_frames.t[first]),
-    )
     sub = sim.imu_frames.rows(slice(first, None))
-    t_f, rot_f, vel_f, pos_f = inekf.filter_sequence(sub, contacts, legs, cfg.inekf.noise(), init)
-    est = evalkit.Trajectory(t_f, pos_f)
+    est = _run_filter(sub, contacts, legs, cfg, out, sim.traj_rot[first], sim.traj_vel[first], sim.traj_pos[first])
     gt_traj = evalkit.Trajectory(sim.traj_t, sim.traj_pos)
-    evalkit.write_trajectory(os.path.join(out, "trajectory_est.csv"), est)
 
     rep_c = evalkit.classification_metrics(contacts, sim.contacts_imu[ends])
     aligned, _ = evalkit.align_trajectories(est, gt_traj, cfg.eval.assoc_tol)

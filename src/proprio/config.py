@@ -39,7 +39,7 @@ class InekfConfig:
     encoder_std: float = 0.002  # rad
     gravity_z: float = -9.81
     contact_prior: float = 1e-4
-    init_cov: float = 1e-6
+    init_cov: float = 1e-6  # initial covariance diagonal, right-invariant coordinates
 
     def noise(self) -> inekf.NoiseParams:
         return inekf.NoiseParams(

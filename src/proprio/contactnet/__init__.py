@@ -10,45 +10,14 @@ from .network import (
     Relu,
     ShapeMismatchError,
     LabelOutOfRangeError,
-    backward,
     cast_params,
     forward,
     init_params,
     load_params,
     loss,
-    predict,
     predict_batch,
     preset,
     save_params,
     trace_shapes,
 )
 from .training import TrainConfig, EmptyDatasetError, evaluate_accuracy, predict_codes, train, write_training_log
-
-__all__ = [
-    "ArchitectureSpec",
-    "Conv",
-    "Dense",
-    "Dropout",
-    "Flatten",
-    "Pool",
-    "Relu",
-    "ShapeMismatchError",
-    "LabelOutOfRangeError",
-    "EmptyDatasetError",
-    "TrainConfig",
-    "backward",
-    "cast_params",
-    "evaluate_accuracy",
-    "forward",
-    "init_params",
-    "load_params",
-    "loss",
-    "predict",
-    "predict_batch",
-    "predict_codes",
-    "preset",
-    "save_params",
-    "trace_shapes",
-    "train",
-    "write_training_log",
-]

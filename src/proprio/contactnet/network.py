@@ -366,21 +366,8 @@ def loss_and_grads(params, spec, windows, labels, mode="train", rng=None):
     return float(value), grads, logits
 
 
-def backward(params, spec, window, label, mode="train", rng=None):
-    """Exact gradients of the single-window loss wrt every parameter."""
-    _, grads, _ = loss_and_grads(params, spec, window, [int(label)], mode, rng)
-    return grads
-
-
-def predict(params, spec, window):
-    """(code, probabilities) for one normalized window; ties -> lower class."""
-    logits = forward(params, spec, window, mode="eval")
-    logp = L.log_softmax(logits[None, :])[0]
-    probs = np.exp(logp)
-    return int(np.argmax(logits)), probs
-
-
 def predict_batch(params, spec, windows):
+    """Class code of each normalized window in a batch; ties -> lower class."""
     logits = forward(params, spec, windows, mode="eval")
     return np.argmax(logits, axis=1)
 

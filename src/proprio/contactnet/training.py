@@ -23,6 +23,12 @@ class EmptyDatasetError(ValueError):
     pass
 
 
+# Adam moment decay rates and denominator epsilon (Kingma & Ba 2015 defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class TrainConfig:
     """Optimizer settings, seed and compute dtype of one training run.
@@ -37,14 +43,13 @@ class TrainConfig:
     epochs: int = 30
     seed: int = 0
     optimizer: str = "adam"  # "adam" | "sgd"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     dtype: type = net.DEFAULT_DTYPE
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0.0:
             raise ValueError("learning rate must be positive")
         if self.optimizer not in _OPTIMIZERS:
@@ -79,11 +84,10 @@ class _Adam:
         self.buf = np.empty(_CHUNK, net.params_dtype(params))
 
     def step(self, params, grads):
-        cfg = self.cfg
         self.step_count += 1
-        b1c = 1.0 - cfg.adam_beta1**self.step_count
-        b2c = 1.0 - cfg.adam_beta2**self.step_count
-        scale = cfg.learning_rate / b1c
+        b1c = 1.0 - ADAM_BETA1**self.step_count
+        b2c = 1.0 - ADAM_BETA2**self.step_count
+        scale = self.cfg.learning_rate / b1c
         sqrt_b2c = math.sqrt(b2c)
         for i, grad in enumerate(grads):
             if grad is None:
@@ -95,16 +99,16 @@ class _Adam:
                     s = slice(start, start + _CHUNK)
                     p, g, m, v = flat_p[s], flat_g[s], flat_m[s], flat_v[s]
                     buf = self.buf[: p.size]
-                    m *= cfg.adam_beta1
-                    np.multiply(g, 1.0 - cfg.adam_beta1, out=buf)
+                    m *= ADAM_BETA1
+                    np.multiply(g, 1.0 - ADAM_BETA1, out=buf)
                     m += buf
-                    v *= cfg.adam_beta2
+                    v *= ADAM_BETA2
                     np.multiply(g, g, out=buf)
-                    buf *= 1.0 - cfg.adam_beta2
+                    buf *= 1.0 - ADAM_BETA2
                     v += buf
                     np.sqrt(v, out=buf)
                     buf /= sqrt_b2c
-                    buf += cfg.adam_eps
+                    buf += ADAM_EPS
                     np.divide(m, buf, out=buf)
                     buf *= scale
                     np.subtract(p, buf, out=p)

@@ -35,12 +35,8 @@ class OutOfRangeError(ValueError):
     """Contact code outside [0, 2^L - 1]."""
 
 
-class NonMonotoneTimestampsError(ValueError):
-    pass
-
-
 class InsufficientHistoryError(ValueError):
-    """Window end index has fewer than w-1 predecessors."""
+    """Fewer frames than one window needs."""
 
 
 class TooFewWindowsError(ValueError):
@@ -57,28 +53,6 @@ def encode_contact(legs: Sequence[bool]) -> int:
     for c in legs:
         code = (code << 1) | int(bool(c))
     return code
-
-
-def decode_contact(code: int, num_legs: int) -> tuple:
-    """Decimal code -> per-leg booleans; inverse of encode_contact."""
-    if not 0 <= code < (1 << num_legs):
-        raise OutOfRangeError(f"code {code} outside [0, {(1 << num_legs) - 1}]")
-    return tuple(bool((code >> (num_legs - 1 - i)) & 1) for i in range(num_legs))
-
-
-@dataclass(frozen=True)
-class ContactState:
-    """Per-leg contact booleans plus their decimal code."""
-
-    legs: tuple
-
-    @property
-    def code(self) -> int:
-        return encode_contact(self.legs)
-
-    @staticmethod
-    def from_code(code: int, num_legs: int = 4) -> "ContactState":
-        return ContactState(decode_contact(code, num_legs))
 
 
 def codes_to_bool(codes, num_legs: int) -> np.ndarray:
@@ -139,7 +113,7 @@ def upsample(frames: FrameSequence, target_rate: float) -> FrameSequence:
         raise EmptyStreamError("cannot upsample an empty stream")
     t = frames.t
     if np.any(np.diff(t) <= 0.0):
-        raise NonMonotoneTimestampsError("timestamps must strictly increase")
+        raise SchemaMismatchError("timestamps must strictly increase")
     if len(frames) > 1:
         native = 1.0 / float(np.median(np.diff(t)))
         if target_rate < native * (1.0 - 1e-9):
@@ -172,15 +146,6 @@ def upsample(frames: FrameSequence, target_rate: float) -> FrameSequence:
 # windows
 
 
-@dataclass
-class Window:
-    """w x 54 feature slice, rows oldest -> newest, labeled at the last row."""
-
-    data: np.ndarray  # (w, 54)
-    label: Optional[int]
-    t_end: float = 0.0
-
-
 class WindowSet:
     """Lazy view of sliding windows over a shared feature matrix.
 
@@ -188,23 +153,14 @@ class WindowSet:
     batches of row slices on demand.
     """
 
-    def __init__(self, features, end_indices, labels, w, t=None):
+    def __init__(self, features, end_indices, labels, w):
         self.features = np.asarray(features, dtype=float)
         self.end_indices = np.asarray(end_indices, dtype=np.int64)
         self.labels = None if labels is None else np.asarray(labels, dtype=np.int64)
         self.w = int(w)
-        self.t = t
 
     def __len__(self) -> int:
         return self.end_indices.shape[0]
-
-    def __getitem__(self, i: int) -> Window:
-        n = int(self.end_indices[i])
-        return Window(
-            self.features[n - self.w + 1 : n + 1],
-            None if self.labels is None else int(self.labels[i]),
-            0.0 if self.t is None else float(self.t[n]),
-        )
 
     def batch(self, idx) -> np.ndarray:
         """Stack windows idx into an (B, w, 54) array."""
@@ -220,33 +176,21 @@ class WindowSet:
             self.end_indices[idx],
             None if self.labels is None else self.labels[idx],
             self.w,
-            self.t,
         )
-
-
-def make_window(frames: FrameSequence, end_index: int, w: int) -> Window:
-    """Window of w rows ending at end_index (inclusive), labeled there."""
-    if w < 2:
-        raise ValueError("window size must be >= 2")
-    if end_index < w - 1:
-        raise InsufficientHistoryError(
-            f"end index {end_index} needs at least {w - 1} predecessors"
-        )
-    feats = frames.features()[end_index - w + 1 : end_index + 1]
-    label = None if frames.gt is None else int(frames.gt[end_index])
-    return Window(feats, label, float(frames.t[end_index]))
 
 
 def window_set(frames: FrameSequence, w: int, stride: int = 1) -> WindowSet:
     """All valid windows of size w with the given stride between ends."""
     if w < 2:
         raise ValueError("window size must be >= 2")
+    if stride < 1:
+        raise ValueError(f"window stride {stride} must be >= 1")
     n = len(frames)
     if n < w:
         raise InsufficientHistoryError(f"{n} frames cannot hold a window of {w}")
     ends = np.arange(w - 1, n, stride)
     labels = None if frames.gt is None else frames.gt[ends]
-    return WindowSet(frames.features(), ends, labels, w, frames.t)
+    return WindowSet(frames.features(), ends, labels, w)
 
 
 def normalize_window(data) -> np.ndarray:

@@ -12,6 +12,7 @@ away would hide real error.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -293,26 +294,18 @@ def export_report(
     classification: Optional[Dict[str, ClassificationReport]] = None,
     trajectories: Optional[Dict[str, Trajectory]] = None,
     trajectory_reports: Optional[Dict[str, TrajectoryReport]] = None,
-    formats=("csv", "svg"),
 ):
     """Write the standard report files into outdir; returns written paths."""
-    import os
-
     os.makedirs(outdir, exist_ok=True)
+    jobs = [
+        ("classification.csv", write_classification_csv, classification),
+        ("trajectory_metrics.csv", write_trajectory_metrics_csv, trajectory_reports),
+        ("trajectory_xy.svg", write_trajectory_svg, trajectories),
+        ("trajectory_axes.svg", write_axes_svg, trajectories),
+    ]
     written = []
-    if "csv" in formats and classification:
-        p = os.path.join(outdir, "classification.csv")
-        write_classification_csv(p, classification)
-        written.append(p)
-    if "csv" in formats and trajectory_reports:
-        p = os.path.join(outdir, "trajectory_metrics.csv")
-        write_trajectory_metrics_csv(p, trajectory_reports)
-        written.append(p)
-    if "svg" in formats and trajectories:
-        p = os.path.join(outdir, "trajectory_xy.svg")
-        write_trajectory_svg(p, trajectories)
-        written.append(p)
-        p = os.path.join(outdir, "trajectory_axes.svg")
-        write_axes_svg(p, trajectories)
-        written.append(p)
+    for name, write, data in jobs:
+        if data:
+            written.append(os.path.join(outdir, name))
+            write(written[-1], data)
     return written

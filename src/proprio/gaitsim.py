@@ -14,7 +14,7 @@ fast decaying-sine rattle to the foot height. The rattle is the visible
 settle keeps the filtered height monotone through the transient. A small
 body-height vibration, harmonically locked to the gait, textures the
 stance floor with evenly spaced height minima; its phase is chosen so the
-first filtered minimum trails touchdown by `label_lead_s`.
+first filtered minimum trails touchdown by `LABEL_LEAD_S`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 import numpy as np
 
-from .dataio import FrameSequence, WindowSet, bool_to_codes, upsample, window_set
+from .dataio import FrameSequence, bool_to_codes, upsample
 from .kinematics import LegGeometry, fk_jacobian, fk_position, ik_position
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -45,6 +45,19 @@ _MAX_LANDING_WEIGHT = 0.35
 
 TROT_OFFSETS = {"RF": 0.0, "LF": 0.5, "RH": 0.5, "LH": 0.0}
 
+# Body-height vibration cycles per gait period (locks its phase to the
+# gait) and the delay of the first stance height minimum after touchdown.
+VIBRATION_CYCLES = 18
+LABEL_LEAD_S = 0.060
+
+# Synthetic torques: swing inertia (kg), and how long the commanded torque
+# leads touchdown and outlasts liftoff (s), the way a controller
+# feed-forward does; this is what makes force thresholding an unreliable
+# contact detector.
+LEG_MASS = 0.7
+TORQUE_ANTICIPATION_S = 0.10
+TORQUE_HOLD_S = 0.06
+
 
 class UnreachableFootTargetError(ValueError):
     """Spec geometry cannot realize the commanded foot trajectory."""
@@ -59,9 +72,6 @@ class SensorNoise:
     gyro: float = 0.02  # rad/s
     accel: float = 0.1  # m/s^2
     torque: float = 1.5  # N*m
-
-    def scaled(self, factor: float) -> "SensorNoise":
-        return SensorNoise(*(factor * v for v in (self.encoder, self.joint_rate, self.gyro, self.accel, self.torque)))
 
 
 NOISELESS = SensorNoise(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -82,15 +92,7 @@ class GaitSpec:
     bounce_decay: float = 0.040  # s
     bounce_rattle_ratio: float = RATTLE_AMPLITUDE_RATIO  # 0 = soft landing only
     vibration_amplitude: float = 4e-4  # m, body-height texture
-    vibration_cycles: int = 18  # per gait period (locks phase to the gait)
-    label_lead_s: float = 0.060  # first stance height minimum after touchdown
-    leg_mass: float = 0.7  # kg, swing inertia for synthetic torques
     mass: float = 9.0  # kg
-    # commanded torque leads touchdown and outlasts liftoff, the way a
-    # controller feed-forward does; this is what makes force thresholding
-    # an unreliable contact detector
-    torque_anticipation_s: float = 0.10
-    torque_hold_s: float = 0.06
     encoder_rate: float = 500.0  # Hz
     imu_rate: float = 1000.0  # Hz
     noise: SensorNoise = field(default_factory=SensorNoise)
@@ -146,10 +148,10 @@ class _BodyMotion:
         self.w = spec.turn_rate if moving else 0.0
         self.h0 = spec.body_height
         self.va = spec.vibration_amplitude
-        self.vf = spec.vibration_cycles / spec.period
+        self.vf = VIBRATION_CYCLES / spec.period
         # body-height maxima (stance foot-height minima) at
-        # t = label_lead_s + k / vf relative to each unjittered touchdown
-        self.vphi = np.pi / 2.0 - 2.0 * np.pi * self.vf * spec.label_lead_s
+        # t = LABEL_LEAD_S + k / vf relative to each unjittered touchdown
+        self.vphi = np.pi / 2.0 - 2.0 * np.pi * self.vf * LABEL_LEAD_S
 
     def yaw(self, t):
         return self.w * t
@@ -339,7 +341,7 @@ def _contacts_at(schedule, t):
 
 def simulate(spec: GaitSpec, duration: float, legs) -> SimulationResult:
     """Generate a synthetic run of the given duration (s)."""
-    if duration < 2.0 * spec.period:
+    if not duration >= 2.0 * spec.period:
         raise ValueError("duration must cover at least two gait periods")
     rng = np.random.default_rng(spec.seed)
     body = _BodyMotion(spec)
@@ -478,8 +480,8 @@ def _synthetic_torques(spec, legs, q_true, qd_true, contacts, rot, body, t, rng)
     """
     n = len(t)
     rate = spec.encoder_rate
-    before = int(round(spec.torque_anticipation_s * rate))
-    after = int(round(spec.torque_hold_s * rate))
+    before = int(round(TORQUE_ANTICIPATION_S * rate))
+    after = int(round(TORQUE_HOLD_S * rate))
     loaded = np.stack(
         [_dilate(contacts[:, leg], before, after) for leg in range(4)], axis=1
     )
@@ -496,15 +498,9 @@ def _synthetic_torques(spec, legs, q_true, qd_true, contacts, rot, body, t, rng)
         # swing inertia: reaction to accelerating the leg mass
         foot_vel = np.einsum("nij,nj->ni", jac, qd_true[:, leg])
         foot_acc = np.gradient(foot_vel, t, axis=0)
-        f_inertial = -spec.leg_mass * foot_acc * (~contacts[:, leg])[:, None]
+        f_inertial = -LEG_MASS * foot_acc * (~contacts[:, leg])[:, None]
         f_body = np.einsum("nji,nj->ni", rot, f_world) + f_inertial
         tau[:, leg] = np.einsum("nji,nj->ni", jac, f_body)
     tau += rng.normal(0.0, 1.0, tau.shape) * spec.noise.torque
     return tau
 
-
-def derive_windows(frames: FrameSequence, w: int, stride: int = 1) -> WindowSet:
-    """Labeled windows from a simulated frame stream (gt codes required)."""
-    if frames.gt is None:
-        raise ValueError("frames carry no ground-truth contact codes")
-    return window_set(frames, w, stride)

@@ -72,8 +72,6 @@ class NoiseParams:
     def __post_init__(self):
         for name in ("gyro_cov", "accel_cov", "contact_cov", "encoder_cov"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim == 0:
-                arr = np.eye(3) * float(arr)
             if np.any(np.diag(arr) < 0.0):
                 raise ValueError(f"{name} has negative diagonal entries")
             setattr(self, name, arr)
@@ -97,10 +95,6 @@ class FilterState:
     t: float
 
     @property
-    def num_contacts(self) -> int:
-        return self.mean.k - 2
-
-    @property
     def rotation(self) -> np.ndarray:
         return self.mean.rot
 
@@ -119,6 +113,8 @@ class FilterState:
 
 
 def make_initial_state(rot=None, vel=None, pos=None, t=0.0, cov_diag=1e-6) -> FilterState:
+    if not cov_diag >= 0.0:
+        raise ValueError(f"initial covariance diagonal {cov_diag} is negative or NaN")
     mean = GroupElement(
         np.eye(3) if rot is None else np.asarray(rot, dtype=float),
         np.stack(

@@ -115,33 +115,6 @@ def fk_jacobian(geom: LegGeometry, alpha) -> np.ndarray:
     return jac
 
 
-def fk_orientation(geom: LegGeometry, alpha) -> np.ndarray:
-    """Contact-frame orientation in the body frame: Rx(a1) @ Ry(a2+a3)."""
-    alpha = np.asarray(alpha, dtype=float)
-    a1 = alpha[..., 0]
-    ay = alpha[..., 1] + alpha[..., 2]
-    c1, s1 = np.cos(a1), np.sin(a1)
-    cy, sy = np.cos(ay), np.sin(ay)
-    rot = np.empty(alpha.shape[:-1] + (3, 3))
-    rot[..., 0, 0] = cy
-    rot[..., 0, 1] = 0.0
-    rot[..., 0, 2] = sy
-    rot[..., 1, 0] = s1 * sy
-    rot[..., 1, 1] = c1
-    rot[..., 1, 2] = -s1 * cy
-    rot[..., 2, 0] = -c1 * sy
-    rot[..., 2, 1] = s1
-    rot[..., 2, 2] = c1 * cy
-    return rot
-
-
-def foot_velocity(geom: LegGeometry, alpha, alpha_dot) -> np.ndarray:
-    """Foot velocity relative to the body: J_p(alpha) @ alpha_dot."""
-    jac = fk_jacobian(geom, alpha)
-    alpha_dot = np.asarray(alpha_dot, dtype=float)
-    return np.einsum("...ij,...j->...i", jac, alpha_dot)
-
-
 def _wrap_angle(a):
     return (a + np.pi) % (2.0 * np.pi) - np.pi
 

@@ -30,10 +30,6 @@ class SignalTooShortError(ValueError):
     pass
 
 
-class LengthMismatchError(ValueError):
-    pass
-
-
 @dataclass
 class LabelGenConfig:
     gait: str = "trot"
@@ -123,18 +119,11 @@ def _label_one_leg(height, cutoff, backoff) -> np.ndarray:
 def generate_labels(foot_heights, config: LabelGenConfig = LabelGenConfig()) -> np.ndarray:
     """Per-frame boolean contacts from per-leg foot heights.
 
-    foot_heights: (N, L) array (or list of equal-length 1-D arrays).
-    Returns an (N, L) boolean array.
+    foot_heights: (N, L) array. Returns an (N, L) boolean array.
     """
-    if isinstance(foot_heights, (list, tuple)):
-        lengths = {len(h) for h in foot_heights}
-        if len(lengths) != 1:
-            raise LengthMismatchError(f"per-leg signals differ in length: {sorted(lengths)}")
-        foot_heights = np.stack([np.asarray(h, dtype=float) for h in foot_heights], axis=1)
-    else:
-        foot_heights = np.asarray(foot_heights, dtype=float)
-        if foot_heights.ndim != 2:
-            raise LengthMismatchError("expected an (N, L) array of foot heights")
+    foot_heights = np.asarray(foot_heights, dtype=float)
+    if foot_heights.ndim != 2:
+        raise ValueError(f"expected an (N, L) array of foot heights, got shape {foot_heights.shape}")
     cutoff = config.cutoff()
     out = np.zeros(foot_heights.shape, dtype=bool)
     for leg in range(foot_heights.shape[1]):

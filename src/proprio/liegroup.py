@@ -45,41 +45,6 @@ def so3_exp(omega) -> np.ndarray:
     return np.eye(3) + a * w + b * w2
 
 
-def so3_log(rot) -> np.ndarray:
-    """Rotation vector of a rotation matrix.
-
-    Handles the small-angle limit by series and the angle-near-pi branch by
-    reconstructing the axis from the diagonal (the sin(theta) formula loses
-    all precision there).
-    """
-    rot = np.asarray(rot, dtype=float)
-    trace = rot[0, 0] + rot[1, 1] + rot[2, 2]
-    cos_theta = min(1.0, max(-1.0, (trace - 1.0) / 2.0))
-    theta = np.arccos(cos_theta)
-    vee = np.array(
-        [rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]]
-    )
-    if theta < 1e-4:
-        # omega = 0.5 * (1 + theta^2/6 + 7 theta^4/360) * vee
-        return 0.5 * (1.0 + theta**2 / 6.0 + 7.0 * theta**4 / 360.0) * vee
-    if theta > np.pi - 1e-4:
-        # axis magnitudes from the diagonal, signs anchored on the largest
-        # component; near pi both sign choices are equally valid.
-        one_minus = 1.0 - cos_theta
-        diag = np.diag(rot)
-        axis_sq = np.maximum(0.0, (diag - cos_theta) / one_minus)
-        k = int(np.argmax(axis_sq))
-        axis = np.zeros(3)
-        axis[k] = np.sqrt(axis_sq[k])
-        for j in range(3):
-            if j != k:
-                axis[j] = (rot[k, j] + rot[j, k]) / (2.0 * one_minus * axis[k])
-        if vee[k] < 0.0:
-            axis = -axis
-        return theta * axis / np.linalg.norm(axis)
-    return theta / (2.0 * np.sin(theta)) * vee
-
-
 def so3_left_jacobian(omega) -> np.ndarray:
     """Left Jacobian J_l of SO(3); maps tangent blocks to SE_K(3) columns."""
     omega = np.asarray(omega, dtype=float)
@@ -121,10 +86,6 @@ class GroupElement:
     def k(self) -> int:
         return self.cols.shape[0]
 
-    @staticmethod
-    def identity(k: int) -> "GroupElement":
-        return GroupElement(np.eye(3), np.zeros((k, 3)))
-
     def as_matrix(self) -> np.ndarray:
         """(3+K)x(3+K) embedding [[R, cols^T], [0, I_K]]."""
         k = self.k
@@ -148,22 +109,11 @@ def sek3_exp(xi) -> GroupElement:
     return GroupElement(so3_exp(omega), blocks @ jac.T)
 
 
-def sek3_log(g: GroupElement) -> np.ndarray:
-    """Inverse of sek3_exp (valid for rotation angle < pi)."""
-    omega = so3_log(g.rot)
-    jac_inv = np.linalg.inv(so3_left_jacobian(omega))
-    return np.concatenate([omega, (g.cols @ jac_inv.T).ravel()])
-
-
 def sek3_compose(a: GroupElement, b: GroupElement) -> GroupElement:
     """Group product; matches multiplication of the embedded matrices."""
     if a.k != b.k:
         raise DimensionMismatchError(f"column counts differ: {a.k} vs {b.k}")
     return GroupElement(a.rot @ b.rot, b.cols @ a.rot.T + a.cols)
-
-
-def sek3_inverse(a: GroupElement) -> GroupElement:
-    return GroupElement(a.rot.T, -(a.cols @ a.rot))
 
 
 def adjoint(g: GroupElement) -> np.ndarray:

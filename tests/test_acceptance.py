@@ -65,7 +65,7 @@ def training_data(legs):
     for gait, duration, kw in recipes:
         spec = gaitsim.GaitSpec(gait=gait, **kw)
         sim = gaitsim.simulate(spec, duration, legs)
-        sets.append(gaitsim.derive_windows(sim.imu_frames, WINDOW, stride=4))
+        sets.append(dataio.window_set(sim.imu_frames, WINDOW, stride=4))
     pool = _merge_window_sets(sets, WINDOW)
     assert len(pool) >= 20_000
     keep = np.random.default_rng(0).permutation(len(pool))[:20_000]

@@ -261,3 +261,40 @@ stride = 40
         a = open(os.path.join(out1, name), "rb").read()
         b = open(os.path.join(out2, name), "rb").read()
         assert a == b, f"{name} differs between identical runs"
+
+
+def test_filter_reads_init_cov(workdir, tmp_path):
+    _, cfg, out = workdir
+    frames = dataio.read_dataset(f"{out}/imu.csv").rows(slice(0, 1000))
+    dataio.write_dataset(frames, tmp_path / "imu.pcds")
+    dataio.write_contacts(tmp_path / "contacts.csv", frames.t, frames.gt)
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(open(cfg).read() + "[inekf]\ninit_cov = 1e-2\n")
+    estimates = []
+    for name, config in (("default", cfg), ("wide", str(wide))):
+        run = tmp_path / name
+        args = ["--data", str(tmp_path / "imu.pcds"), "--contacts", str(tmp_path / "contacts.csv")]
+        assert main(["--config", config, "--out", str(run), "filter", *args]) == 0
+        estimates.append((run / "trajectory_est.csv").read_bytes())
+    assert estimates[0] != estimates[1]
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_train_stride_below_one_exit_2(workdir, tmp_path, capsys, stride):
+    _, _, out = workdir
+    cfg = tmp_path / "stride.cfg"
+    cfg.write_text(FAST_CFG + f"stride = {stride}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "train", "--data", f"{out}/imu.csv"]) == 2
+    assert f"window stride {stride} must be >= 1" in capsys.readouterr().err
+
+
+def test_train_zero_epochs_exit_2(workdir, tmp_path, capsys):
+    _, cfg, out = workdir
+    assert main(["--config", cfg, "--out", str(tmp_path), "train", "--data", f"{out}/imu.csv", "--epochs", "0"]) == 2
+    assert "epochs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "weights.pcnw").exists()
+
+
+def test_sim_nan_duration_exit_2(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "sim", "--duration", "nan"]) == 2
+    assert "duration must cover at least two gait periods" in capsys.readouterr().err

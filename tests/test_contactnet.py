@@ -14,18 +14,18 @@ from proprio.contactnet import (
     Pool,
     Relu,
     ShapeMismatchError,
-    backward,
     cast_params,
     forward,
     init_params,
     load_params,
     loss,
-    predict,
+    predict_batch,
     preset,
     save_params,
     trace_shapes,
 )
-from proprio.dataio import decode_contact, normalize_window
+from proprio.contactnet.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from proprio.dataio import codes_to_bool, normalize_window
 
 
 def tiny_spec(dropout=0.2):
@@ -340,7 +340,7 @@ class TestGradients:
         spec = tiny_spec(dropout=0.0)
         rng = np.random.default_rng(9)
         params = init_params(spec, rng)
-        grads = backward(params, spec, np.zeros((8, 3)), 0)
+        _, grads, _ = net.loss_and_grads(params, spec, np.zeros((8, 3)), [0])
         assert np.array_equal(grads[0][0], np.zeros_like(grads[0][0]))
 
     def test_gradient_additivity(self):
@@ -543,6 +543,13 @@ class TestTraining:
         with pytest.raises(ValueError, match="optimizer"):
             TrainConfig(optimizer=name)
 
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_below_one_rejected(self, epochs):
+        from proprio.contactnet import TrainConfig
+
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(epochs=epochs)
+
     def test_sgd_option(self):
         from proprio.contactnet import TrainConfig, train
 
@@ -555,8 +562,8 @@ class TestTraining:
 def ref_adam_step(params, grads, m, v, t, cfg):
     """Adam as one whole-array pass per tensor, the in-place sequence the
     chunked step must reproduce bit for bit."""
-    b1c = 1.0 - cfg.adam_beta1**t
-    b2c = 1.0 - cfg.adam_beta2**t
+    b1c = 1.0 - ADAM_BETA1**t
+    b2c = 1.0 - ADAM_BETA2**t
     scale = cfg.learning_rate / b1c
     sqrt_b2c = np.sqrt(b2c)
     for i, grad in enumerate(grads):
@@ -565,16 +572,16 @@ def ref_adam_step(params, grads, m, v, t, cfg):
         for j in range(2):
             g, p, mm, vv = grad[j], params[i][j], m[i][j], v[i][j]
             buf = np.empty_like(p)
-            mm *= cfg.adam_beta1
-            np.multiply(g, 1.0 - cfg.adam_beta1, out=buf)
+            mm *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=buf)
             mm += buf
-            vv *= cfg.adam_beta2
+            vv *= ADAM_BETA2
             np.multiply(g, g, out=buf)
-            buf *= 1.0 - cfg.adam_beta2
+            buf *= 1.0 - ADAM_BETA2
             vv += buf
             np.sqrt(vv, out=buf)
             buf /= sqrt_b2c
-            buf += cfg.adam_eps
+            buf += ADAM_EPS
             np.divide(mm, buf, out=buf)
             buf *= scale
             np.subtract(p, buf, out=p)
@@ -676,18 +683,16 @@ class TestPredict:
         w_last, b_last = params[-1]
         params[-1] = (np.zeros_like(w_last), np.zeros_like(b_last))
         params[-1][1][6] = 10.0
-        code, probs = predict(params, spec16, rng.normal(size=(16, 4)))
-        assert code == 6
-        assert decode_contact(code, 4) == (False, True, True, False)
-        assert probs.argmax() == 6
+        codes = predict_batch(params, spec16, rng.normal(size=(1, 16, 4)))
+        assert codes.tolist() == [6]
+        assert codes_to_bool(codes, 4).tolist() == [[False, True, True, False]]
 
     def test_uniform_tie_break(self):
         spec = tiny_spec(dropout=0.0)
         params = init_params(spec, np.random.default_rng(20))
         params = [None if p is None else (np.zeros_like(p[0]), np.zeros_like(p[1])) for p in params]
-        code, probs = predict(params, spec, np.random.default_rng(21).normal(size=(8, 3)))
-        assert code == 0  # ties resolve to the lowest class
-        assert abs(probs.sum() - 1.0) < 1e-12
+        codes = predict_batch(params, spec, np.random.default_rng(21).normal(size=(1, 8, 3)))
+        assert codes.tolist() == [0]  # ties resolve to the lowest class
 
     def test_predict_codes_matches_one_batch(self):
         # 11 windows in batches of 4: two full batches and a partial one
@@ -701,13 +706,6 @@ class TestPredict:
         want = net.predict_batch(params, spec, normalize_window(windows.batch(np.arange(11))))
         codes = predict_codes(params, spec, windows, batch=4)
         assert codes.dtype == np.int64 and np.array_equal(codes, want)
-
-    def test_probabilities_sum(self):
-        spec = tiny_spec()
-        rng = np.random.default_rng(22)
-        params = init_params(spec, rng)
-        _, probs = predict(params, spec, rng.normal(size=(8, 3)))
-        assert abs(probs.sum() - 1.0) < 1e-12
 
 
 class TestSerialization:

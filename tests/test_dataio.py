@@ -4,17 +4,14 @@ import pytest
 from proprio import dataio
 from proprio.dataio import (
     ChecksumFailureError,
-    ContactState,
     EmptyStreamError,
     FrameSequence,
     InsufficientHistoryError,
-    NonMonotoneTimestampsError,
     OutOfRangeError,
     SchemaMismatchError,
     TooFewWindowsError,
-    decode_contact,
+    codes_to_bool,
     encode_contact,
-    make_window,
     normalize_window,
     split_dataset,
     upsample,
@@ -60,19 +57,21 @@ class TestContactEncoding:
 
     @pytest.mark.parametrize("num_legs", [2, 4])
     def test_roundtrip_exhaustive(self, num_legs):
-        for code in range(1 << num_legs):
-            assert encode_contact(decode_contact(code, num_legs)) == code
+        codes = np.arange(1 << num_legs)
+        for code, legs in zip(codes, codes_to_bool(codes, num_legs)):
+            assert encode_contact(legs) == code
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
-            decode_contact(16, 4)
+            codes_to_bool([16], 4)
         with pytest.raises(OutOfRangeError):
-            decode_contact(-1, 4)
+            codes_to_bool([-1], 4)
 
     def test_contact_state(self):
-        state = ContactState.from_code(6, 4)
-        assert state.legs == (False, True, True, False)
-        assert state.code == 6
+        # RF is the most significant bit: code 6 is 0110
+        legs = codes_to_bool([6], 4)[0]
+        assert legs.tolist() == [False, True, True, False]
+        assert encode_contact(legs) == 6
 
     def test_matrix_helpers(self):
         codes = np.array([0, 6, 15])
@@ -138,7 +137,7 @@ class TestUpsample:
         rng = np.random.default_rng(7)
         frames = random_frames(rng, 10)
         frames.t[5] = frames.t[3]
-        with pytest.raises(NonMonotoneTimestampsError):
+        with pytest.raises(SchemaMismatchError):
             upsample(frames, 1000.0)
 
 
@@ -146,23 +145,23 @@ class TestWindows:
     def test_two_row_window(self):
         rng = np.random.default_rng(8)
         frames = random_frames(rng, 3)
-        win = make_window(frames, 2, 2)
-        np.testing.assert_array_equal(win.data, frames.features()[1:3])
-        assert win.label == frames.gt[2]
+        ws = window_set(frames, 2)
+        np.testing.assert_array_equal(ws.batch([1])[0], frames.features()[1:3])
+        assert ws.labels[1] == frames.gt[2]
 
     def test_first_valid_window(self):
         rng = np.random.default_rng(9)
         frames = random_frames(rng, 10)
-        win = make_window(frames, 4, 5)
-        np.testing.assert_array_equal(win.data, frames.features()[0:5])
+        ws = window_set(frames, 5)
+        assert ws.end_indices[0] == 4
+        np.testing.assert_array_equal(ws.batch([0])[0], frames.features()[0:5])
         with pytest.raises(InsufficientHistoryError):
-            make_window(frames, 3, 5)
+            window_set(frames.rows(slice(0, 4)), 5)
 
     def test_sliding_overlap(self):
         rng = np.random.default_rng(10)
         frames = random_frames(rng, 12)
-        a = make_window(frames, 6, 4).data
-        b = make_window(frames, 7, 4).data
+        a, b = window_set(frames, 4).batch([3, 4])
         np.testing.assert_array_equal(a[1:], b[:-1])
 
     def test_window_set_batch(self):
@@ -170,8 +169,15 @@ class TestWindows:
         frames = random_frames(rng, 30)
         ws = window_set(frames, 5, stride=3)
         batch = ws.batch([0, 2])
-        np.testing.assert_array_equal(batch[0], ws[0].data)
-        np.testing.assert_array_equal(batch[1], ws[2].data)
+        feats = frames.features()
+        np.testing.assert_array_equal(batch[0], feats[0:5])
+        np.testing.assert_array_equal(batch[1], feats[6:11])
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_rejected(self, stride):
+        frames = random_frames(np.random.default_rng(12), 30)
+        with pytest.raises(ValueError, match="stride"):
+            window_set(frames, 5, stride)
 
 
 class TestNormalize:

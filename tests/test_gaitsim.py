@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from proprio import gaitsim
-from proprio.gaitsim import GaitSpec, NOISELESS, derive_windows, simulate
+from proprio.dataio import window_set
+from proprio.gaitsim import GaitSpec, NOISELESS, simulate
 from proprio.kinematics import fk_position
 from proprio.liegroup import so3_exp
 
@@ -109,6 +110,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             simulate(GaitSpec(gait="trot", period=1.0), 1.5, legs)
 
+    def test_duration_nan(self, legs):
+        with pytest.raises(ValueError, match="two gait periods"):
+            simulate(GaitSpec(gait="trot"), float("nan"), legs)
+
     def test_unreachable_geometry(self, legs):
         spec = GaitSpec(gait="trot", body_height=0.60)  # deeper than the leg
         with pytest.raises(gaitsim.UnreachableFootTargetError):
@@ -122,17 +127,17 @@ class TestValidation:
 class TestDeriveWindows:
     def test_stand_all_full_contact(self, legs):
         sim = simulate(GaitSpec(gait="stand", speed=0.0, noise=NOISELESS), 3.0, legs)
-        windows = derive_windows(sim.imu_frames, w=150, stride=10)
+        windows = window_set(sim.imu_frames, w=150, stride=10)
         assert np.all(windows.labels == 15)
 
     def test_air_all_zero(self, legs):
         sim = simulate(GaitSpec(gait="air-trot", noise=NOISELESS), 3.0, legs)
-        windows = derive_windows(sim.imu_frames, w=150, stride=10)
+        windows = window_set(sim.imu_frames, w=150, stride=10)
         assert np.all(windows.labels == 0)
 
     def test_labels_align_with_touchdowns(self, legs):
         sim = simulate(GaitSpec(gait="trot", seed=5), 4.0, legs)
-        windows = derive_windows(sim.imu_frames, w=150, stride=1)
+        windows = window_set(sim.imu_frames, w=150, stride=1)
         codes = sim.imu_frames.gt[windows.end_indices]
         assert np.array_equal(windows.labels, codes)
 

@@ -83,6 +83,11 @@ class TestPropagate:
         with pytest.raises(NonPositiveDtError):
             propagate(state, hover_imu(state, 1.0), 0.5, noise_params())
 
+    @pytest.mark.parametrize("cov_diag", [-1e-6, float("nan")])
+    def test_initial_covariance_validation(self, cov_diag):
+        with pytest.raises(ValueError, match="initial covariance"):
+            make_initial_state(cov_diag=cov_diag)
+
 
 class TestUpdate:
     def _stance_state(self, legs, alpha):

@@ -5,9 +5,7 @@ from proprio.kinematics import (
     LegGeometry,
     UnreachableTargetError,
     fk_jacobian,
-    fk_orientation,
     fk_position,
-    foot_velocity,
     ik_position,
 )
 
@@ -82,29 +80,7 @@ class TestJacobian:
         assert jac[1, 0] > 0.0
 
 
-class TestOrientation:
-    def test_zero_is_identity(self, one_leg):
-        assert np.array_equal(fk_orientation(one_leg, [0, 0, 0]), np.eye(3))
-
-    def test_pure_abduction(self, one_leg):
-        phi = 0.41
-        rot = fk_orientation(one_leg, [phi, 0.0, 0.0])
-        c, s = np.cos(phi), np.sin(phi)
-        expected = np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=float)
-        np.testing.assert_allclose(rot, expected, atol=1e-15)
-
-    def test_orthonormal(self, one_leg):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            rot = fk_orientation(one_leg, rng.uniform(-2, 2, 3))
-            np.testing.assert_allclose(rot @ rot.T, np.eye(3), atol=1e-12)
-            assert abs(np.linalg.det(rot) - 1.0) < 1e-12
-
-
 class TestFootVelocity:
-    def test_zero_rates(self, one_leg):
-        assert np.array_equal(foot_velocity(one_leg, [0.1, 0.2, 0.3], [0, 0, 0]), np.zeros(3))
-
     def test_matches_time_differentiation(self, one_leg):
         # alpha(t) smooth; J alpha_dot must match d/dt fk_position
         def alpha(t):
@@ -114,20 +90,10 @@ class TestFootVelocity:
             return np.array([0.3 * np.cos(t), -1.0 * np.sin(2 * t), 1.2 * np.cos(3 * t)])
 
         for t in np.linspace(0.0, 2.0, 9):
-            v = foot_velocity(one_leg, alpha(t), alpha_dot(t))
+            v = fk_jacobian(one_leg, alpha(t)) @ alpha_dot(t)
             h = 1e-6
             v_fd = (fk_position(one_leg, alpha(t + h)) - fk_position(one_leg, alpha(t - h))) / (2 * h)
             np.testing.assert_allclose(v, v_fd, atol=1e-4)
-
-    def test_linearity(self, one_leg):
-        rng = np.random.default_rng(4)
-        alpha = rng.uniform(-1, 1, 3)
-        rate = rng.normal(size=3)
-        np.testing.assert_allclose(
-            foot_velocity(one_leg, alpha, 2.0 * rate),
-            2.0 * foot_velocity(one_leg, alpha, rate),
-            atol=1e-14,
-        )
 
 
 class TestInverseKinematics:

@@ -4,7 +4,6 @@ import pytest
 from proprio import gaitsim
 from proprio.labelgen import (
     LabelGenConfig,
-    LengthMismatchError,
     SignalTooShortError,
     generate_labels,
     local_extrema,
@@ -97,10 +96,6 @@ class TestGenerateLabels:
         heights = rng.normal(size=(300, 2))
         labels = generate_labels(heights, LabelGenConfig("trot"))
         assert labels.shape == (300, 2)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            generate_labels([np.zeros(100), np.zeros(90)], LabelGenConfig("trot"))
 
     def test_unknown_gait(self):
         with pytest.raises(ValueError):

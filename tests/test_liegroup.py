@@ -8,11 +8,8 @@ from proprio.liegroup import (
     adjoint,
     sek3_compose,
     sek3_exp,
-    sek3_inverse,
-    sek3_log,
     skew,
     so3_exp,
-    so3_log,
 )
 
 
@@ -63,40 +60,22 @@ class TestSo3Exp:
 
     def test_roundtrip(self):
         omega = np.array([0.3, -0.2, 0.1])
-        np.testing.assert_allclose(so3_log(so3_exp(omega)), omega, atol=1e-10)
+        np.testing.assert_allclose(so3_exp(omega) @ so3_exp(-omega), np.eye(3), atol=1e-15)
 
     def test_roundtrip_sweep(self):
+        # every angle up to pi, against the dense matrix exponential
         rng = np.random.default_rng(1)
         worst = 0.0
         for _ in range(1000):
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
-            omega = axis * rng.uniform(1e-12, np.pi - 0.05)
-            worst = max(worst, np.max(np.abs(so3_log(so3_exp(omega)) - omega)))
-        assert worst < 1e-8
+            omega = axis * rng.uniform(1e-12, np.pi)
+            worst = max(worst, np.max(np.abs(so3_exp(omega) - expm(skew(omega)))))
+        assert worst < 1e-12
 
     def test_small_angle_series(self):
         omega = np.array([1e-10, -2e-10, 5e-11])
         np.testing.assert_allclose(so3_exp(omega), np.eye(3) + skew(omega), atol=1e-18)
-
-
-class TestSo3Log:
-    def test_identity(self):
-        assert np.array_equal(so3_log(np.eye(3)), np.zeros(3))
-
-    def test_unit_yaw(self):
-        np.testing.assert_allclose(so3_log(so3_exp([0, 0, 1.0])), [0, 0, 1.0], atol=1e-12)
-
-    def test_near_pi(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            omega = axis * (np.pi - rng.uniform(0.0, 1e-5))
-            rot = so3_exp(omega)
-            assert np.trace(rot) < -0.999999
-            back = so3_log(rot)
-            np.testing.assert_allclose(so3_exp(back), rot, atol=1e-7)
 
 
 class TestSek3:
@@ -126,13 +105,6 @@ class TestSek3:
         with pytest.raises(DimensionMismatchError):
             sek3_exp(np.zeros(7))
 
-    def test_exp_log_roundtrip(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            xi = rng.normal(size=9)
-            xi[:3] *= 0.8
-            np.testing.assert_allclose(sek3_log(sek3_exp(xi)), xi, atol=1e-9)
-
     def test_exp_inverse_pairs(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -146,14 +118,15 @@ class TestComposeInverse:
     def test_inverse(self):
         rng = np.random.default_rng(6)
         a = random_element(rng)
-        ident = sek3_compose(a, sek3_inverse(a))
+        inv = np.linalg.inv(a.as_matrix())
+        ident = sek3_compose(a, GroupElement(inv[:3, :3], inv[:3, 3:].T))
         np.testing.assert_allclose(ident.rot, np.eye(3), atol=1e-9)
         np.testing.assert_allclose(ident.cols, 0.0, atol=1e-9)
 
     def test_identity_neutral(self):
         rng = np.random.default_rng(7)
         a = random_element(rng)
-        b = sek3_compose(a, GroupElement.identity(a.k))
+        b = sek3_compose(a, GroupElement(np.eye(3), np.zeros((a.k, 3))))
         np.testing.assert_allclose(b.rot, a.rot, atol=0)
         np.testing.assert_allclose(b.cols, a.cols, atol=0)
 
@@ -163,9 +136,6 @@ class TestComposeInverse:
             a, b = random_element(rng), random_element(rng)
             np.testing.assert_allclose(
                 sek3_compose(a, b).as_matrix(), a.as_matrix() @ b.as_matrix(), atol=1e-10
-            )
-            np.testing.assert_allclose(
-                sek3_inverse(a).as_matrix(), np.linalg.inv(a.as_matrix()), atol=1e-10
             )
 
     def test_column_count_mismatch(self):
@@ -190,7 +160,7 @@ def _vee(m, k):
 
 class TestAdjoint:
     def test_identity(self):
-        assert np.array_equal(adjoint(GroupElement.identity(3)), np.eye(12))
+        assert np.array_equal(adjoint(GroupElement(np.eye(3), np.zeros((3, 3)))), np.eye(12))
 
     def test_block_structure(self):
         rng = np.random.default_rng(10)
