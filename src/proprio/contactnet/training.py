@@ -50,8 +50,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < float("inf"):
+            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.optimizer not in _OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}; expected one of {sorted(_OPTIMIZERS)}")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -47,14 +47,6 @@ class TooFewWindowsError(ValueError):
 # contact state encoding
 
 
-def encode_contact(legs: Sequence[bool]) -> int:
-    """Booleans (first leg = most significant bit) -> decimal code."""
-    code = 0
-    for c in legs:
-        code = (code << 1) | int(bool(c))
-    return code
-
-
 def codes_to_bool(codes, num_legs: int) -> np.ndarray:
     """(N,) int codes -> (N, L) boolean matrix."""
     codes = np.asarray(codes, dtype=np.int64)
@@ -65,7 +57,7 @@ def codes_to_bool(codes, num_legs: int) -> np.ndarray:
 
 
 def bool_to_codes(mat) -> np.ndarray:
-    """(N, L) boolean matrix -> (N,) int codes."""
+    """(N, L) boolean matrix -> (N,) int codes, first leg = most significant bit."""
     mat = np.asarray(mat, dtype=bool)
     weights = 1 << np.arange(mat.shape[1] - 1, -1, -1)
     return mat @ weights

@@ -341,8 +341,8 @@ def _contacts_at(schedule, t):
 
 def simulate(spec: GaitSpec, duration: float, legs) -> SimulationResult:
     """Generate a synthetic run of the given duration (s)."""
-    if not duration >= 2.0 * spec.period:
-        raise ValueError("duration must cover at least two gait periods")
+    if not 2.0 * spec.period <= duration < np.inf:
+        raise ValueError(f"duration must cover at least two gait periods and be finite, got {duration}")
     rng = np.random.default_rng(spec.seed)
     body = _BodyMotion(spec)
     grounded = spec.gait in ("trot", "pronk", "stand")

@@ -1,25 +1,28 @@
-"""Contact-aided right-invariant EKF on SE_{L+2}(3).
+"""Contact-aided right-invariant EKF on SE_{L+2}(3), on one fixed layout.
 
-State mean is a GroupElement whose columns are (v, p, d_1..d_L) with one
-column per foot currently in contact; covariance lives in right-invariant
-error coordinates ordered (rotation, v, p, d_1..d_L).
+Leg l owns column 2+l of the mean (v, p, d_0..d_{L-1}) and block
+9+3l : 12+3l of the covariance, which is in right-invariant error
+coordinates (rotation, v, p, d_0..d_{L-1}). Zero-slot rule: while leg l is
+out of contact its column and its block rows and columns are exactly zero.
+The adjoint of a zero column adds no noise, and a zero block stays zero
+through Phi P Phi^T and the Joseph update, so no step needs a mask.
 
 Propagation integrates the IMU strapdown equations on the mean and moves
 the covariance with the exact state transition of the right-invariant
 error (block-nilpotent, so the matrix exponential closes in three terms).
 Forward-kinematic corrections of feet in contact apply the gain on the
-left through the group exponential; contacts are augmented into and
-marginalized out of the state as they start and stop.
+left through the group exponential; a touchdown fills the leg's slot and
+a lift-off zeroes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .kinematics import LegGeometry, fk_jacobian, fk_position
+from .kinematics import LEG_NAMES, LegGeometry, fk_jacobian, fk_position
 from .liegroup import (
     GroupElement,
     ORTHOGONALITY_TOL,
@@ -33,6 +36,8 @@ from .liegroup import (
 )
 
 MAX_DT = 0.1  # sanity cap on a single propagation step (s)
+NUM_LEGS = len(LEG_NAMES)
+DIM = 9 + 3 * NUM_LEGS  # covariance size
 
 
 class NonPositiveDtError(ValueError):
@@ -72,10 +77,12 @@ class NoiseParams:
     def __post_init__(self):
         for name in ("gyro_cov", "accel_cov", "contact_cov", "encoder_cov"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if np.any(np.diag(arr) < 0.0):
-                raise ValueError(f"{name} has negative diagonal entries")
+            if not np.all(np.isfinite(arr)) or np.any(np.diag(arr) < 0.0):
+                raise ValueError(f"{name} must be finite with a non-negative diagonal")
             setattr(self, name, arr)
         self.gravity = np.asarray(self.gravity, dtype=float)
+        if not (np.all(np.isfinite(self.gravity)) and 0.0 <= self.new_contact_prior < np.inf):
+            raise ValueError("gravity must be finite and new_contact_prior finite and non-negative")
 
 
 @dataclass
@@ -87,10 +94,15 @@ class ImuSample:
 
 @dataclass
 class FilterState:
-    """Filter mean, contact registry, covariance, and time."""
+    """Filter mean, contact flags, covariance, and time.
 
-    mean: GroupElement  # columns: v, p, d_1..d_L
-    registry: Dict[int, int]  # leg id -> column index in mean.cols (>= 2)
+    Leg l owns mean column 2+l and covariance block 9+3l : 12+3l. While
+    contacts[l] is False that column and the block's rows and columns
+    are exactly zero.
+    """
+
+    mean: GroupElement  # (2+L, 3) columns: v, p, d_0..d_{L-1}
+    contacts: Tuple[bool, ...]  # one plain bool per leg
     cov: np.ndarray  # (9+3L, 9+3L), right-invariant coordinates
     t: float
 
@@ -107,34 +119,29 @@ class FilterState:
         return self.mean.cols[1]
 
     def contact_position(self, leg: int) -> np.ndarray:
-        if leg not in self.registry:
+        if not self.contacts[leg]:
             raise UnregisteredContactError(leg)
-        return self.mean.cols[self.registry[leg]]
+        return self.mean.cols[2 + leg]
 
 
 def make_initial_state(rot=None, vel=None, pos=None, t=0.0, cov_diag=1e-6) -> FilterState:
-    if not cov_diag >= 0.0:
-        raise ValueError(f"initial covariance diagonal {cov_diag} is negative or NaN")
-    mean = GroupElement(
-        np.eye(3) if rot is None else np.asarray(rot, dtype=float),
-        np.stack(
-            [
-                np.zeros(3) if vel is None else np.asarray(vel, dtype=float),
-                np.zeros(3) if pos is None else np.asarray(pos, dtype=float),
-            ]
-        ),
-    )
-    return FilterState(mean, {}, np.eye(9) * cov_diag, float(t))
+    if not 0.0 <= cov_diag < np.inf:
+        raise ValueError(f"initial covariance diagonal {cov_diag} is negative or not finite")
+    cols = np.zeros((2 + NUM_LEGS, 3))
+    cols[0] = 0.0 if vel is None else vel
+    cols[1] = 0.0 if pos is None else pos
+    mean = GroupElement(np.eye(3) if rot is None else np.asarray(rot, dtype=float), cols)
+    cov = np.diag([cov_diag] * 9 + [0.0] * (DIM - 9))
+    return FilterState(mean, (False,) * NUM_LEGS, cov, float(t))
 
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
     return (p + p.T) / 2.0
 
 
-def _column_block(col_index: int) -> slice:
-    """Covariance block of column col_index (v=0 -> 3:6, p=1 -> 6:9, ...)."""
-    start = 3 * (col_index + 1)
-    return slice(start, start + 3)
+def _leg_block(leg: int) -> slice:
+    """Covariance block of leg's contact column."""
+    return slice(9 + 3 * leg, 12 + 3 * leg)
 
 
 def propagate(state: FilterState, imu: ImuSample, dt: float, noise: NoiseParams) -> FilterState:
@@ -162,62 +169,51 @@ def propagate(state: FilterState, imu: ImuSample, dt: float, noise: NoiseParams)
 
     # Phi = exp(A dt) with A the (autonomous) right-invariant error matrix;
     # A is nilpotent here, so the exponential closes exactly.
-    dim = state.cov.shape[0]
-    phi = np.eye(dim)
+    phi = np.eye(DIM)
     gx = skew(g)
     phi[3:6, 0:3] = gx * dt
     phi[6:9, 0:3] = gx * (0.5 * dt * dt)
     phi[6:9, 3:6] = np.eye(3) * dt
 
-    qc = np.zeros((dim, dim))
+    qc = np.zeros((DIM, DIM))
     qc[0:3, 0:3] = noise.gyro_cov
     qc[3:6, 3:6] = noise.accel_cov
-    for col in state.registry.values():
-        blk = _column_block(col)
-        qc[blk, blk] = noise.contact_cov
+    for leg, on in enumerate(state.contacts):
+        if on:
+            blk = _leg_block(leg)
+            qc[blk, blk] = noise.contact_cov
     ad = adjoint(state.mean)
     q_hat = ad @ qc @ ad.T
     cov = _symmetrize(phi @ (state.cov + q_hat * dt) @ phi.T)
-    return FilterState(mean, dict(state.registry), cov, state.t + dt)
+    return FilterState(mean, state.contacts, cov, state.t + dt)
 
 
-def update_contact_kinematics(
-    state: FilterState,
-    alpha: np.ndarray,
-    active_contacts,
-    legs,
-    noise: NoiseParams,
-) -> FilterState:
+def update_contact_kinematics(state: FilterState, alpha: np.ndarray, legs, noise: NoiseParams) -> FilterState:
     """Stacked forward-kinematic correction for the feet in contact.
 
-    alpha: (L_total, 3) joint angles indexed by leg id. Every leg in
-    active_contacts must already be registered.
+    alpha: (L, 3) joint angles indexed by leg id. The feet in contact are
+    the state's contact flags.
     """
-    active = sorted(active_contacts)
+    active = [leg for leg, on in enumerate(state.contacts) if on]
     if not active:
         return state
-    for leg in active:
-        if leg not in state.registry:
-            raise UnregisteredContactError(leg)
 
     alpha = np.asarray(alpha, dtype=float)
     rot = state.mean.rot
     pos = state.mean.cols[1]
-    dim = state.cov.shape[0]
     m = 3 * len(active)
     innovation = np.zeros(m)
-    h_mat = np.zeros((m, dim))
+    h_mat = np.zeros((m, DIM))
     n_mat = np.zeros((m, m))
     for row, leg in enumerate(active):
         geom: LegGeometry = legs[leg]
-        col = state.registry[leg]
         foot_body = fk_position(geom, alpha[leg])
         jac = fk_jacobian(geom, alpha[leg])
-        d = state.mean.cols[col]
+        d = state.mean.cols[2 + leg]
         sl = slice(3 * row, 3 * row + 3)
         innovation[sl] = rot @ foot_body + pos - d
         h_mat[sl, 6:9] = -np.eye(3)
-        h_mat[sl, _column_block(col)] = np.eye(3)
+        h_mat[sl, _leg_block(leg)] = np.eye(3)
         n_mat[sl, sl] = rot @ (jac @ noise.encoder_cov @ jac.T + noise.contact_cov) @ rot.T
 
     pht = state.cov @ h_mat.T
@@ -227,55 +223,61 @@ def update_contact_kinematics(
     mean = sek3_compose(sek3_exp(delta), state.mean)
     if orthogonality_defect(mean.rot) > ORTHOGONALITY_TOL:
         mean = GroupElement(project_rotation(mean.rot), mean.cols)
-    ikh = np.eye(dim) - gain @ h_mat
+    ikh = np.eye(DIM) - gain @ h_mat
     cov = _symmetrize(ikh @ state.cov @ ikh.T + gain @ n_mat @ gain.T)
-    return FilterState(mean, dict(state.registry), cov, state.t)
+    return FilterState(mean, state.contacts, cov, state.t)
 
 
 def augment_contact(
     state: FilterState, leg: int, alpha: np.ndarray, legs, noise: NoiseParams
 ) -> FilterState:
-    """Append a new contact column d = p + R h_p(alpha) with its covariance."""
-    if leg in state.registry:
+    """Fill leg's slot with d = p + R h_p(alpha) and its covariance."""
+    if state.contacts[leg]:
         raise AlreadyRegisteredError(leg)
     alpha = np.asarray(alpha, dtype=float)
     geom: LegGeometry = legs[leg]
     rot = state.mean.rot
-    pos = state.mean.cols[1]
     foot_body = fk_position(geom, alpha[leg])
     jac = fk_jacobian(geom, alpha[leg])
 
-    d_new = pos + rot @ foot_body
-    cols = np.vstack([state.mean.cols, d_new[None, :]])
+    cols = state.mean.cols.copy()
+    cols[2 + leg] = cols[1] + rot @ foot_body
     mean = GroupElement(rot, cols)
 
-    dim = state.cov.shape[0]
-    f_mat = np.zeros((dim + 3, dim))
-    f_mat[:dim, :dim] = np.eye(dim)
-    f_mat[dim:, 6:9] = np.eye(3)  # new error block copies the position error
+    # the new error block copies the position error, plus encoder noise
+    blk = _leg_block(leg)
+    cov = state.cov.copy()
+    cov[blk, :] = cov[6:9, :]
+    cov[:, blk] = cov[:, 6:9]
     g_mat = rot @ jac
-    cov = f_mat @ state.cov @ f_mat.T
-    cov[dim:, dim:] += g_mat @ noise.encoder_cov @ g_mat.T + noise.new_contact_prior * np.eye(3)
+    cov[blk, blk] += g_mat @ noise.encoder_cov @ g_mat.T + noise.new_contact_prior * np.eye(3)
 
-    registry = dict(state.registry)
-    registry[leg] = state.mean.k
-    return FilterState(mean, registry, _symmetrize(cov), state.t)
+    contacts = state.contacts[:leg] + (True,) + state.contacts[leg + 1 :]
+    return FilterState(mean, contacts, _symmetrize(cov), state.t)
 
 
 def marginalize_contact(state: FilterState, leg: int) -> FilterState:
-    """Remove a contact column and its covariance rows/columns."""
-    if leg not in state.registry:
+    """Zero leg's contact column and its covariance rows/columns."""
+    if not state.contacts[leg]:
         raise UnregisteredContactError(leg)
-    col = state.registry[leg]
-    cols = np.delete(state.mean.cols, col, axis=0)
-    mean = GroupElement(state.mean.rot, cols)
-    blk = _column_block(col)
-    keep = [i for i in range(state.cov.shape[0]) if not blk.start <= i < blk.stop]
-    cov = state.cov[np.ix_(keep, keep)]
-    registry = {
-        l: (c - 1 if c > col else c) for l, c in state.registry.items() if l != leg
-    }
-    return FilterState(mean, registry, cov.copy(), state.t)
+    cols = state.mean.cols.copy()
+    cols[2 + leg] = 0.0
+    blk = _leg_block(leg)
+    cov = state.cov.copy()
+    cov[blk, :] = 0.0
+    cov[:, blk] = 0.0
+    contacts = state.contacts[:leg] + (False,) + state.contacts[leg + 1 :]
+    return FilterState(GroupElement(state.mean.rot, cols), contacts, cov, state.t)
+
+
+def _reconcile_contacts(state: FilterState, contacts, alpha, legs, noise) -> FilterState:
+    """Augment legs that touched down and marginalize legs that lifted off."""
+    for leg, want in enumerate(contacts):
+        if want and not state.contacts[leg]:
+            state = augment_contact(state, leg, alpha, legs, noise)
+        elif not want and state.contacts[leg]:
+            state = marginalize_contact(state, leg)
+    return state
 
 
 def step(
@@ -298,36 +300,23 @@ def step(
         raise InvalidInputError(f"non-finite joint angles at t={imu.t}")
     dt = imu.t - state.t
     state = propagate(state, imu, dt, noise)
-    active = []
-    for leg, want in enumerate(contacts):
-        have = leg in state.registry
-        if want and not have:
-            state = augment_contact(state, leg, alpha, legs, noise)
-        elif not want and have:
-            state = marginalize_contact(state, leg)
-        if want:
-            active.append(leg)
-    if active:
-        state = update_contact_kinematics(state, alpha, active, legs, noise)
-    return state
+    state = _reconcile_contacts(state, contacts, alpha, legs, noise)
+    return update_contact_kinematics(state, alpha, legs, noise)
 
 
 def filter_sequence(frames, contacts, legs, noise, init: Optional[FilterState] = None):
     """Run the filter over a FrameSequence with an (N, L) contact matrix.
 
     Returns (t, rotations, velocities, positions) arrays. The initial state
-    defaults to identity at the first timestamp; contacts present in the
-    first frame are augmented before stepping.
+    defaults to identity at the first timestamp; its contact set is
+    reconciled with the first frame's before stepping.
     """
     contacts = np.asarray(contacts, dtype=bool)
     n = len(frames)
-    if contacts.shape[0] != n:
-        raise InvalidInputError("contact stream length differs from frame count")
+    if contacts.shape != (n, NUM_LEGS):
+        raise InvalidInputError(f"contact matrix has shape {contacts.shape}, want ({n}, {NUM_LEGS})")
     state = init if init is not None else make_initial_state(t=float(frames.t[0]))
-    alpha0 = frames.q[0].reshape(-1, 3)
-    for leg, want in enumerate(contacts[0]):
-        if want and leg not in state.registry:
-            state = augment_contact(state, leg, alpha0, legs, noise)
+    state = _reconcile_contacts(state, contacts[0], frames.q[0].reshape(-1, 3), legs, noise)
 
     t_out = np.empty(n)
     rot_out = np.empty((n, 3, 3))

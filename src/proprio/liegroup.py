@@ -2,7 +2,7 @@
 
 An SE_K(3) element carries one rotation and K translation-like columns.
 The odometry filter uses K = 2 + L (velocity, position, and one column per
-foot in contact), but everything here works for any K >= 1.
+leg), but everything here works for any K >= 1.
 
 Conventions: rotations are plain 3x3 numpy arrays, tangent vectors are flat
 arrays [omega, b_1, ..., b_K] with the rotation block first.

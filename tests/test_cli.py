@@ -298,3 +298,29 @@ def test_train_zero_epochs_exit_2(workdir, tmp_path, capsys):
 def test_sim_nan_duration_exit_2(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "sim", "--duration", "nan"]) == 2
     assert "duration must cover at least two gait periods" in capsys.readouterr().err
+
+
+def test_sim_inf_duration_exit_2(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "sim", "--duration", "inf"]) == 2
+    assert "must cover at least two gait periods and be finite" in capsys.readouterr().err
+
+
+def test_filter_nan_noise_exit_2(workdir, tmp_path, capsys):
+    _, cfg, out = workdir
+    frames = dataio.read_dataset(f"{out}/imu.csv").rows(slice(0, 1000))
+    dataio.write_contacts(tmp_path / "contacts.csv", frames.t, frames.gt)
+    bad = tmp_path / "nan.cfg"
+    bad.write_text(open(cfg).read() + "[inekf]\ngyro_std = nan\n")
+    args = ["--data", f"{out}/imu.csv", "--contacts", str(tmp_path / "contacts.csv")]
+    assert main(["--config", str(bad), "--out", str(tmp_path / "run"), "filter", *args]) == 2
+    assert "gyro_cov must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "trajectory_est.csv").exists()
+
+
+def test_train_nan_learning_rate_exit_2(workdir, tmp_path, capsys):
+    _, cfg, out = workdir
+    bad = tmp_path / "nan.cfg"
+    bad.write_text(open(cfg).read().replace("[contactnet]\n", "[contactnet]\nlearning_rate = nan\n"))
+    assert main(["--config", str(bad), "--out", str(tmp_path), "train", "--data", f"{out}/imu.csv"]) == 2
+    assert "learning rate must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "weights.pcnw").exists()

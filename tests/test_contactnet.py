@@ -550,6 +550,13 @@ class TestTraining:
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=epochs)
 
+    @pytest.mark.parametrize("rate", [0.0, float("nan"), float("inf")])
+    def test_learning_rate_positive_and_finite(self, rate):
+        from proprio.contactnet import TrainConfig
+
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainConfig(learning_rate=rate)
+
     def test_sgd_option(self):
         from proprio.contactnet import TrainConfig, train
 

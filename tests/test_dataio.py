@@ -10,8 +10,8 @@ from proprio.dataio import (
     OutOfRangeError,
     SchemaMismatchError,
     TooFewWindowsError,
+    bool_to_codes,
     codes_to_bool,
-    encode_contact,
     normalize_window,
     split_dataset,
     upsample,
@@ -49,17 +49,16 @@ class TestFrameRows:
 
 class TestContactEncoding:
     def test_paper_example(self):
-        assert encode_contact([0, 1, 1, 0]) == 6
+        assert bool_to_codes([[0, 1, 1, 0]]).tolist() == [6]
 
     def test_extremes(self):
-        assert encode_contact([0, 0, 0, 0]) == 0
-        assert encode_contact([1, 1, 1, 1]) == 15
+        assert bool_to_codes([[0, 0, 0, 0], [1, 1, 1, 1]]).tolist() == [0, 15]
 
     @pytest.mark.parametrize("num_legs", [2, 4])
     def test_roundtrip_exhaustive(self, num_legs):
         codes = np.arange(1 << num_legs)
         for code, legs in zip(codes, codes_to_bool(codes, num_legs)):
-            assert encode_contact(legs) == code
+            assert bool_to_codes(legs[None, :]).tolist() == [code]
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
@@ -71,7 +70,7 @@ class TestContactEncoding:
         # RF is the most significant bit: code 6 is 0110
         legs = codes_to_bool([6], 4)[0]
         assert legs.tolist() == [False, True, True, False]
-        assert encode_contact(legs) == 6
+        assert bool_to_codes(legs[None, :]).tolist() == [6]
 
     def test_matrix_helpers(self):
         codes = np.array([0, 6, 15])

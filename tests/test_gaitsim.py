@@ -114,6 +114,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="two gait periods"):
             simulate(GaitSpec(gait="trot"), float("nan"), legs)
 
+    def test_duration_inf(self, legs):
+        with pytest.raises(ValueError, match="finite"):
+            simulate(GaitSpec(gait="trot"), float("inf"), legs)
+
     def test_unreachable_geometry(self, legs):
         spec = GaitSpec(gait="trot", body_height=0.60)  # deeper than the leg
         with pytest.raises(gaitsim.UnreachableFootTargetError):
