@@ -19,7 +19,7 @@ first filtered minimum trails touchdown by `LABEL_LEAD_S`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .dataio import FrameSequence, bool_to_codes, upsample
@@ -73,6 +73,12 @@ class SensorNoise:
     accel: float = 0.1  # m/s^2
     torque: float = 1.5  # N*m
 
+    def __post_init__(self):
+        for f in fields(self):
+            sigma = getattr(self, f.name)
+            if not 0.0 <= sigma < np.inf:
+                raise ValueError(f"noise sigma {f.name} must be finite and non-negative, got {sigma}")
+
 
 NOISELESS = SensorNoise(0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -101,8 +107,14 @@ class GaitSpec:
     def __post_init__(self):
         if self.period <= 0.0 or not 0.0 < self.duty < 1.0:
             raise ValueError("period must be positive and duty in (0, 1)")
-        if self.encoder_rate <= 0.0 or self.imu_rate <= 0.0:
-            raise ValueError("sample rates must be positive")
+        for name in ("speed", "turn_rate", "step_length", "step_height", "body_height", "mass"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"gait {name} must be finite, got {value}")
+        for name in ("encoder_rate", "imu_rate"):
+            rate = getattr(self, name)
+            if not 0.0 < rate < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {rate}")
 
 
 @dataclass

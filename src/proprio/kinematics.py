@@ -42,9 +42,13 @@ class LegGeometry:
     lateral_sign: int
 
     def __post_init__(self):
+        object.__setattr__(self, "hip", np.asarray(self.hip, dtype=float))
+        for name in ("abd", "l1", "l2", "hip"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"leg geometry {name} must be finite, got {value}")
         if self.l1 <= 0 or self.l2 <= 0:
             raise ValueError("link lengths must be positive")
-        object.__setattr__(self, "hip", np.asarray(self.hip, dtype=float))
 
 
 def default_legs(abd=0.062, l1=0.209, l2=0.195, hip_x=0.19, hip_y=0.049):

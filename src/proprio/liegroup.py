@@ -10,6 +10,7 @@ arrays [omega, b_1, ..., b_K] with the rotation block first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,46 +23,46 @@ SMALL_ANGLE = 1e-8
 ORTHOGONALITY_TOL = 1e-7
 
 
+_EYE3 = np.eye(3)
+# skew(v).ravel() == v @ _SKEW_MAP
+_SKEW_MAP = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+    [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+])
+
+
 class DimensionMismatchError(ValueError):
     """Operands have incompatible shapes or column counts."""
 
 
 def skew(v) -> np.ndarray:
-    """3x3 skew-symmetric matrix S such that S @ w == cross(v, w)."""
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Skew-symmetric matrices S with S @ w == cross(v, w): (..., 3) -> (..., 3, 3)."""
+    v = np.asarray(v, dtype=float)
+    return (v @ _SKEW_MAP).reshape(v.shape[:-1] + (3, 3))
 
 
 def so3_exp(omega) -> np.ndarray:
-    """Rodrigues' formula, series fallback for tiny angles."""
-    omega = np.asarray(omega, dtype=float)
-    theta = np.linalg.norm(omega)
-    w = skew(omega)
-    w2 = w @ w
-    if theta < SMALL_ANGLE:
-        return np.eye(3) + w + w2 / 2.0 + (w @ w2) / 6.0 + (w2 @ w2) / 24.0
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / theta**2
-    return np.eye(3) + a * w + b * w2
+    """Rodrigues' formula over leading axes: (..., 3) -> (..., 3, 3).
 
-
-def so3_left_jacobian(omega) -> np.ndarray:
-    """Left Jacobian J_l of SO(3); maps tangent blocks to SE_K(3) columns."""
+    Below SMALL_ANGLE the two coefficients switch to their series,
+    sin(t)/t ~ 1 - t^2/6 and (1 - cos t)/t^2 ~ 1/2 - t^2/24, per vector.
+    """
     omega = np.asarray(omega, dtype=float)
-    theta = np.linalg.norm(omega)
+    theta2 = np.sum(omega * omega, axis=-1)
+    theta = np.sqrt(theta2)
+    small = theta < SMALL_ANGLE
+    safe = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
+    b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(safe)) / safe**2)
     w = skew(omega)
-    w2 = w @ w
-    if theta < SMALL_ANGLE:
-        return np.eye(3) + w / 2.0 + w2 / 6.0 + (w @ w2) / 24.0 + (w2 @ w2) / 120.0
-    a = (1.0 - np.cos(theta)) / theta**2
-    b = (theta - np.sin(theta)) / theta**3
-    return np.eye(3) + a * w + b * w2
+    return _EYE3 + a[..., None, None] * w + b[..., None, None] * (w @ w)
 
 
 def orthogonality_defect(rot) -> float:
     """Max absolute entry of R R^T - I."""
     rot = np.asarray(rot, dtype=float)
-    return float(np.max(np.abs(rot @ rot.T - np.eye(3))))
+    return float(np.abs(rot @ rot.T - _EYE3).max())
 
 
 def project_rotation(rot) -> np.ndarray:
@@ -98,15 +99,26 @@ class GroupElement:
 def sek3_exp(xi) -> GroupElement:
     """Exponential map of SE_K(3) from a flat tangent vector.
 
-    xi = [omega, b_1, ..., b_K]; each column is J_l(omega) @ b_i.
+    xi = [omega, b_1, ..., b_K]; the rotation is so3_exp(omega) and each
+    column is J_l(omega) @ b_i, with J_l = I + b W + c W^2 the left
+    Jacobian of SO(3) (W = skew(omega)). Both share W, W^2 and b.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or xi.size % 3 != 0 or xi.size < 6:
         raise DimensionMismatchError(f"tangent vector length {xi.size} is not 3(K+1)")
     omega = xi[:3]
-    blocks = xi[3:].reshape(-1, 3)
-    jac = so3_left_jacobian(omega)
-    return GroupElement(so3_exp(omega), blocks @ jac.T)
+    theta2 = float(omega @ omega)
+    theta = math.sqrt(theta2)
+    if theta < SMALL_ANGLE:
+        a, b, c = 1.0 - theta2 / 6.0, 0.5 - theta2 / 24.0, 1.0 / 6.0 - theta2 / 120.0
+    else:
+        sin = math.sin(theta)
+        a, b, c = sin / theta, (1.0 - math.cos(theta)) / theta2, (theta - sin) / (theta2 * theta)
+    w = skew(omega)
+    w2 = w @ w
+    rot = _EYE3 + a * w + b * w2
+    jac = _EYE3 + b * w + c * w2
+    return GroupElement(rot, xi[3:].reshape(-1, 3) @ jac.T)
 
 
 def sek3_compose(a: GroupElement, b: GroupElement) -> GroupElement:

@@ -30,7 +30,7 @@ from proprio.contactnet import (
 )
 from proprio.contactnet import network as net
 from proprio.dataio import WindowSet, codes_to_bool
-from proprio.inekf import ImuSample, NoiseParams, make_initial_state
+from proprio.inekf import NoiseParams, make_initial_state
 
 WINDOW = 150
 CLASSES = 16
@@ -293,15 +293,15 @@ class TestA6Invariance:
             rot=long_sim.traj_rot[0], vel=long_sim.traj_vel[0],
             pos=long_sim.traj_pos[0], t=float(lf.t[0]),
         )
-        alpha0 = lf.q[0].reshape(4, 3)
+        records = inekf.frame_records(lf.t, lf.gyro, lf.acc, lf.q, legs, state.t)
+        frame0 = next(records)
         for leg, want in enumerate(long_sim.contacts_imu[0]):
             if want:
-                state = inekf.augment_contact(state, leg, alpha0, legs, noise)
+                state = inekf.augment_contact(state, leg, frame0, noise)
         worst_asym = 0.0
         worst_eig = np.inf
-        for i in range(1, len(lf)):
-            imu = ImuSample(lf.gyro[i], lf.acc[i], float(lf.t[i]))
-            state = inekf.step(state, imu, lf.q[i].reshape(4, 3), long_sim.contacts_imu[i], legs, noise)
+        for i, frame in enumerate(records, 1):
+            state = inekf.step(state, frame, long_sim.contacts_imu[i], noise)
             worst_asym = max(worst_asym, float(np.max(np.abs(state.cov - state.cov.T))))
             worst_eig = min(worst_eig, float(np.linalg.eigvalsh(state.cov).min()))
         assert worst_asym < 1e-10

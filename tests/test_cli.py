@@ -324,3 +324,40 @@ def test_train_nan_learning_rate_exit_2(workdir, tmp_path, capsys):
     assert main(["--config", str(bad), "--out", str(tmp_path), "train", "--data", f"{out}/imu.csv"]) == 2
     assert "learning rate must be positive and finite" in capsys.readouterr().err
     assert not (tmp_path / "weights.pcnw").exists()
+
+
+def _sim_with(tmp_path, cfg_text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(cfg_text)
+    return main(["--config", str(cfg), "--out", str(tmp_path / "run"), "sim", "--duration", "2"])
+
+
+def test_sim_inf_imu_rate_exit_2(tmp_path, capsys):
+    assert _sim_with(tmp_path, "[gaitsim]\nimu_rate = inf\n") == 2
+    assert "imu_rate must be positive and finite, got inf" in capsys.readouterr().err
+
+
+def test_sim_nan_noise_exit_2(tmp_path, capsys):
+    assert _sim_with(tmp_path, "[gaitsim]\nnoise_gyro = nan\n") == 2
+    assert "noise sigma gyro must be finite and non-negative, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "imu.csv").exists()
+
+
+@pytest.mark.parametrize("cfg_text,message", [
+    ("[kinematics]\nl1 = nan\n", "leg geometry l1 must be finite, got nan"),
+    ("[gaitsim]\nspeed = nan\n", "gait speed must be finite, got nan"),
+])
+def test_sim_nan_geometry_or_gait_exit_2(tmp_path, capsys, cfg_text, message):
+    assert _sim_with(tmp_path, cfg_text) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_filter_nan_gyro_row_exit_2(workdir, tmp_path, capsys):
+    _, cfg, out = workdir
+    frames = dataio.read_dataset(f"{out}/imu.csv").rows(slice(0, 1000))
+    frames.gyro[500, 1] = np.nan
+    dataio.write_dataset(frames, tmp_path / "imu.csv")
+    dataio.write_contacts(tmp_path / "contacts.csv", frames.t, frames.gt)
+    args = ["--data", str(tmp_path / "imu.csv"), "--contacts", str(tmp_path / "contacts.csv")]
+    assert main(["--config", cfg, "--out", str(tmp_path / "run"), "filter", *args]) == 2
+    assert f"non-finite IMU sample at t={frames.t[500]}" in capsys.readouterr().err

@@ -127,6 +127,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             GaitSpec(duty=1.2)
 
+    @pytest.mark.parametrize("name", ["imu_rate", "encoder_rate"])
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), 0.0, -500.0])
+    def test_rates_positive_and_finite(self, name, rate):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {rate}"):
+            GaitSpec(**{name: rate})
+
+    @pytest.mark.parametrize("name", ["speed", "turn_rate", "step_length", "step_height", "body_height", "mass"])
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_gait_values_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"gait {name} must be finite, got {value}"):
+            GaitSpec(**{name: value})
+
+    @pytest.mark.parametrize("name", ["encoder", "joint_rate", "gyro", "accel", "torque"])
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+    def test_sensor_noise_finite_non_negative(self, name, sigma):
+        with pytest.raises(ValueError, match=f"noise sigma {name} must be finite and non-negative, got {sigma}"):
+            gaitsim.SensorNoise(**{name: sigma})
+
 
 class TestDeriveWindows:
     def test_stand_all_full_contact(self, legs):

@@ -5,10 +5,10 @@ from proprio import gaitsim, inekf
 from proprio.config import load_config
 from proprio.inekf import (
     DIM,
+    MAX_DT,
     NUM_LEGS,
     AlreadyRegisteredError,
     FilterState,
-    ImuSample,
     InvalidInputError,
     NoiseParams,
     NonPositiveDtError,
@@ -20,19 +20,34 @@ from proprio.inekf import (
     step,
     update_contact_kinematics,
 )
-from proprio.kinematics import fk_position
-from proprio.liegroup import so3_exp
+from proprio.kinematics import fk_jacobian, fk_position
+from proprio.liegroup import GroupElement, adjoint, sek3_compose, sek3_exp, skew, so3_exp
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
+STANCE = np.tile([0.0, 0.5, 1.0], (4, 1))
 
 
 def noise_params():
     return NoiseParams()
 
 
-def hover_imu(state, t):
+def one_frame(state, gyro, accel, alpha, t, legs):
+    """The record of one step from state.t to t (row 1 of a two-row sequence)."""
+    gyro, accel, q = (np.tile(np.ravel(v), (2, 1)) for v in (gyro, accel, alpha))
+    records = inekf.frame_records([state.t, t], gyro, accel, q, legs, state.t)
+    next(records)
+    return next(records)
+
+
+def kinematic_frame(alpha, legs):
+    """The record of an initial frame: its foot positions and Jacobians."""
+    q = np.reshape(alpha, (1, -1))
+    return next(inekf.frame_records([0.0], np.zeros((1, 3)), np.zeros((1, 3)), q, legs, 0.0))
+
+
+def hover_frame(state, t, legs):
     # accel that exactly cancels gravity in the body frame
-    return ImuSample(np.zeros(3), state.rotation.T @ (-GRAVITY), t)
+    return one_frame(state, np.zeros(3), state.rotation.T @ (-GRAVITY), STANCE, t, legs)
 
 
 def assert_psd(p, tol=1e-9):
@@ -53,26 +68,27 @@ def assert_zero_slots(state):
 
 
 class TestPropagate:
-    def test_hover_keeps_state(self):
+    def test_hover_keeps_state(self, legs):
         state = make_initial_state(rot=so3_exp([0.1, -0.2, 0.3]))
-        out = propagate(state, hover_imu(state, 0.001), 0.001, noise_params())
+        out = propagate(state, hover_frame(state, 0.001, legs), noise_params())
         np.testing.assert_allclose(out.velocity, 0.0, atol=1e-15)
         np.testing.assert_allclose(out.position, 0.0, atol=1e-18)
         np.testing.assert_allclose(out.rotation, state.rotation, atol=1e-15)
 
-    def test_constant_acceleration_closed_form(self):
+    def test_constant_acceleration_closed_form(self, legs):
         # net world acceleration of 1 m/s^2 along x for one second at 1 kHz
         state = make_initial_state()
         noise = noise_params()
         dt = 1e-3
         accel_world = np.array([1.0, 0.0, 0.0])
         for k in range(1000):
-            imu = ImuSample(np.zeros(3), state.rotation.T @ (accel_world - GRAVITY), state.t + dt)
-            state = propagate(state, imu, dt, noise)
+            accel = state.rotation.T @ (accel_world - GRAVITY)
+            frame = one_frame(state, np.zeros(3), accel, STANCE, state.t + dt, legs)
+            state = propagate(state, frame, noise)
         assert abs(state.velocity[0] - 1.0) < 1e-6
         assert abs(state.position[0] - 0.5) < 1e-4
 
-    def test_zero_noise_is_exact_conjugation(self):
+    def test_zero_noise_is_exact_conjugation(self, legs):
         rng = np.random.default_rng(0)
         state = make_initial_state(rot=so3_exp(rng.normal(size=3)), vel=rng.normal(size=3))
         p0 = np.zeros((DIM, DIM))
@@ -83,7 +99,7 @@ class TestPropagate:
             contact_cov=np.zeros((3, 3)), encoder_cov=np.zeros((3, 3)),
         )
         dt = 1e-3
-        out = propagate(state, ImuSample(rng.normal(size=3), rng.normal(size=3), dt), dt, zero)
+        out = propagate(state, one_frame(state, rng.normal(size=3), rng.normal(size=3), STANCE, dt, legs), zero)
         gx = np.zeros((DIM, DIM))
         gx[3:6, 0:3] = np.array([[0, 9.81, 0], [-9.81, 0, 0], [0, 0, 0]]) * dt
         phi = np.eye(DIM) + gx
@@ -93,12 +109,12 @@ class TestPropagate:
         assert_psd(out.cov)
         assert_zero_slots(out)
 
-    def test_dt_validation(self):
+    def test_dt_validation(self, legs):
         state = make_initial_state()
         with pytest.raises(NonPositiveDtError):
-            propagate(state, hover_imu(state, 0.0), 0.0, noise_params())
+            propagate(state, hover_frame(state, 0.0, legs), noise_params())
         with pytest.raises(NonPositiveDtError):
-            propagate(state, hover_imu(state, 1.0), 0.5, noise_params())
+            propagate(state, hover_frame(state, 0.5, legs), noise_params())
 
     @pytest.mark.parametrize("cov_diag", [-1e-6, float("nan"), float("inf")])
     def test_initial_covariance_validation(self, cov_diag):
@@ -119,13 +135,13 @@ class TestUpdate:
         state = make_initial_state(pos=[0.0, 0.0, 0.3])
         noise = noise_params()
         for leg in range(4):
-            state = augment_contact(state, leg, alpha, legs, noise)
+            state = augment_contact(state, leg, kinematic_frame(alpha, legs), noise)
         return state, noise
 
     def test_zero_innovation_no_change(self, legs):
         alpha = np.tile([0.0, 0.4, 0.9], (4, 1))
         state, noise = self._stance_state(legs, alpha)
-        out = update_contact_kinematics(state, alpha, legs, noise)
+        out = update_contact_kinematics(state, kinematic_frame(alpha, legs), noise)
         np.testing.assert_allclose(out.mean.rot, state.mean.rot, atol=1e-12)
         np.testing.assert_allclose(out.mean.cols, state.mean.cols, atol=1e-12)
 
@@ -136,7 +152,7 @@ class TestUpdate:
         prev = np.trace(state.cov[6:9, 6:9])
         for _ in range(1000):
             noisy = alpha + rng.normal(0.0, 0.002, alpha.shape)
-            state = update_contact_kinematics(state, noisy, legs, noise)
+            state = update_contact_kinematics(state, kinematic_frame(noisy, legs), noise)
             cur = np.trace(state.cov[6:9, 6:9])
             assert cur <= prev + 1e-12
             prev = cur
@@ -145,12 +161,14 @@ class TestUpdate:
         rng = np.random.default_rng(2)
         alpha = np.tile([0.0, 0.5, 1.0], (4, 1))
         state, noise = self._stance_state(legs, alpha)
-        for i in range(10_000):
-            noisy = alpha + rng.normal(0.0, 0.01, alpha.shape)
-            want = rng.random(4) > 0.3
+        draws = [(alpha + rng.normal(0.0, 0.01, alpha.shape), rng.random(4) > 0.3) for _ in range(10_000)]
+        n = len(draws)
+        q = np.array([noisy.ravel() for noisy, _ in draws])
+        frames = inekf.frame_records(np.arange(n) * 1e-3, np.zeros((n, 3)), np.zeros((n, 3)), q, legs, 0.0)
+        for i, ((_, want), frame) in enumerate(zip(draws, frames)):
             want[0] |= not want.any()
-            state = inekf._reconcile_contacts(state, want, noisy, legs, noise)
-            state = update_contact_kinematics(state, noisy, legs, noise)
+            state = inekf._reconcile_contacts(state, want, frame, noise)
+            state = update_contact_kinematics(state, frame, noise)
             if i % 500 == 0:
                 assert_psd(state.cov)
                 assert_zero_slots(state)
@@ -158,14 +176,14 @@ class TestUpdate:
 
     def test_no_contact_is_identity(self, legs):
         state = make_initial_state()
-        assert update_contact_kinematics(state, np.zeros((4, 3)), legs, noise_params()) is state
+        assert update_contact_kinematics(state, kinematic_frame(np.zeros((4, 3)), legs), noise_params()) is state
 
 
 class TestAugmentMarginalize:
     def test_identity_pose_foot_position(self, legs):
         alpha = np.tile([0.0, 0.4, 0.8], (4, 1))
         state = make_initial_state()
-        out = augment_contact(state, 1, alpha, legs, noise_params())
+        out = augment_contact(state, 1, kinematic_frame(alpha, legs), noise_params())
         np.testing.assert_allclose(
             out.contact_position(1), fk_position(legs[1], alpha[1]), atol=1e-15
         )
@@ -174,8 +192,9 @@ class TestAugmentMarginalize:
         alpha = np.tile([0.1, 0.5, 1.1], (4, 1))
         state = make_initial_state(rot=so3_exp([0.05, 0.1, -0.3]), pos=[1.0, 2.0, 0.3])
         noise = noise_params()
-        state = augment_contact(state, 2, alpha, legs, noise)
-        out = update_contact_kinematics(state, alpha, legs, noise)
+        frame = kinematic_frame(alpha, legs)
+        state = augment_contact(state, 2, frame, noise)
+        out = update_contact_kinematics(state, frame, noise)
         np.testing.assert_allclose(out.position, state.position, atol=1e-12)
 
     def test_covariance_grows_and_stays_psd(self, legs):
@@ -184,7 +203,7 @@ class TestAugmentMarginalize:
         state = make_initial_state()
         noise = noise_params()
         for leg in (0, 3):
-            state = augment_contact(state, leg, alpha, legs, noise)
+            state = augment_contact(state, leg, kinematic_frame(alpha, legs), noise)
             blk = slice(9 + 3 * leg, 12 + 3 * leg)
             # the new block copies the position error and adds encoder noise and prior
             np.testing.assert_array_equal(state.cov[blk, 0:9], state.cov[6:9, 0:9])
@@ -198,15 +217,16 @@ class TestAugmentMarginalize:
         alpha = np.zeros((4, 3))
         alpha[:, 2] = 1.0
         state = make_initial_state()
-        state = augment_contact(state, 0, alpha, legs, noise_params())
+        frame = kinematic_frame(alpha, legs)
+        state = augment_contact(state, 0, frame, noise_params())
         with pytest.raises(AlreadyRegisteredError):
-            augment_contact(state, 0, alpha, legs, noise_params())
+            augment_contact(state, 0, frame, noise_params())
 
     def test_augment_marginalize_roundtrip(self, legs):
         alpha = np.tile([0.0, 0.6, 1.2], (4, 1))
         rng = np.random.default_rng(3)
         base = make_initial_state(rot=so3_exp(rng.normal(size=3) * 0.3), pos=rng.normal(size=3), cov_diag=1e-3)
-        grown = augment_contact(base, 2, alpha, legs, noise_params())
+        grown = augment_contact(base, 2, kinematic_frame(alpha, legs), noise_params())
         assert np.any(grown.mean.cols[4]) and grown.contacts[2]
         back = marginalize_contact(grown, 2)
         assert np.array_equal(back.mean.cols, base.mean.cols)
@@ -217,8 +237,9 @@ class TestAugmentMarginalize:
         alpha = np.tile([0.0, 0.6, 1.2], (4, 1))
         state = make_initial_state()
         noise = noise_params()
-        state = augment_contact(state, 0, alpha, legs, noise)
-        state = augment_contact(state, 3, alpha, legs, noise)
+        frame = kinematic_frame(alpha, legs)
+        state = augment_contact(state, 0, frame, noise)
+        state = augment_contact(state, 3, frame, noise)
         out = marginalize_contact(state, 0)
         assert out.contacts == (False, False, False, True)
         assert_zero_slots(out)
@@ -241,9 +262,9 @@ class TestStep:
         s_prop = make_initial_state()
         alpha = np.tile([0.0, 0.5, 1.0], (4, 1))
         for k in range(1, 200):
-            imu = ImuSample(rng.normal(0, 0.1, 3), rng.normal(0, 0.1, 3) - GRAVITY, k * 1e-3)
-            s_step = step(s_step, imu, alpha, [False] * 4, legs, noise)
-            s_prop = propagate(s_prop, imu, imu.t - s_prop.t, noise)
+            frame = one_frame(s_step, rng.normal(0, 0.1, 3), rng.normal(0, 0.1, 3) - GRAVITY, alpha, k * 1e-3, legs)
+            s_step = step(s_step, frame, [False] * 4, noise)
+            s_prop = propagate(s_prop, frame, noise)
         np.testing.assert_allclose(s_step.position, s_prop.position, atol=0)
         np.testing.assert_allclose(s_step.cov, s_prop.cov, atol=0)
 
@@ -271,19 +292,19 @@ class TestStep:
 
     def test_non_finite_inputs_rejected(self, legs):
         state = make_initial_state()
-        bad = ImuSample(np.array([np.nan, 0, 0]), np.zeros(3), 0.001)
         with pytest.raises(InvalidInputError):
-            step(state, bad, np.zeros((4, 3)), [False] * 4, legs, noise_params())
-        ok = ImuSample(np.zeros(3), np.zeros(3), 0.001)
+            step(state, one_frame(state, [np.nan, 0, 0], np.zeros(3), np.zeros((4, 3)), 0.001, legs),
+                 [False] * 4, noise_params())
         alpha = np.zeros((4, 3))
         alpha[0, 0] = np.inf
         with pytest.raises(InvalidInputError):
-            step(state, ok, alpha, [False] * 4, legs, noise_params())
+            step(state, one_frame(state, np.zeros(3), np.zeros(3), alpha, 0.001, legs), [False] * 4, noise_params())
 
     def test_timestamps_must_increase(self, legs):
         state = make_initial_state(t=1.0)
         with pytest.raises(NonPositiveDtError):
-            step(state, ImuSample(np.zeros(3), np.zeros(3), 0.5), np.zeros((4, 3)), [False] * 4, legs, noise_params())
+            frame = one_frame(state, np.zeros(3), np.zeros(3), np.zeros((4, 3)), 0.5, legs)
+            step(state, frame, [False] * 4, noise_params())
 
 
 class TestInvariants:
@@ -310,13 +331,13 @@ class TestInvariants:
         fi = sim.imu_frames
         noise = noise_params()
         state = make_initial_state(rot=sim.traj_rot[0], vel=sim.traj_vel[0], pos=sim.traj_pos[0], t=float(fi.t[0]))
-        alpha0 = fi.q[0].reshape(4, 3)
+        records = inekf.frame_records(fi.t, fi.gyro, fi.acc, fi.q, legs, state.t)
+        frame0 = next(records)
         for leg, want in enumerate(sim.contacts_imu[0]):
             if want:
-                state = augment_contact(state, leg, alpha0, legs, noise)
-        for i in range(1, len(fi)):
-            imu = ImuSample(fi.gyro[i], fi.acc[i], float(fi.t[i]))
-            state = step(state, imu, fi.q[i].reshape(4, 3), sim.contacts_imu[i], legs, noise)
+                state = augment_contact(state, leg, frame0, noise)
+        for i, frame in enumerate(records, 1):
+            state = step(state, frame, sim.contacts_imu[i], noise)
             assert_psd(state.cov)
 
     def test_deterministic(self, legs):
@@ -384,17 +405,18 @@ class TestFixedSlots:
         frames, contacts, legs, noise, state = jittered_trot(2.0, 0.05)
         assert_zero_slots(state)
         switches = 0
-        for i in range(1, 600):
-            alpha = frames.q[i].reshape(4, 3)
-            state = propagate(state, ImuSample(frames.gyro[i], frames.acc[i], float(frames.t[i])),
-                              float(frames.t[i]) - state.t, noise)
+        head = frames.rows(slice(0, 600))
+        records = inekf.frame_records(head.t, head.gyro, head.acc, head.q, legs, state.t)
+        next(records)
+        for i, frame in enumerate(records, 1):
+            state = propagate(state, frame, noise)
             assert_zero_slots(state)
             for leg, want in enumerate(contacts[i]):
                 if want != state.contacts[leg]:
                     switches += 1
-                    state = augment_contact(state, leg, alpha, legs, noise) if want else marginalize_contact(state, leg)
+                    state = augment_contact(state, leg, frame, noise) if want else marginalize_contact(state, leg)
                     assert_zero_slots(state)
-            state = update_contact_kinematics(state, alpha, legs, noise)
+            state = update_contact_kinematics(state, frame, noise)
             assert_zero_slots(state)
         assert switches > 50
 
@@ -404,3 +426,149 @@ class TestFixedSlots:
             inekf.filter_sequence(frames, contacts[:, :3], legs, noise, init)
         with pytest.raises(InvalidInputError, match="contact matrix"):
             inekf.filter_sequence(frames, contacts[:-1], legs, noise, init)
+
+
+def ref_filter_step(state, gyro, accel, alpha, t, contacts, legs, noise):
+    """One step as a dense per-frame computation, the form the block-structured
+    step must reproduce: input checks, a 21-wide Phi, Ad Qc Ad^T through
+    adjoint, per-leg FK, a stacked H and the Joseph product."""
+    if not (np.all(np.isfinite(gyro)) and np.all(np.isfinite(accel))):
+        raise InvalidInputError(f"non-finite IMU sample at t={t}")
+    if not np.all(np.isfinite(alpha)):
+        raise InvalidInputError(f"non-finite joint angles at t={t}")
+    dt = t - state.t
+    if not dt > 0.0:
+        raise NonPositiveDtError(f"dt = {dt}")
+    if dt > MAX_DT:
+        raise NonPositiveDtError(f"dt = {dt} exceeds the {MAX_DT} s cap")
+    rot, cols = state.mean.rot, state.mean.cols
+    accel_world = rot @ accel + noise.gravity
+    new_cols = cols.copy()
+    new_cols[0] = cols[0] + accel_world * dt
+    new_cols[1] = cols[1] + cols[0] * dt + 0.5 * accel_world * dt * dt
+    phi = np.eye(DIM)
+    gx = skew(noise.gravity)
+    phi[3:6, 0:3] = gx * dt
+    phi[6:9, 0:3] = gx * (0.5 * dt * dt)
+    phi[6:9, 3:6] = np.eye(3) * dt
+    qc = np.zeros((DIM, DIM))
+    qc[0:3, 0:3] = noise.gyro_cov
+    qc[3:6, 3:6] = noise.accel_cov
+    for leg, on in enumerate(state.contacts):
+        if on:
+            qc[9 + 3 * leg : 12 + 3 * leg, 9 + 3 * leg : 12 + 3 * leg] = noise.contact_cov
+    ad = adjoint(state.mean)
+    cov = phi @ (state.cov + ad @ qc @ ad.T * dt) @ phi.T
+    state = FilterState(GroupElement(rot @ so3_exp(gyro * dt), new_cols), state.contacts, (cov + cov.T) / 2, t)
+
+    for leg, want in enumerate(contacts):
+        blk = slice(9 + 3 * leg, 12 + 3 * leg)
+        if want and not state.contacts[leg]:
+            cols, cov = state.mean.cols.copy(), state.cov.copy()
+            cols[2 + leg] = cols[1] + state.mean.rot @ fk_position(legs[leg], alpha[leg])
+            cov[blk, :] = cov[6:9, :]
+            cov[:, blk] = cov[:, 6:9]
+            g_mat = state.mean.rot @ fk_jacobian(legs[leg], alpha[leg])
+            cov[blk, blk] += g_mat @ noise.encoder_cov @ g_mat.T + noise.new_contact_prior * np.eye(3)
+            flags = state.contacts[:leg] + (True,) + state.contacts[leg + 1 :]
+            state = FilterState(GroupElement(state.mean.rot, cols), flags, (cov + cov.T) / 2, t)
+        elif not want and state.contacts[leg]:
+            state = marginalize_contact(state, leg)
+
+    active = [leg for leg, on in enumerate(state.contacts) if on]
+    if not active:
+        return state
+    rot, m = state.mean.rot, 3 * len(active)
+    innovation, h_mat, n_mat = np.zeros(m), np.zeros((m, DIM)), np.zeros((m, m))
+    for row, leg in enumerate(active):
+        jac = fk_jacobian(legs[leg], alpha[leg])
+        sl = slice(3 * row, 3 * row + 3)
+        innovation[sl] = rot @ fk_position(legs[leg], alpha[leg]) + state.mean.cols[1] - state.mean.cols[2 + leg]
+        h_mat[sl, 6:9] = -np.eye(3)
+        h_mat[sl, 9 + 3 * leg : 12 + 3 * leg] = np.eye(3)
+        n_mat[sl, sl] = rot @ (jac @ noise.encoder_cov @ jac.T + noise.contact_cov) @ rot.T
+    pht = state.cov @ h_mat.T
+    gain = np.linalg.solve((h_mat @ pht + n_mat).T, pht.T).T
+    mean = sek3_compose(sek3_exp(gain @ innovation), state.mean)
+    ikh = np.eye(DIM) - gain @ h_mat
+    cov = ikh @ state.cov @ ikh.T + gain @ n_mat @ gain.T
+    return FilterState(mean, state.contacts, (cov + cov.T) / 2, t)
+
+
+def ref_filter(frames, contacts, legs, noise, state):
+    """(positions, rotations) of ref_filter_step over a FrameSequence."""
+    q = frames.q.reshape(len(frames), -1, 3)
+    for leg, want in enumerate(contacts[0]):
+        if want:
+            state = augment_contact(state, leg, kinematic_frame(q[0], legs), noise)
+    pos, rot = [state.position], [state.rotation]
+    for i in range(1, len(frames)):
+        state = ref_filter_step(
+            state, frames.gyro[i], frames.acc[i], q[i], float(frames.t[i]), contacts[i], legs, noise
+        )
+        pos.append(state.position)
+        rot.append(state.rotation)
+    return np.array(pos), np.array(rot)
+
+
+class TestFrameRecords:
+    SMALL_CHUNK = 64
+
+    def _run(self, monkeypatch, n=5 * SMALL_CHUNK - 20):
+        monkeypatch.setattr(inekf, "CHUNK", self.SMALL_CHUNK)
+        frames, contacts, legs, noise, init = jittered_trot(2.0, 0.02)
+        return frames.rows(slice(0, n)), contacts[:n].copy(), legs, noise, init
+
+    def test_chunked_run_matches_dense_reference(self, monkeypatch):
+        frames, contacts, legs, noise, init = self._run(monkeypatch)
+        c = self.SMALL_CHUNK
+        # a touchdown on the first row of the second chunk, a lift-off on the first of the third
+        contacts[c - 1, 0], contacts[c, 0] = False, True
+        contacts[2 * c - 1, 1], contacts[2 * c, 1] = True, False
+        assert len(frames) > 4 * c
+        _, rot, _, pos = inekf.filter_sequence(frames, contacts, legs, noise, init)
+        ref_pos, ref_rot = ref_filter(frames, contacts, legs, noise, init)
+        np.testing.assert_allclose(pos, ref_pos, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(rot, ref_rot, rtol=0, atol=1e-9)
+
+    def test_kinematics_once_per_leg_per_chunk(self, monkeypatch):
+        frames, contacts, legs, noise, init = self._run(monkeypatch)
+        calls = []
+        for name in ("fk_position", "fk_jacobian"):
+            fn = getattr(inekf, name)
+            monkeypatch.setattr(inekf, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
+        inekf.filter_sequence(frames, contacts, legs, noise, init)
+        chunks = -(-len(frames) // self.SMALL_CHUNK)
+        assert len(calls) == 2 * NUM_LEGS * chunks
+
+    @pytest.mark.parametrize("kind", ["gyro", "accel", "joint", "repeated_t", "gap", "nan_gyro_and_repeated_t"])
+    def test_bad_row_in_second_chunk(self, monkeypatch, kind):
+        frames, contacts, legs, noise, init = self._run(monkeypatch)
+        bad = self.SMALL_CHUNK + 10
+        t = frames.t.copy()
+        if kind in ("gyro", "nan_gyro_and_repeated_t"):
+            frames.gyro[bad, 1] = np.nan
+        if kind == "accel":
+            frames.acc[bad, 2] = np.inf
+        if kind == "joint":
+            frames.q[bad, 7] = np.nan
+        if kind in ("repeated_t", "nan_gyro_and_repeated_t"):
+            t[bad] = t[bad - 1]
+        if kind == "gap":
+            t[bad:] += 2 * MAX_DT
+        frames.t = t
+        frames.acc[bad + 5, 0] = np.nan  # a later bad row must not be the one reported
+        with pytest.raises((InvalidInputError, NonPositiveDtError)) as ref:
+            ref_filter(frames, contacts, legs, noise, init)
+        with pytest.raises(ref.type) as got:
+            inekf.filter_sequence(frames, contacts, legs, noise, init)
+        assert str(got.value) == str(ref.value)
+        expected = {
+            "gyro": f"non-finite IMU sample at t={t[bad]}",
+            "accel": f"non-finite IMU sample at t={t[bad]}",
+            "joint": f"non-finite joint angles at t={t[bad]}",
+            "repeated_t": "dt = 0.0",
+            "gap": f"dt = {t[bad] - t[bad - 1]} exceeds the {MAX_DT} s cap",
+            "nan_gyro_and_repeated_t": f"non-finite IMU sample at t={t[bad]}",
+        }
+        assert str(got.value) == expected[kind]

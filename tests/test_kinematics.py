@@ -134,3 +134,17 @@ class TestInverseKinematics:
     def test_inside_abduction_cylinder(self, one_leg):
         with pytest.raises(UnreachableTargetError):
             ik_position(one_leg, one_leg.hip + [0.2, 0.0, 0.0])
+
+
+class TestGeometryValidation:
+    @pytest.mark.parametrize("name", ["abd", "l1", "l2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_lengths_finite(self, name, value):
+        kwargs = dict(abd=0.06, l1=0.2, l2=0.2, hip=np.zeros(3), lateral_sign=1)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=f"leg geometry {name} must be finite, got {value}"):
+            LegGeometry(**kwargs)
+
+    def test_hip_finite(self):
+        with pytest.raises(ValueError, match="leg geometry hip must be finite"):
+            LegGeometry(0.06, 0.2, 0.2, np.array([0.19, np.nan, 0.0]), 1)

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from proprio.liegroup import (
+    SMALL_ANGLE,
     DimensionMismatchError,
     GroupElement,
     adjoint,
@@ -19,6 +20,13 @@ def random_element(rng, k=3):
 
 
 class TestSkew:
+    def test_broadcast(self):
+        v = np.random.default_rng(15).normal(size=(2, 5, 3))
+        out = skew(v)
+        assert out.shape == (2, 5, 3, 3)
+        for idx in np.ndindex(2, 5):
+            assert np.array_equal(out[idx], skew(v[idx]))
+
     def test_zero(self):
         assert np.array_equal(skew([0, 0, 0]), np.zeros((3, 3)))
 
@@ -45,6 +53,17 @@ def _expm_series(m, terms=20):
         acc = acc @ m / i
         out = out + acc
     return out
+
+
+def ref_so3_exp(omega):
+    """Rodrigues' formula for one vector with the 4th-order series below
+    SMALL_ANGLE, the per-vector form the broadcast so3_exp replaced."""
+    theta = np.linalg.norm(omega)
+    w = skew(omega)
+    w2 = w @ w
+    if theta < SMALL_ANGLE:
+        return np.eye(3) + w + w2 / 2.0 + (w @ w2) / 6.0 + (w2 @ w2) / 24.0
+    return np.eye(3) + np.sin(theta) / theta * w + (1.0 - np.cos(theta)) / theta**2 * w2
 
 
 class TestSo3Exp:
@@ -77,6 +96,25 @@ class TestSo3Exp:
         omega = np.array([1e-10, -2e-10, 5e-11])
         np.testing.assert_allclose(so3_exp(omega), np.eye(3) + skew(omega), atol=1e-18)
 
+    def test_broadcast_matches_per_vector(self):
+        rng = np.random.default_rng(13)
+        axes = rng.normal(size=(40, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        angles = np.concatenate([[0.0, 1e-12, 0.5 * SMALL_ANGLE, 2 * SMALL_ANGLE], rng.uniform(1e-6, np.pi, 36)])
+        omegas = (axes * angles[:, None]).reshape(4, 10, 3)
+        batch = so3_exp(omegas)
+        assert batch.shape == (4, 10, 3, 3)
+        for idx in np.ndindex(4, 10):
+            np.testing.assert_allclose(batch[idx], so3_exp(omegas[idx]), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(batch[idx], ref_so3_exp(omegas[idx]), rtol=0, atol=1e-15)
+        assert np.array_equal(batch[0, 0], np.eye(3))
+
+    def test_sek3_rotation_is_so3_exp(self):
+        rng = np.random.default_rng(14)
+        for scale in (0.0, 1e-9, 1e-3, 1.0):
+            xi = rng.normal(size=9) * scale
+            np.testing.assert_allclose(sek3_exp(xi).rot, so3_exp(xi[:3]), rtol=0, atol=1e-15)
+
 
 class TestSek3:
     def test_zero_tangent(self):
@@ -100,6 +138,14 @@ class TestSek3:
             np.testing.assert_allclose(
                 sek3_exp(xi).as_matrix(), expm(dense), atol=1e-9
             )
+
+    def test_left_jacobian_small_angle_series(self):
+        # below SMALL_ANGLE the columns are J_l b with J_l ~ I + W/2 + W^2/6
+        omega = np.array([3e-9, -1e-9, 2e-9])
+        b = np.array([0.4, -1.0, 2.0])
+        w = skew(omega)
+        np.testing.assert_allclose(sek3_exp(np.concatenate([omega, b])).cols[0],
+                                   (np.eye(3) + w / 2.0 + w @ w / 6.0) @ b, rtol=0, atol=1e-18)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
