@@ -183,7 +183,11 @@ def cmd_filter(args, cfg):
     idx = np.clip(np.searchsorted(t_c, frames.t + 1e-9) - 1, 0, len(t_c) - 1)
     contacts = dataio.codes_to_bool(codes[idx], len(legs))
     first = int(np.argmax(frames.t >= t_c[0]))
-    _run_filter(frames.rows(slice(first, None)), contacts[first:], legs, cfg, out)
+    try:
+        _run_filter(frames.rows(slice(first, None)), contacts[first:], legs, cfg, out)
+    except inekf.FrameError as exc:
+        where = args.data if exc.row is None else dataio.row_location(args.data, first + exc.row)
+        raise type(exc)(f"{where}: {exc}") from exc
     print(f"wrote {os.path.join(out, 'trajectory_est.csv')}")
     return 0
 

@@ -287,8 +287,7 @@ def read_dataset(path) -> FrameSequence:
     Timestamps must be finite and strictly increasing; the first one that is
     not is reported as `path:line` for a CSV and by frame index for a .pcds.
     """
-    is_csv = str(path).endswith(".csv")
-    if is_csv:
+    if str(path).endswith(".csv"):
         rows = read_csv(path, CSV_COLUMNS)
     else:
         cur = read_framed(path, DATASET_MAGIC, DATASET_VERSION)
@@ -302,9 +301,17 @@ def read_dataset(path) -> FrameSequence:
     bad[1:] |= ~(t[1:] > t[:-1])
     if bad.any():
         i = int(np.argmax(bad))
-        where = f"{path}:{i + 2}" if is_csv else f"{path}: frame {i}"  # CSV line 1 is the header
-        raise SchemaMismatchError(f"{where}: timestamp {float(t[i])!r} is not finite or does not exceed the one before it")
+        raise SchemaMismatchError(
+            f"{row_location(path, i)}: timestamp {float(t[i])!r} is not finite or does not exceed the one before it"
+        )
     return _unpack_rows(rows, path)
+
+
+def row_location(path, i: int) -> str:
+    """Where row i of a dataset file is: `path:line` for a CSV, `path: frame i` for a .pcds."""
+    if str(path).endswith(".csv"):
+        return f"{path}:{i + 2}"  # CSV line 1 is the header
+    return f"{path}: frame {i}"
 
 
 # contact stream files: t, decimal code

@@ -11,20 +11,33 @@ The filter runs in two parts:
 
 - frame_records, the per-sequence pass, checks the inputs and computes all
   that a step needs and the state does not change: dt, the rotation
-  increments so3_exp(omega dt), and every leg's body-frame foot position
-  and kinematic Jacobian. It does so in a few vectorised calls per CHUNK
-  frames; CHUNK = 4096 keeps those arrays near 2 MB for any sequence length.
+  increments so3_exp(omega dt), every leg's body-frame foot position and
+  its encoder covariance J Sigma_enc J^T through the kinematic Jacobian.
+  It does so in a few vectorised calls per CHUNK frames; CHUNK = 4096
+  keeps those arrays near 3 MB for any sequence length.
 - step (propagate, reconcile the contact set, correct) does the
   state-dependent algebra block by block:
   - Ad Qc Ad^T = S (R Qg R^T) S^T plus R Qa R^T on the velocity block and
     R Qc R^T on each contact block, with S = [I; skew(c_0); ...] built
-    from the mean columns in one product;
+    from the mean columns in one product and the three R Q R^T from one
+    stacked product;
   - Phi = I + N exactly (the error dynamics are nilpotent), and N is
     nonzero only in the v and p rows over the rot, v, p columns;
-  - H is +I on a contact block and -I on the position block, so P H^T and
-    H P H^T are column and row differences, and the Joseph update
-    (I - KH) P (I - KH)^T + K N K^T is P + W K^T + K W^T with
+  - H is +I on a contact block and -I on the position block, cached per
+    contact set, so each entry of P H^T and H P H^T is one exact difference;
+    the gain K = P H^T S^-1 comes from one LAPACK gesv call, and the Joseph
+    update (I - KH) P (I - KH)^T + K N K^T is P + W K^T + K W^T with
     W = K S / 2 - P H^T.
+
+NoiseParams is frozen and caches, once, the stacked (gyro, accel, contact)
+covariances and the two constant matrices of Phi's N (skew(g) blocks).
+
+Symmetry and orthogonality are each enforced once per step. propagate
+symmetrizes the covariance; augment_contact adds a symmetric block and the
+Joseph form P + (W K^T + K W^T) adds a symmetric matrix, so the covariance
+leaving every stage is exactly symmetric. step checks the rotation's
+orthogonality defect once, at its end, and projects it back onto SO(3)
+when the defect exceeds ORTHOGONALITY_TOL.
 
 Propagation integrates the IMU strapdown equations on the mean. The
 forward-kinematic correction of the feet in contact applies the gain on
@@ -39,7 +52,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
+from .formats import DataError
 from .kinematics import LEG_NAMES, fk_jacobian, fk_position
 from .liegroup import (  # noqa: F401 (adjoint: perfbench/perlayer.py traces liegroup through inekf)
     GroupElement,
@@ -56,11 +71,19 @@ from .liegroup import (  # noqa: F401 (adjoint: perfbench/perlayer.py traces lie
 MAX_DT = 0.1  # sanity cap on a single propagation step (s)
 NUM_LEGS = len(LEG_NAMES)
 DIM = 9 + 3 * NUM_LEGS  # covariance size
-CHUNK = 4096  # frames per batch of precomputed records (~0.5 KB each)
+CHUNK = 4096  # frames per batch of precomputed records (~0.75 KB each)
 _EYE3 = np.eye(3)
 
 
-class NonPositiveDtError(ValueError):
+class FrameError(DataError):
+    """A bad input frame; row is its index in the sequence, when known."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
+
+
+class NonPositiveDtError(FrameError):
     pass
 
 
@@ -72,11 +95,17 @@ class AlreadyRegisteredError(KeyError):
     pass
 
 
-class InvalidInputError(ValueError):
+class InvalidInputError(FrameError):
     """NaN/Inf sensor values; the caller decides how to recover."""
 
 
-@dataclass
+def _frozen_array(value) -> np.ndarray:
+    arr = np.array(value, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
 class NoiseParams:
     """Process/measurement noise, isotropic defaults.
 
@@ -85,6 +114,11 @@ class NoiseParams:
     as additive measurement noise; encoder covariance maps through the
     kinematic Jacobian. new_contact_prior inflates freshly augmented
     contact columns.
+
+    Frozen, with read-only arrays: after validation __post_init__ caches
+    what every step reuses, the (3, 3, 3) stack of the gyro, accel and
+    contact covariances (one R Q R^T product for all three) and Phi's N
+    rows as n_dt dt + n_dt2 dt^2 (the skew(gravity) blocks).
     """
 
     gyro_cov: np.ndarray = field(default_factory=lambda: np.eye(3) * 1e-4)
@@ -93,16 +127,28 @@ class NoiseParams:
     encoder_cov: np.ndarray = field(default_factory=lambda: np.eye(3) * 4e-6)
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -9.81]))
     new_contact_prior: float = 1e-4
+    q_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    n_dt: np.ndarray = field(init=False, repr=False, compare=False)
+    n_dt2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("gyro_cov", "accel_cov", "contact_cov", "encoder_cov"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = _frozen_array(getattr(self, name))
             if not np.all(np.isfinite(arr)) or np.any(np.diag(arr) < 0.0):
                 raise ValueError(f"{name} must be finite with a non-negative diagonal")
-            setattr(self, name, arr)
-        self.gravity = np.asarray(self.gravity, dtype=float)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "gravity", _frozen_array(self.gravity))
         if not (np.all(np.isfinite(self.gravity)) and 0.0 <= self.new_contact_prior < np.inf):
             raise ValueError("gravity must be finite and new_contact_prior finite and non-negative")
+        gx = skew(self.gravity)
+        n_dt = np.zeros((6, 9))
+        n_dt[0:3, 0:3] = gx
+        n_dt[3:6, 3:6] = _EYE3
+        n_dt2 = np.zeros((6, 9))
+        n_dt2[3:6, 0:3] = 0.5 * gx
+        q_stack = np.stack((self.gyro_cov, self.accel_cov, self.contact_cov))
+        for name, arr in (("q_stack", q_stack), ("n_dt", n_dt), ("n_dt2", n_dt2)):
+            object.__setattr__(self, name, _frozen_array(arr))
 
 
 class Frame(NamedTuple):
@@ -113,7 +159,7 @@ class Frame(NamedTuple):
     accel: np.ndarray  # (3,) specific force, body frame
     d_rot: np.ndarray  # (3, 3) rotation increment so3_exp(gyro dt)
     foot: np.ndarray  # (L, 3) body-frame foot positions
-    jac: np.ndarray  # (L, 3, 3) foot Jacobians d foot / d alpha
+    enc: np.ndarray  # (L, 3, 3) encoder covariance of each foot, J Sigma_enc J^T (body frame)
 
 
 @dataclass
@@ -170,90 +216,96 @@ def _leg_block(leg: int) -> slice:
 
 class _Layout(NamedTuple):
     legs: np.ndarray  # legs in contact
+    cols: np.ndarray  # their mean columns
     blocks: Tuple[slice, ...]  # their covariance blocks
-    leg_idx: np.ndarray  # their covariance rows, 3 per leg
-    pos_idx: np.ndarray  # the position rows, repeated once per leg
+    h: np.ndarray  # (3m, DIM) measurement Jacobian: +I on each leg's block, -I on the position block
+    h_t: np.ndarray  # its transpose, C-contiguous
     diag_idx: Tuple[np.ndarray, np.ndarray]  # the 3x3 diagonal blocks of an innovation matrix
 
 
 @functools.lru_cache(maxsize=None)
 def _contact_layout(contacts: Tuple[bool, ...]) -> Optional[_Layout]:
-    """Index arrays of a contact set; None when no foot is down."""
+    """Index arrays and H of a contact set; None when no foot is down."""
     legs = np.flatnonzero(contacts)
     if legs.size == 0:
         return None
     rows = 3 * np.arange(legs.size)[:, None] + np.arange(3)
+    h = np.zeros((3 * legs.size, DIM))
+    h[rows.ravel(), (9 + 3 * legs[:, None] + np.arange(3)).ravel()] = 1.0
+    h[rows.ravel(), np.tile(np.arange(6, 9), legs.size)] = -1.0
     return _Layout(
         legs,
+        2 + legs,
         tuple(_leg_block(leg) for leg in legs.tolist()),
-        (9 + 3 * legs[:, None] + np.arange(3)).ravel(),
-        np.tile(np.arange(6, 9), legs.size),
+        h,
+        np.ascontiguousarray(h.T),
         (np.repeat(rows, 3, axis=1).ravel(), np.tile(rows, 3).ravel()),
     )
 
 
 def propagate(state: FilterState, frame: Frame, noise: NoiseParams) -> FilterState:
-    """Strapdown mean integration plus right-invariant covariance update."""
+    """Strapdown mean integration plus right-invariant covariance update.
+
+    The covariance it returns is exactly symmetric; the rotation is not
+    re-projected here (step checks it once, at its end).
+    """
     rot = state.mean.rot
     cols = state.mean.cols
     dt = frame.dt
 
-    accel_world = rot @ frame.accel + noise.gravity
-    new_rot = rot @ frame.d_rot
-    if orthogonality_defect(new_rot) > ORTHOGONALITY_TOL:
-        new_rot = project_rotation(new_rot)
+    dv = (rot @ frame.accel + noise.gravity) * dt
     new_cols = cols.copy()
-    new_cols[0] = cols[0] + accel_world * dt
-    new_cols[1] = cols[1] + cols[0] * dt + 0.5 * accel_world * dt * dt
-    mean = GroupElement(new_rot, new_cols)
+    new_cols[0] += dv
+    new_cols[1] += (cols[0] + 0.5 * dv) * dt
+    mean = GroupElement(rot @ frame.d_rot, new_cols)
 
     # P + Ad Qc Ad^T dt: Ad's rotation column is S R, each other column R on its block
+    gyro, accel, slip = rot @ noise.q_stack @ rot.T * dt
     s_mat = np.concatenate((_EYE3, skew(cols).reshape(-1, 3)))
-    cov = state.cov + s_mat @ (rot @ noise.gyro_cov @ rot.T * dt) @ s_mat.T
-    cov[3:6, 3:6] += rot @ noise.accel_cov @ rot.T * dt
+    cov = state.cov + s_mat @ gyro @ s_mat.T
+    cov[3:6, 3:6] += accel
     layout = _contact_layout(state.contacts)
     if layout is not None:
-        slip = rot @ noise.contact_cov @ rot.T * dt
         for blk in layout.blocks:
             cov[blk, blk] += slip
     # Phi (P + Q dt) Phi^T with Phi = I + N; N's rows v and p over rot, v, p
-    gx = skew(noise.gravity)
-    n_rows = np.zeros((6, 9))
-    n_rows[0:3, 0:3] = gx * dt
-    n_rows[3:6, 0:3] = gx * (0.5 * dt * dt)
-    n_rows[3:6, 3:6] = _EYE3 * dt
+    n_rows = noise.n_dt * dt + noise.n_dt2 * (dt * dt)
     cov[3:9] += n_rows @ cov[:9]
     cov[:, 3:9] += cov[:, :9] @ n_rows.T
     return FilterState(mean, state.contacts, _symmetrize(cov), frame.t)
+
+
+def _gain(pht: np.ndarray, s_mat: np.ndarray) -> np.ndarray:
+    """K = P H^T S^-1 from one LAPACK gesv call (S^T K^T = H P)."""
+    _, _, gain_t, info = dgesv(s_mat.T, pht.T)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return gain_t.T
 
 
 def update_contact_kinematics(state: FilterState, frame: Frame, noise: NoiseParams) -> FilterState:
     """Stacked forward-kinematic correction for the feet in contact.
 
     The feet in contact are the state's contact flags; their body-frame
-    positions and Jacobians come from the frame record.
+    positions and encoder covariances come from the frame record. A
+    singular innovation matrix raises np.linalg.LinAlgError.
     """
     layout = _contact_layout(state.contacts)
     if layout is None:
         return state
-    legs = layout.legs
     rot = state.mean.rot
     cols = state.mean.cols
-    innovation = (frame.foot[legs] @ rot.T + cols[1] - cols[2 + legs]).ravel()
-    jac = frame.jac[legs]
-    meas_cov = rot @ (jac @ noise.encoder_cov @ jac.swapaxes(1, 2) + noise.contact_cov) @ rot.T
+    innovation = (frame.foot[layout.legs] @ rot.T + cols[1] - cols[layout.cols]).ravel()
+    meas_cov = rot @ (frame.enc[layout.legs] + noise.contact_cov) @ rot.T
 
-    # H is +I on each leg's block and -I on the position block
-    pht = state.cov[:, layout.leg_idx] - state.cov[:, layout.pos_idx]
-    s_mat = pht[layout.leg_idx] - pht[layout.pos_idx]
+    # each entry of P H^T and H P H^T is one difference of two entries, so exact
+    pht = state.cov @ layout.h_t
+    s_mat = layout.h @ pht
     s_mat[layout.diag_idx] += meas_cov.ravel()
-    gain = np.linalg.solve(s_mat.T, pht.T).T
+    gain = _gain(pht, s_mat)
     mean = sek3_compose(sek3_exp(gain @ innovation), state.mean)
-    if orthogonality_defect(mean.rot) > ORTHOGONALITY_TOL:
-        mean = GroupElement(project_rotation(mean.rot), mean.cols)
     # Joseph form (I - KH) P (I - KH)^T + K N K^T = P + W K^T + K W^T
-    w = gain @ (0.5 * s_mat) - pht
-    wk = w @ gain.T
+    wk = (gain @ (0.5 * s_mat) - pht) @ gain.T
     return FilterState(mean, state.contacts, state.cov + (wk + wk.T), state.t)
 
 
@@ -271,11 +323,10 @@ def augment_contact(state: FilterState, leg: int, frame: Frame, noise: NoisePara
     cov = state.cov.copy()
     cov[blk, :] = cov[6:9, :]
     cov[:, blk] = cov[:, 6:9]
-    g_mat = rot @ frame.jac[leg]
-    cov[blk, blk] += g_mat @ noise.encoder_cov @ g_mat.T + noise.new_contact_prior * _EYE3
+    cov[blk, blk] += _symmetrize(rot @ frame.enc[leg] @ rot.T) + noise.new_contact_prior * _EYE3
 
     contacts = state.contacts[:leg] + (True,) + state.contacts[leg + 1 :]
-    return FilterState(mean, contacts, _symmetrize(cov), state.t)
+    return FilterState(mean, contacts, cov, state.t)
 
 
 def marginalize_contact(state: FilterState, leg: int) -> FilterState:
@@ -307,40 +358,58 @@ def step(state: FilterState, frame: Frame, contacts, noise: NoiseParams) -> Filt
 
     frame: this frame's record from frame_records, whose dt runs from the
     state's time to frame.t. contacts: per-leg booleans (detected contact
-    states).
+    states), any sequence; when it equals state.contacts the reconcile is
+    skipped. The rotation is re-projected onto SO(3) at the end when
+    its orthogonality defect exceeds ORTHOGONALITY_TOL.
     """
     state = propagate(state, frame, noise)
-    state = _reconcile_contacts(state, contacts, frame, noise)
-    return update_contact_kinematics(state, frame, noise)
+    contacts = tuple(contacts)
+    if contacts != state.contacts:
+        state = _reconcile_contacts(state, contacts, frame, noise)
+    state = update_contact_kinematics(state, frame, noise)
+    rot = state.mean.rot
+    if orthogonality_defect(rot) > ORTHOGONALITY_TOL:
+        mean = GroupElement(project_rotation(rot), state.mean.cols)
+        state = FilterState(mean, state.contacts, state.cov, state.t)
+    return state
 
 
-def _check_chunk(t, dt, gyro, accel, alpha, skip_first):
-    """Raise for the earliest bad row: non-finite IMU, non-finite angles, bad dt."""
+def _check_chunk(t, dt, gyro, accel, alpha, start):
+    """Raise for the earliest bad row: non-finite IMU, non-finite angles, bad dt.
+
+    start is the index of the chunk's first row; row 0 of the sequence is
+    the initial frame, of which only the joint angles count.
+    """
     ok_imu = np.isfinite(gyro).all(axis=1) & np.isfinite(accel).all(axis=1)
     ok_q = np.isfinite(alpha).all(axis=(1, 2))
-    ok = ok_imu & ok_q & (dt > 0.0) & (dt <= MAX_DT)
-    ok[0] |= skip_first
+    ok_dt = (dt > 0.0) & (dt <= MAX_DT)
+    if start == 0:
+        ok_imu[0] = ok_dt[0] = True
+    ok = ok_imu & ok_q & ok_dt
     if ok.all():
         return
     i = int(np.argmin(ok))
+    row = start + i
     if not ok_imu[i]:
-        raise InvalidInputError(f"non-finite IMU sample at t={float(t[i])}")
+        raise InvalidInputError(f"non-finite IMU sample at t={float(t[i])}", row)
     if not ok_q[i]:
-        raise InvalidInputError(f"non-finite joint angles at t={float(t[i])}")
+        raise InvalidInputError(f"non-finite joint angles at t={float(t[i])}", row)
     if not dt[i] > 0.0:
-        raise NonPositiveDtError(f"dt = {float(dt[i])}")
-    raise NonPositiveDtError(f"dt = {float(dt[i])} exceeds the {MAX_DT} s cap")
+        raise NonPositiveDtError(f"dt = {float(dt[i])}", row)
+    raise NonPositiveDtError(f"dt = {float(dt[i])} exceeds the {MAX_DT} s cap", row)
 
 
-def frame_records(t, gyro, accel, q, legs, t0: float):
+def frame_records(t, gyro, accel, q, legs, noise: NoiseParams, t0: float):
     """Yield the Frame record of every row, computed CHUNK rows at a time.
 
     t (N,), gyro and accel (N, 3), q (N, 3L). Row 0 is the initial frame:
     the filter only reconciles contacts on it, so its record has t = t0 and
-    dt = 0 and none of its values is checked. Row i >= 1 propagates from
-    row i-1 (row 1 from t0). A chunk with a non-finite IMU sample or joint
-    angle, or a dt outside (0, MAX_DT], raises InvalidInputError or
-    NonPositiveDtError for its earliest such row, finiteness first.
+    dt = 0, and its IMU sample is never used and not checked; its joint
+    angles place the feet already down and must be finite. Row i >= 1
+    propagates from row i-1 (row 1 from t0). A chunk with a non-finite IMU
+    sample or joint angle, or a dt outside (0, MAX_DT], raises
+    InvalidInputError or NonPositiveDtError for its earliest such row,
+    finiteness first; the error's row is that row's index.
     """
     t, gyro, accel, q = (np.asarray(x, dtype=float) for x in (t, gyro, accel, q))
     t_prev = float(t0)
@@ -353,7 +422,7 @@ def frame_records(t, gyro, accel, q, legs, t0: float):
         t_prev = float(times[-1])
         g, acc = gyro[rows], accel[rows]
         alpha = q[rows].reshape(len(times), -1, 3)
-        _check_chunk(times, dt, g, acc, alpha, a == 0)
+        _check_chunk(times, dt, g, acc, alpha, a)
 
         d_rot = so3_exp(g * dt[:, None])
         foot = np.empty(alpha.shape)
@@ -361,7 +430,8 @@ def frame_records(t, gyro, accel, q, legs, t0: float):
         for leg, geom in enumerate(legs):
             foot[:, leg] = fk_position(geom, alpha[:, leg])
             jac[:, leg] = fk_jacobian(geom, alpha[:, leg])
-        yield from map(Frame._make, zip(times.tolist(), dt.tolist(), acc, d_rot, foot, jac))
+        enc = jac @ noise.encoder_cov @ jac.swapaxes(-1, -2)
+        yield from map(Frame._make, zip(times.tolist(), dt.tolist(), acc, d_rot, foot, enc))
 
 
 def filter_sequence(frames, contacts, legs, noise, init: Optional[FilterState] = None):
@@ -369,15 +439,17 @@ def filter_sequence(frames, contacts, legs, noise, init: Optional[FilterState] =
 
     Returns (t, rotations, velocities, positions) arrays. The initial state
     defaults to identity at the first timestamp; its contact set is
-    reconciled with the first frame's before stepping.
+    reconciled with the first frame's before stepping. A bad frame raises
+    InvalidInputError or NonPositiveDtError whose row is its index.
     """
     contacts = np.asarray(contacts, dtype=bool)
     n = len(frames)
     if contacts.shape != (n, NUM_LEGS):
         raise InvalidInputError(f"contact matrix has shape {contacts.shape}, want ({n}, {NUM_LEGS})")
+    rows = list(map(tuple, contacts.tolist()))
     state = init if init is not None else make_initial_state(t=float(frames.t[0]))
-    records = frame_records(frames.t, frames.gyro, frames.acc, frames.q, legs, state.t)
-    state = _reconcile_contacts(state, contacts[0], next(records), noise)
+    records = frame_records(frames.t, frames.gyro, frames.acc, frames.q, legs, noise, state.t)
+    state = _reconcile_contacts(state, rows[0], next(records), noise)
 
     t_out = np.empty(n)
     rot_out = np.empty((n, 3, 3))
@@ -388,7 +460,7 @@ def filter_sequence(frames, contacts, legs, noise, init: Optional[FilterState] =
     vel_out[0] = state.velocity
     pos_out[0] = state.position
     for i, frame in enumerate(records, 1):
-        state = step(state, frame, contacts[i], noise)
+        state = step(state, frame, rows[i], noise)
         t_out[i] = state.t
         rot_out[i] = state.rotation
         vel_out[i] = state.velocity

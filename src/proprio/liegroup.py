@@ -99,9 +99,11 @@ class GroupElement:
 def sek3_exp(xi) -> GroupElement:
     """Exponential map of SE_K(3) from a flat tangent vector.
 
-    xi = [omega, b_1, ..., b_K]; the rotation is so3_exp(omega) and each
-    column is J_l(omega) @ b_i, with J_l = I + b W + c W^2 the left
-    Jacobian of SO(3) (W = skew(omega)). Both share W, W^2 and b.
+    xi = [omega, b_1, ..., b_K]; the rotation is I + a W + b W^2
+    (so3_exp(omega)) and each column is J_l(omega) @ b_i, with
+    J_l = I + b W + c W^2 the left Jacobian of SO(3) (W = skew(omega)).
+    Both come from one product of their coefficients with the stacked
+    basis [I, W, W^2].
     """
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or xi.size % 3 != 0 or xi.size < 6:
@@ -115,9 +117,8 @@ def sek3_exp(xi) -> GroupElement:
         sin = math.sin(theta)
         a, b, c = sin / theta, (1.0 - math.cos(theta)) / theta2, (theta - sin) / (theta2 * theta)
     w = skew(omega)
-    w2 = w @ w
-    rot = _EYE3 + a * w + b * w2
-    jac = _EYE3 + b * w + c * w2
+    basis = np.concatenate((_EYE3, w, w @ w)).reshape(3, 9)
+    rot, jac = (np.array(((1.0, a, b), (1.0, b, c))) @ basis).reshape(2, 3, 3)
     return GroupElement(rot, xi[3:].reshape(-1, 3) @ jac.T)
 
 

@@ -293,7 +293,7 @@ class TestA6Invariance:
             rot=long_sim.traj_rot[0], vel=long_sim.traj_vel[0],
             pos=long_sim.traj_pos[0], t=float(lf.t[0]),
         )
-        records = inekf.frame_records(lf.t, lf.gyro, lf.acc, lf.q, legs, state.t)
+        records = inekf.frame_records(lf.t, lf.gyro, lf.acc, lf.q, legs, noise, state.t)
         frame0 = next(records)
         for leg, want in enumerate(long_sim.contacts_imu[0]):
             if want:

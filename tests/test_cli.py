@@ -361,3 +361,30 @@ def test_filter_nan_gyro_row_exit_2(workdir, tmp_path, capsys):
     args = ["--data", str(tmp_path / "imu.csv"), "--contacts", str(tmp_path / "contacts.csv")]
     assert main(["--config", cfg, "--out", str(tmp_path / "run"), "filter", *args]) == 2
     assert f"non-finite IMU sample at t={frames.t[500]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ext", ["csv", "pcds"])
+@pytest.mark.parametrize("kind,bad,start", [("nan_gyro", 500, 100), ("gap", 500, 100), ("nan_joint_first_row", 0, 0)])
+def test_filter_bad_frame_names_file_and_row(workdir, tmp_path, capsys, ext, kind, bad, start):
+    # the contacts begin at row `start`, so the filter's row 0 is the file's row `start`
+    _, cfg, out = workdir
+    frames = dataio.read_dataset(f"{out}/imu.csv").rows(slice(0, 1000))
+    if kind == "nan_gyro":
+        frames.gyro[bad, 1] = np.nan
+    elif kind == "gap":
+        frames.t = np.concatenate([frames.t[:bad], frames.t[bad:] + 0.2])
+    else:
+        frames.q[bad] = np.nan
+    data = tmp_path / f"imu.{ext}"
+    dataio.write_dataset(frames, data)
+    dataio.write_contacts(tmp_path / "contacts.csv", frames.t[start:], frames.gt[start:])
+    args = ["--data", str(data), "--contacts", str(tmp_path / "contacts.csv")]
+    assert main(["--config", cfg, "--out", str(tmp_path / "run"), "filter", *args]) == 2
+    where = f"{data}:{bad + 2}" if ext == "csv" else f"{data}: frame {bad}"
+    message = {
+        "nan_gyro": f"non-finite IMU sample at t={frames.t[bad]}",
+        "gap": f"dt = {frames.t[bad] - frames.t[bad - 1]} exceeds the 0.1 s cap",
+        "nan_joint_first_row": f"non-finite joint angles at t={frames.t[bad]}",
+    }[kind]
+    assert capsys.readouterr().err == f"error: {where}: {message}\n"
+    assert not (tmp_path / "run" / "trajectory_est.csv").exists()

@@ -31,18 +31,18 @@ def noise_params():
     return NoiseParams()
 
 
-def one_frame(state, gyro, accel, alpha, t, legs):
+def one_frame(state, gyro, accel, alpha, t, legs, noise=NoiseParams()):
     """The record of one step from state.t to t (row 1 of a two-row sequence)."""
     gyro, accel, q = (np.tile(np.ravel(v), (2, 1)) for v in (gyro, accel, alpha))
-    records = inekf.frame_records([state.t, t], gyro, accel, q, legs, state.t)
+    records = inekf.frame_records([state.t, t], gyro, accel, q, legs, noise, state.t)
     next(records)
     return next(records)
 
 
-def kinematic_frame(alpha, legs):
-    """The record of an initial frame: its foot positions and Jacobians."""
+def kinematic_frame(alpha, legs, noise=NoiseParams()):
+    """The record of an initial frame: its foot positions and encoder covariances."""
     q = np.reshape(alpha, (1, -1))
-    return next(inekf.frame_records([0.0], np.zeros((1, 3)), np.zeros((1, 3)), q, legs, 0.0))
+    return next(inekf.frame_records([0.0], np.zeros((1, 3)), np.zeros((1, 3)), q, legs, noise, 0.0))
 
 
 def hover_frame(state, t, legs):
@@ -164,7 +164,7 @@ class TestUpdate:
         draws = [(alpha + rng.normal(0.0, 0.01, alpha.shape), rng.random(4) > 0.3) for _ in range(10_000)]
         n = len(draws)
         q = np.array([noisy.ravel() for noisy, _ in draws])
-        frames = inekf.frame_records(np.arange(n) * 1e-3, np.zeros((n, 3)), np.zeros((n, 3)), q, legs, 0.0)
+        frames = inekf.frame_records(np.arange(n) * 1e-3, np.zeros((n, 3)), np.zeros((n, 3)), q, legs, noise, 0.0)
         for i, ((_, want), frame) in enumerate(zip(draws, frames)):
             want[0] |= not want.any()
             state = inekf._reconcile_contacts(state, want, frame, noise)
@@ -177,6 +177,14 @@ class TestUpdate:
     def test_no_contact_is_identity(self, legs):
         state = make_initial_state()
         assert update_contact_kinematics(state, kinematic_frame(np.zeros((4, 3)), legs), noise_params()) is state
+
+    def test_singular_innovation_raises(self, legs):
+        # no covariance and no measurement noise: S = H P H^T + N is exactly zero
+        zero = NoiseParams(contact_cov=np.zeros((3, 3)), encoder_cov=np.zeros((3, 3)), new_contact_prior=0.0)
+        frame = kinematic_frame(STANCE, legs, zero)
+        state = augment_contact(make_initial_state(cov_diag=0.0), 2, frame, zero)
+        with pytest.raises(np.linalg.LinAlgError):
+            update_contact_kinematics(state, frame, zero)
 
 
 class TestAugmentMarginalize:
@@ -306,6 +314,39 @@ class TestStep:
             frame = one_frame(state, np.zeros(3), np.zeros(3), np.zeros((4, 3)), 0.5, legs)
             step(state, frame, [False] * 4, noise_params())
 
+    def test_unchanged_contact_set_skips_reconcile(self, legs, monkeypatch):
+        noise = noise_params()
+        state = make_initial_state(pos=[0.0, 0.0, 0.3])
+        for leg in (0, 3):
+            state = augment_contact(state, leg, kinematic_frame(STANCE, legs), noise)
+        calls = []
+        for name in ("augment_contact", "marginalize_contact"):
+            fn = getattr(inekf, name)
+            monkeypatch.setattr(inekf, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        frame = hover_frame(state, 0.001, legs)
+        same = (True, False, False, True)
+        for contacts in (same, list(same), np.array(same)):
+            step(state, frame, contacts, noise)
+        assert calls == []
+        step(state, frame, np.array([True, True, False, False]), noise)
+        assert sorted(calls) == ["augment_contact", "marginalize_contact"]
+
+    def test_contact_row_forms_agree(self):
+        frames, contacts, legs, noise, init = jittered_trot(2.0, 0.02)
+        frames, contacts = frames.rows(slice(0, 500)), contacts[:500]
+        records = list(inekf.frame_records(frames.t, frames.gyro, frames.acc, frames.q, legs, noise, init.t))
+        finals = []
+        for form in (lambda row: tuple(row.tolist()), lambda row: row.tolist(), lambda row: row):
+            state = inekf._reconcile_contacts(init, form(contacts[0]), records[0], noise)
+            for row, frame in zip(contacts[1:], records[1:]):
+                state = step(state, frame, form(row), noise)
+            finals.append(state)
+        for state in finals[1:]:
+            assert state.contacts == finals[0].contacts
+            for a, b in ((state.mean.rot, finals[0].mean.rot), (state.mean.cols, finals[0].mean.cols),
+                         (state.cov, finals[0].cov)):
+                assert np.array_equal(a, b)
+
 
 class TestInvariants:
     def test_yaw_equivariance(self, legs):
@@ -331,7 +372,7 @@ class TestInvariants:
         fi = sim.imu_frames
         noise = noise_params()
         state = make_initial_state(rot=sim.traj_rot[0], vel=sim.traj_vel[0], pos=sim.traj_pos[0], t=float(fi.t[0]))
-        records = inekf.frame_records(fi.t, fi.gyro, fi.acc, fi.q, legs, state.t)
+        records = inekf.frame_records(fi.t, fi.gyro, fi.acc, fi.q, legs, noise, state.t)
         frame0 = next(records)
         for leg, want in enumerate(sim.contacts_imu[0]):
             if want:
@@ -406,7 +447,7 @@ class TestFixedSlots:
         assert_zero_slots(state)
         switches = 0
         head = frames.rows(slice(0, 600))
-        records = inekf.frame_records(head.t, head.gyro, head.acc, head.q, legs, state.t)
+        records = inekf.frame_records(head.t, head.gyro, head.acc, head.q, legs, noise, state.t)
         next(records)
         for i, frame in enumerate(records, 1):
             state = propagate(state, frame, noise)
@@ -500,7 +541,7 @@ def ref_filter(frames, contacts, legs, noise, state):
     q = frames.q.reshape(len(frames), -1, 3)
     for leg, want in enumerate(contacts[0]):
         if want:
-            state = augment_contact(state, leg, kinematic_frame(q[0], legs), noise)
+            state = augment_contact(state, leg, kinematic_frame(q[0], legs, noise), noise)
     pos, rot = [state.position], [state.rotation]
     for i in range(1, len(frames)):
         state = ref_filter_step(
@@ -572,3 +613,22 @@ class TestFrameRecords:
             "nan_gyro_and_repeated_t": f"non-finite IMU sample at t={t[bad]}",
         }
         assert str(got.value) == expected[kind]
+        assert got.value.row == bad
+
+    def test_first_row_joint_angles_checked(self, monkeypatch):
+        # row 0's angles place the feet already down, so a NaN there must raise
+        frames, contacts, legs, noise, init = self._run(monkeypatch)
+        contacts[0, 1] = True
+        frames.q[0, 4] = np.nan
+        with pytest.raises(InvalidInputError) as got:
+            inekf.filter_sequence(frames, contacts, legs, noise, init)
+        assert str(got.value) == f"non-finite joint angles at t={init.t}"
+        assert got.value.row == 0
+
+    def test_first_row_imu_is_not_used(self, monkeypatch):
+        frames, contacts, legs, noise, init = self._run(monkeypatch)
+        ref = inekf.filter_sequence(frames, contacts, legs, noise, init)
+        frames.gyro[0] = np.nan
+        frames.acc[0] = np.nan
+        for a, b in zip(ref, inekf.filter_sequence(frames, contacts, legs, noise, init)):
+            assert np.array_equal(a, b)

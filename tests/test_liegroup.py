@@ -147,6 +147,25 @@ class TestSek3:
         np.testing.assert_allclose(sek3_exp(np.concatenate([omega, b])).cols[0],
                                    (np.eye(3) + w / 2.0 + w @ w / 6.0) @ b, rtol=0, atol=1e-18)
 
+    @pytest.mark.parametrize("scale", [0.0, 1e-12, 0.5, 0.999, 1.001, 2.0, 1e3, 1e5, 1e7, 3e8])
+    def test_matches_closed_form_around_small_angle(self, scale):
+        # rotation I + a W + b W^2 and J_l = I + b W + c W^2 term by term,
+        # with the series below SMALL_ANGLE and the closed forms above it
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            axis = rng.normal(size=3)
+            omega = scale * SMALL_ANGLE * axis / np.linalg.norm(axis)
+            t2 = float(omega @ omega)
+            t = np.sqrt(t2)
+            if t < SMALL_ANGLE:
+                a, b, c = 1.0 - t2 / 6.0, 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0
+            else:
+                a, b, c = np.sin(t) / t, (1.0 - np.cos(t)) / t2, (t - np.sin(t)) / (t2 * t)
+            w = skew(omega)
+            g = sek3_exp(np.concatenate([omega, np.eye(3).ravel()]))  # columns are J_l^T
+            np.testing.assert_allclose(g.rot, np.eye(3) + a * w + b * (w @ w), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(g.cols.T, np.eye(3) + b * w + c * (w @ w), rtol=0, atol=1e-15)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             sek3_exp(np.zeros(7))
