@@ -2,8 +2,11 @@
 
 Data layout is time-major (N, T, C): batch, time, channels, the layout the
 windows arrive in. Convolutions slide along the time axis with stride 1
-and zero same-padding, lowered to im2col plus one GEMM; pooling floor-
-divides the length. Weights keep the (O, C, k) layout of the weight files.
+and zero same-padding, lowered to one GEMM: each tap's shifted copy of
+the input is written straight into its columns of one im2col buffer, and
+only the padding rows are zeroed, so no padded copy of the input is made.
+Pooling floor-divides the length. Weights keep the (O, C, k) layout of
+the weight files.
 Every forward returns (output, cache) and the matching backward consumes
 (grad_output, cache). Outputs, gradients and masks keep the dtype of the
 activations they are computed from.
@@ -22,9 +25,15 @@ def conv1d_forward(x, weight, bias):
     n, t, c = x.shape
     o, _, k = weight.shape
     pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
-    # column i*C + c of row (n, t) holds xpad[n, t + i, c]
-    cols = np.concatenate([xp[:, i : i + t] for i in range(k)], axis=2).reshape(n * t, k * c)
+    # column i*C + c of row (n, t) holds xpad[n, t + i, c] = x[n, t + i - pad, c]
+    cols = np.empty((n, t, k, c), x.dtype)
+    for i in range(k):
+        s = i - pad
+        lo, hi = (min(max(r, 0), t) for r in (-s, t - s))  # rows [lo, hi) read x[lo + s : hi + s]
+        cols[:, :lo, i] = 0.0
+        cols[:, hi:, i] = 0.0
+        cols[:, lo:hi, i] = x[:, lo + s : hi + s]
+    cols = cols.reshape(n * t, k * c)
     wcols = weight.transpose(2, 1, 0).reshape(k * c, o)
     out = cols @ wcols
     out += bias
@@ -79,9 +88,10 @@ def dropout_backward(dout, mask):
 
 def maxpool1d_forward(x, k):
     """Non-overlapping max pooling along T (stride == kernel), floor semantics."""
-    n, t, c = x.shape
-    t_out = t // k
-    out = x[:, : t_out * k].reshape(n, t_out, k, c).max(axis=2)
+    end = x.shape[1] // k * k
+    out = x[:, 0:end:k].copy()
+    for i in range(1, k):
+        np.maximum(out, x[:, i:end:k], out=out)
     return out, (x, k)
 
 
@@ -99,7 +109,9 @@ def maxpool1d_backward(dout, cache):
 
 def dense_forward(x, weight, bias):
     """x: (N, D_in), weight: (D_out, D_in)."""
-    return x @ weight.T + bias, x
+    out = x @ weight.T
+    out += bias
+    return out, x
 
 
 def dense_backward(dout, x, weight):

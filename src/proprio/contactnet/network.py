@@ -17,6 +17,15 @@ cast once to it, and every activation, gradient and optimizer buffer
 follows it. `init_params` makes float32 parameters by default
 (`DEFAULT_DTYPE`); float64 is kept for gradient checks and pinned logs.
 
+Inference runs the per-window trunk, every layer up to and including
+Flatten, on blocks of `TRUNK_BLOCK` windows, and the Dense head once on
+the stacked rows, which keeps each conv's im2col matrix small. The result
+is exact, bit for bit: in eval mode every row of every layer depends only
+on its own window, and each block gives the same values as one pass. The
+head stays whole because each block would stream the first Dense weight
+again. Training keeps every cache and draws dropout masks over the whole
+batch, so it is never blocked.
+
 Weight files are framed `.pcnw` files (see `formats`) whose payload is the
 descriptor length u32, the UTF-8 text descriptor of the layer list, the
 tensor count u32, then per tensor its ndim u8, dims u32 and float64 data.
@@ -43,6 +52,13 @@ WEIGHTS_VERSION = 1
 # compute dtype of new parameters: numpy has no float16 BLAS, and float32
 # halves the memory traffic of every GEMM and optimizer pass against float64
 DEFAULT_DTYPE = np.float32
+
+# Windows per block of the blocked eval trunk. For "2blocks" at window 150
+# a block's largest im2col matrix is 9,600 x 192 float32 (7.4 MB), where a
+# 256-window batch makes one of 29.5 MB that goes out to memory and back.
+# On a 2-core Xeon a 256-window batch took 105-115 ms in blocks of 16 to
+# 128 windows and 140 ms in one pass.
+TRUNK_BLOCK = 64
 
 
 class ShapeMismatchError(ValueError):
@@ -317,19 +333,31 @@ def _as_batch(window, spec, dtype):
     return x, single
 
 
-def _forward_cached(params, spec, x, mode, rng, caches=None):
-    """Logits for a (N, T, C) batch.
-
-    Each layer's cache is appended to `caches` when a list is given;
-    inference passes none, so each cache is freed once its layer is done.
-    """
-    if mode == "train" and rng is None:
-        rng = np.random.default_rng(0)
-    for layer, p in zip(spec.layers, params):
+def _run_layers(layers, x, mode, rng, caches=None):
+    for layer, p in layers:
         x, cache = layer.forward(p, x, mode, rng)
         if caches is not None:
             caches.append(cache)
     return x
+
+
+def _forward_cached(params, spec, x, mode, rng, caches=None):
+    """Logits for a (N, T, C) batch.
+
+    Each layer's cache is appended to `caches` when a list is given;
+    inference passes none, so each cache is freed once its layer is done,
+    and outside train mode the trunk, the layers up to the first 1-D
+    output, runs TRUNK_BLOCK windows at a time.
+    """
+    if mode == "train" and rng is None:
+        rng = np.random.default_rng(0)
+    layers = list(zip(spec.layers, params))
+    if mode != "train" and caches is None and x.shape[0] > TRUNK_BLOCK:
+        cut = next(i for i, shape in enumerate(trace_shapes(spec)) if len(shape) == 1)
+        trunk, layers = layers[:cut], layers[cut:]
+        blocks = range(0, x.shape[0], TRUNK_BLOCK)
+        x = np.concatenate([_run_layers(trunk, x[s : s + TRUNK_BLOCK], mode, rng) for s in blocks])
+    return _run_layers(layers, x, mode, rng, caches)
 
 
 def forward(params, spec, window, mode="eval", rng=None):

@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .formats import EmptyStreamError, SchemaMismatchError, read_csv, read_framed, write_csv, write_framed
 from .formats import ChecksumFailureError, VersionMismatchError  # noqa: F401 (re-exported)
@@ -150,16 +151,24 @@ class WindowSet:
         self.end_indices = np.asarray(end_indices, dtype=np.int64)
         self.labels = None if labels is None else np.asarray(labels, dtype=np.int64)
         self.w = int(w)
+        ends = self.end_indices
+        if ends.size and not (ends.min() >= self.w - 1 and ends.max() < self.features.shape[0]):
+            raise InsufficientHistoryError(f"window ends must lie in [{self.w - 1}, {self.features.shape[0] - 1}]")
 
     def __len__(self) -> int:
         return self.end_indices.shape[0]
 
     def batch(self, idx) -> np.ndarray:
-        """Stack windows idx into an (B, w, 54) array."""
-        idx = np.asarray(idx)
-        ends = self.end_indices[idx]
-        offsets = np.arange(-self.w + 1, 1)
-        return self.features[ends[:, None] + offsets[None, :]]
+        """Stack windows idx into an (B, w, 54) array.
+
+        Window s is row s of a read-only (starts, w, 54) view over the
+        features, so the gather copies each window's rows once and builds
+        no (B, w) index array.
+        """
+        f = self.features
+        starts = max(f.shape[0] - self.w + 1, 0)
+        view = as_strided(f, (starts, self.w, f.shape[1]), (f.strides[0], *f.strides), writeable=False)
+        return view[self.end_indices[np.asarray(idx)] - (self.w - 1)]
 
     def subset(self, idx) -> "WindowSet":
         idx = np.asarray(idx)
@@ -188,15 +197,18 @@ def window_set(frames: FrameSequence, w: int, stride: int = 1) -> WindowSet:
 def normalize_window(data) -> np.ndarray:
     """Z-score each channel over the time axis; sigma < 1e-8 zero-fills.
 
-    Accepts (w, C) or a batch (N, w, C).
+    Accepts (w, C) or a batch (N, w, C). Two passes in float64: the mean
+    from a sum, then the variance of the centred data, so a large channel
+    offset does not cancel; each channel is then scaled by 1/sigma, or by
+    zero when sigma < 1e-8, which leaves degenerate channels exactly zero
+    and NaN input NaN.
     """
     data = np.asarray(data, dtype=float)
-    mean = data.mean(axis=-2, keepdims=True)
-    std = data.std(axis=-2, keepdims=True)
-    out = data - mean
-    safe = std >= 1e-8
-    np.divide(out, std, out=out, where=safe)
-    out *= safe  # degenerate channels end up exactly zero
+    w = data.shape[-2]
+    out = data - data.sum(axis=-2, keepdims=True) / w
+    std = np.sqrt(np.einsum("...tc,...tc->...c", out, out) / w)
+    scale = np.divide(1.0, std, out=np.zeros_like(std), where=std >= 1e-8)
+    out *= scale[..., None, :]
     return out
 
 

@@ -124,6 +124,86 @@ class TestForward:
             np.testing.assert_allclose(batched[i], forward(params, spec, wins[i]), atol=1e-12)
 
 
+def layerwise_forward(params, spec, x, mode="eval", rng=None):
+    """Unblocked reference: each layer once over the whole batch, caches kept."""
+    x = np.asarray(x, dtype=net.params_dtype(params))
+    caches = []
+    for layer, p in zip(spec.layers, params):
+        x, cache = layer.forward(p, x, mode, rng)
+        caches.append(cache)
+    return x, caches
+
+
+BLOCK = net.TRUNK_BLOCK
+
+
+class TestBlockedForward:
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 257])
+    @pytest.mark.parametrize("name", net.PRESET_NAMES)
+    def test_eval_bitwise_equals_layerwise(self, name, n):
+        spec = preset(name)
+        rng = np.random.default_rng(50)
+        params = init_params(spec, rng)
+        params = [None if p is None else (p[0], rng.normal(size=p[1].shape).astype(p[1].dtype)) for p in params]
+        x = rng.normal(size=(n, spec.window, spec.in_channels))
+        want, _ = layerwise_forward(params, spec, x)
+        got = forward(params, spec, x)
+        assert got.dtype == want.dtype == np.float32 and got.shape == (n, 16)
+        assert got.tobytes() == want.tobytes()
+        if n == 1:
+            assert forward(params, spec, x[0]).tobytes() == want[0].tobytes()
+
+    def test_float64_bitwise_equals_layerwise(self):
+        spec = preset("2blocks", window=48)
+        rng = np.random.default_rng(51)
+        params = init_params(spec, rng, dtype=np.float64)
+        x = rng.normal(size=(2 * BLOCK + 3, 48, 54))
+        want, _ = layerwise_forward(params, spec, x)
+        assert forward(params, spec, x).tobytes() == want.tobytes()
+
+    def test_trunk_blocked_head_whole(self, monkeypatch):
+        # the convs run once per block of windows, the Dense layers once on every row
+        from proprio.contactnet import layers
+
+        calls = []
+
+        def counted(fn, real):
+            def wrapped(x, w, b):
+                calls.append((fn, len(x)))
+                return real(x, w, b)
+
+            return wrapped
+
+        for fn in ("conv1d_forward", "dense_forward"):
+            monkeypatch.setattr(layers, fn, counted(fn, getattr(layers, fn)))
+        spec = preset("1block", window=48)
+        params = init_params(spec, np.random.default_rng(52))
+        n = 2 * BLOCK + 5
+        forward(params, spec, np.random.default_rng(53).normal(size=(n, 48, 54)))
+        convs = [rows for fn, rows in calls if fn == "conv1d_forward"]
+        assert convs == [BLOCK, BLOCK, BLOCK, BLOCK, 5, 5]
+        assert [rows for fn, rows in calls if fn == "dense_forward"] == [n, n, n]
+
+    def test_train_loss_and_grads_unblocked(self):
+        # dropout masks drawn for the whole batch in one pass, as before blocking
+        from proprio.contactnet import layers
+
+        spec = preset("1block", window=48, dropout=0.3)
+        params = init_params(spec, np.random.default_rng(54), dtype=np.float64)
+        data = np.random.default_rng(55)
+        x = data.normal(size=(BLOCK + 9, 48, 54))
+        labels = data.integers(0, 16, size=len(x))
+        value, grads, logits = net.loss_and_grads(params, spec, x, labels, "train", np.random.default_rng(56))
+        want_logits, caches = layerwise_forward(params, spec, x, "train", np.random.default_rng(56))
+        want_value, dx = layers.cross_entropy(want_logits, labels)
+        assert logits.tobytes() == want_logits.tobytes() and value == float(want_value)
+        for i in range(len(spec.layers) - 1, -1, -1):
+            dx, want = spec.layers[i].backward(params[i], dx, caches[i])
+            assert (grads[i] is None) == (want is None)
+            if want is not None:
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(grads[i], want))
+
+
 class TestLoss:
     def test_uniform_16(self):
         assert abs(loss(np.zeros(16), 3) - np.log(16)) < 1e-9
@@ -248,6 +328,37 @@ class TestLayerReference:
         dx = layers.maxpool1d_backward(dout, cache)
         np.testing.assert_allclose(dx, want_dx, atol=1e-12, rtol=0)
         assert not dx[:, 3].any() and not dx[:, 6].any()  # tie loser, floored tail
+
+    @pytest.mark.parametrize("k, t", [(1, 6), (3, 7), (5, 9), (7, 2), (9, 3)])
+    def test_conv_im2col_bitwise_equals_padded_copy(self, k, t):
+        # the columns written in place equal a padded copy's k slices, so the GEMM sees the same bits
+        from proprio.contactnet import layers
+
+        rng = np.random.default_rng(35 + k)
+        x = rng.normal(size=(3, t, 5)).astype(np.float32)
+        w = rng.normal(size=(4, 5, k)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        out, (cols, *_) = layers.conv1d_forward(x, w, b)
+        pad = (k - 1) // 2
+        xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+        want_cols = np.concatenate([xp[:, i : i + t] for i in range(k)], axis=2).reshape(3 * t, k * 5)
+        assert cols.tobytes() == want_cols.tobytes()
+        want = want_cols @ w.transpose(2, 1, 0).reshape(k * 5, 4) + b
+        assert out.dtype == np.float32 and out.tobytes() == want.reshape(3, t, 4).tobytes()
+
+    @pytest.mark.parametrize("k, t", [(1, 5), (2, 7), (3, 11), (4, 4)])
+    def test_maxpool_and_dense_bitwise_equal_reductions(self, k, t):
+        from proprio.contactnet import layers
+
+        rng = np.random.default_rng(40 + k)
+        x = rng.normal(size=(2, t, 3)).astype(np.float32)
+        out, _ = layers.maxpool1d_forward(x, k)
+        want = x[:, : t // k * k].reshape(2, t // k, k, 3).max(axis=2)
+        assert out.dtype == np.float32 and out.tobytes() == want.tobytes()
+        flat = x.reshape(2, -1)
+        w = rng.normal(size=(5, flat.shape[1])).astype(np.float32)
+        b = rng.normal(size=5).astype(np.float32)
+        assert layers.dense_forward(flat, w, b)[0].tobytes() == (flat @ w.T + b).tobytes()
 
     def test_flatten_is_channel_major(self):
         # Conv -> Flatten -> Dense against the loop references, forward and backward

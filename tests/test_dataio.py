@@ -179,6 +179,71 @@ class TestWindows:
             window_set(frames, 5, stride)
 
 
+def fancy_gather(windows, idx):
+    """Window gather by one (B, w) row-index array, the strided batch's reference."""
+    ends = windows.end_indices[np.asarray(idx, dtype=np.int64)]
+    return windows.features[ends[:, None] + np.arange(-windows.w + 1, 1)[None, :]]
+
+
+def merged_window_set(seed, lengths, w):
+    """Several sequences' windows over one stacked feature matrix, as the acceptance suite builds them."""
+    rng = np.random.default_rng(seed)
+    sets = [window_set(random_frames(rng, n), w, stride=3) for n in lengths]
+    offsets = np.cumsum([0] + [ws.features.shape[0] for ws in sets[:-1]])
+    ends = np.concatenate([ws.end_indices + off for ws, off in zip(sets, offsets)])
+    return dataio.WindowSet(np.vstack([ws.features for ws in sets]), ends, None, w)
+
+
+class TestStridedBatch:
+    @pytest.mark.parametrize(
+        "order", ["contiguous", "shuffled", "repeated", "empty"],
+    )
+    def test_matches_fancy_index_gather(self, order):
+        rng = np.random.default_rng(15)
+        ws = window_set(random_frames(rng, 60), 9)
+        idx = {
+            "contiguous": np.arange(10, 30),
+            "shuffled": rng.permutation(len(ws)),
+            "repeated": np.array([4, 4, 0, 51, 4, 51]),
+            "empty": np.array([], dtype=np.int64),
+        }[order]
+        got = ws.batch(idx)
+        want = fancy_gather(ws, idx)
+        assert got.shape == want.shape == (len(idx), 9, 54)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_result_is_a_fresh_writable_copy(self):
+        ws = window_set(random_frames(np.random.default_rng(16), 20), 5)
+        before = ws.features.copy()
+        batch = ws.batch([0, 1])
+        batch[:] = -1.0
+        assert np.array_equal(ws.features, before)
+
+    def test_subset_and_split(self):
+        ws = window_set(random_frames(np.random.default_rng(17), 80), 12, stride=2)
+        for part in (ws.subset([5, 1, 9]), *dataio.split_dataset(ws, seed=3)):
+            idx = np.arange(len(part))[::-1]
+            assert np.array_equal(part.batch(idx), fancy_gather(part, idx))
+
+    def test_multi_sequence_set(self):
+        ws = merged_window_set(18, (40, 25, 57), 10)
+        idx = np.random.default_rng(19).permutation(len(ws))
+        assert np.array_equal(ws.batch(idx), fancy_gather(ws, idx))
+        # the last window of the first sequence ends on its last row
+        assert np.array_equal(ws.batch([10])[0], ws.features[30:40])
+
+    @pytest.mark.parametrize("end", [6, 20])
+    def test_window_outside_features_rejected(self, end):
+        # a window ending at row 6 of w = 8 would start before row 0
+        with pytest.raises(InsufficientHistoryError, match=r"\[7, 19\]"):
+            dataio.WindowSet(np.zeros((20, 54)), np.array([9, end]), None, 8)
+
+    def test_fewer_rows_than_window(self):
+        ws = dataio.WindowSet(np.zeros((5, 54)), np.array([], dtype=np.int64), None, 8)
+        none = np.array([], dtype=np.int64)
+        assert ws.batch(none).shape == fancy_gather(ws, none).shape == (0, 8, 54)
+
+
 class TestNormalize:
     def test_constant_channel_zeroed(self):
         data = np.ones((10, 54)) * 3.7
@@ -203,6 +268,41 @@ class TestNormalize:
         data = rng.normal(size=(48, 54))
         once = normalize_window(data)
         np.testing.assert_allclose(normalize_window(once), once, atol=1e-9)
+
+    def test_batch_constant_channel_exact_zeros(self):
+        data = np.random.default_rng(20).normal(size=(6, 40, 54))
+        data[:, :, 3] = 0.1  # a sum of 40 copies of 0.1 divided by 40 is not exactly 0.1
+        data[2, :, 9] = -7.3e5
+        out = normalize_window(data)
+        assert np.all(out[:, :, 3] == 0.0) and np.all(out[2, :, 9] == 0.0)
+        assert np.count_nonzero(out[:, :, 3:4] != 0.0) == 0
+        np.testing.assert_allclose(out[:, :, 10].std(axis=1), 1.0, atol=1e-12)
+
+    def test_batch_large_offset_channel(self):
+        # 1e6 plus a 1e-3 spread: one-pass E[x^2] - E[x]^2 loses every digit here
+        rng = np.random.default_rng(21)
+        data = rng.normal(size=(5, 150, 54))
+        data[:, :, 4] = 1e6 + 1e-3 * rng.normal(size=(5, 150))
+        centred = data - data.mean(axis=1, keepdims=True)
+        want = centred / np.sqrt((centred * centred).sum(axis=1, keepdims=True) / 150)
+        out = normalize_window(data)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out[:, :, 4].std(axis=1), 1.0, atol=1e-12)
+
+    def test_batch_matches_mean_std_divide(self):
+        rng = np.random.default_rng(22)
+        data = rng.normal(3.0, 50.0, size=(8, 150, 54))
+        std = data.std(axis=1, keepdims=True)
+        want = (data - data.mean(axis=1, keepdims=True)) / std
+        np.testing.assert_allclose(normalize_window(data), want, rtol=0, atol=9e-16)
+
+    def test_batch_nan_stays_nan(self):
+        data = np.random.default_rng(23).normal(size=(3, 20, 54))
+        data[1, 7, 2] = np.nan
+        out = normalize_window(data)
+        assert np.all(np.isnan(out[1, :, 2]))
+        assert np.isfinite(np.delete(out[1], 2, axis=1)).all() and np.isfinite(out[[0, 2]]).all()
 
 
 class TestDatasetFiles:
