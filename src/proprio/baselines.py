@@ -13,14 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .formats import SchemaMismatchError
 from .kinematics import fk_jacobian
 from .labelgen import lowpass
 
 SINGULAR_SVMIN = 1e-4
-
-
-class MissingTorquesError(ValueError):
-    pass
 
 
 @dataclass
@@ -83,7 +80,7 @@ def estimate_grf(tau, alpha, legs):
 def grf_threshold_detect(frames, config: GrfConfig, legs) -> np.ndarray:
     """(N, 4) contact booleans by thresholding filtered vertical force."""
     if frames.tau is None:
-        raise MissingTorquesError("frames carry no torque channel")
+        raise SchemaMismatchError("frames carry no torque channel")
     alpha = frames.q.reshape(-1, 4, 3)
     forces, _ = estimate_grf(frames.tau, alpha, legs)
     out = np.zeros((len(frames), 4), dtype=bool)

@@ -26,6 +26,7 @@ from .contactnet import (
     train,
     write_training_log,
 )
+from .formats import DataError, SchemaMismatchError
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -121,9 +122,7 @@ def _train_stage(frames, cfg, seed, epochs, out):
     Returns (params, spec, log, test windows).
     """
     cn = cfg.contactnet
-    tc = TrainConfig(
-        batch_size=cn.batch_size, learning_rate=cn.learning_rate, epochs=epochs, seed=seed, optimizer=cn.optimizer
-    )
+    tc = TrainConfig(batch_size=cn.batch_size, learning_rate=cn.learning_rate, epochs=epochs, seed=seed)
     windows = dataio.window_set(frames, cn.window, cn.stride)
     train_set, val_set, test_set = dataio.split_dataset(windows, seed)
     spec = preset(cn.preset, window=cn.window, n_classes=cn.classes, dropout=cn.dropout)
@@ -137,7 +136,7 @@ def cmd_train(args, cfg):
     out = _ensure_out(args)
     frames = dataio.read_dataset(args.data)
     if frames.gt is None:
-        raise dataio.SchemaMismatchError(f"{args.data}: training dataset has no contact labels")
+        raise SchemaMismatchError(f"{args.data}: training dataset has no contact labels")
     epochs = args.epochs if args.epochs is not None else cfg.contactnet.epochs
     _, _, log, _ = _train_stage(frames, cfg, args.seed, epochs, out)
     print(f"wrote {os.path.join(out, 'weights.pcnw')} (best val acc {max(r['val_acc'] for r in log):.4f})")
@@ -157,9 +156,9 @@ def cmd_infer(args, cfg):
 
 
 def _require_overlap(t_a, path_a, t_b, path_b):
-    """Raise NoOverlapError naming both files when two time spans share no instant."""
+    """Raise DataError naming both files when two time spans share no instant."""
     if t_a[0] > t_b[-1] or t_a[-1] < t_b[0]:
-        raise evalkit.NoOverlapError(
+        raise DataError(
             f"{path_a} spans {t_a[0]:g}..{t_a[-1]:g} s, {path_b} {t_b[0]:g}..{t_b[-1]:g} s: no overlap"
         )
 
@@ -187,7 +186,7 @@ def cmd_filter(args, cfg):
         _run_filter(frames.rows(slice(first, None)), contacts[first:], legs, cfg, out)
     except inekf.FrameError as exc:
         where = args.data if exc.row is None else dataio.row_location(args.data, first + exc.row)
-        raise type(exc)(f"{where}: {exc}") from exc
+        raise inekf.FrameError(f"{where}: {exc}") from exc
     print(f"wrote {os.path.join(out, 'trajectory_est.csv')}")
     return 0
 
@@ -219,7 +218,7 @@ def cmd_eval(args, cfg):
         hold = np.searchsorted(tg, tp + 1e-9, side="right") - 1
         inside = (hold >= 0) & (tp <= tg[-1] + 1e-9)
         if not inside.any():
-            raise evalkit.NoOverlapError(f"{args.pred}: no prediction inside the span of {args.gt}")
+            raise DataError(f"{args.pred}: no prediction inside the span of {args.gt}")
         num_legs = len(cfg.kinematics.legs())
         rep = evalkit.classification_metrics(
             dataio.codes_to_bool(cp[inside], num_legs), dataio.codes_to_bool(cg[hold[inside]], num_legs)

@@ -61,7 +61,6 @@ class ContactnetConfig:
     learning_rate: float = 1e-4
     epochs: int = 30
     dropout: float = 0.2
-    optimizer: str = "adam"
     stride: int = 4  # window stride when deriving training sets
 
 

@@ -9,7 +9,6 @@ from .network import (
     Pool,
     Relu,
     ShapeMismatchError,
-    LabelOutOfRangeError,
     cast_params,
     forward,
     init_params,
@@ -20,4 +19,4 @@ from .network import (
     save_params,
     trace_shapes,
 )
-from .training import TrainConfig, EmptyDatasetError, evaluate_accuracy, predict_codes, train, write_training_log
+from .training import TrainConfig, evaluate_accuracy, predict_codes, train, write_training_log

@@ -13,7 +13,7 @@ keeps the length only for an odd kernel, so even conv kernels are rejected,
 as is a dropout rate outside [0, 1).
 
 The network computes in the dtype of its parameters: every input batch is
-cast once to it, and every activation, gradient and optimizer buffer
+cast once to it, and every activation, gradient and Adam moment
 follows it. `init_params` makes float32 parameters by default
 (`DEFAULT_DTYPE`); float64 is kept for gradient checks and pinned logs.
 
@@ -50,7 +50,7 @@ WEIGHTS_MAGIC = b"PCNW"
 WEIGHTS_VERSION = 1
 
 # compute dtype of new parameters: numpy has no float16 BLAS, and float32
-# halves the memory traffic of every GEMM and optimizer pass against float64
+# halves the memory traffic of every GEMM and Adam pass against float64
 DEFAULT_DTYPE = np.float32
 
 # Windows per block of the blocked eval trunk. For "2blocks" at window 150
@@ -62,10 +62,6 @@ TRUNK_BLOCK = 64
 
 
 class ShapeMismatchError(ValueError):
-    pass
-
-
-class LabelOutOfRangeError(ValueError):
     pass
 
 
@@ -374,7 +370,7 @@ def loss(logits, label) -> float:
     """Cross-entropy -log softmax(logits)[label], max-subtracted."""
     logits = np.asarray(logits, dtype=float)
     if not 0 <= int(label) < logits.shape[-1]:
-        raise LabelOutOfRangeError(f"label {label} outside [0, {logits.shape[-1] - 1}]")
+        raise ValueError(f"label {label} outside [0, {logits.shape[-1] - 1}]")
     value, _ = L.cross_entropy(logits[None, :], np.array([int(label)]))
     return float(value)
 
@@ -384,7 +380,7 @@ def loss_and_grads(params, spec, windows, labels, mode="train", rng=None):
     x, single = _as_batch(windows, spec, params_dtype(params))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     if np.any(labels < 0) or np.any(labels >= spec.n_classes):
-        raise LabelOutOfRangeError("label outside class range")
+        raise ValueError(f"label outside class range [0, {spec.n_classes - 1}]")
     caches = []
     logits = _forward_cached(params, spec, x, mode, rng, caches)
     value, dx = L.cross_entropy(logits, labels)

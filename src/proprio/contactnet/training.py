@@ -1,10 +1,10 @@
 """Mini-batch training loop and batched inference for the contact classifier.
 
-Adam by default (plain SGD selectable), mean-reduced cross-entropy,
-per-window z-score normalization applied on the fly. Deterministic given
-the config seed: initialization, shuffling and dropout masks all draw from
-one seeded generator. Returns the parameters scoring the best validation
-accuracy along with a per-epoch log.
+Adam, mean-reduced cross-entropy, per-window z-score normalization
+applied on the fly. Deterministic given the config seed: initialization,
+shuffling and dropout masks all draw from one seeded generator. Returns
+the parameters scoring the best validation accuracy along with a
+per-epoch log.
 """
 
 from __future__ import annotations
@@ -15,12 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dataio import WindowSet, normalize_window
-from ..formats import write_csv
+from ..formats import DataError, write_csv
 from . import network as net
-
-
-class EmptyDatasetError(ValueError):
-    pass
 
 
 # Adam moment decay rates and denominator epsilon (Kingma & Ba 2015 defaults)
@@ -31,7 +27,7 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class TrainConfig:
-    """Optimizer settings, seed and compute dtype of one training run.
+    """Adam settings, seed and compute dtype of one training run.
 
     `dtype` is the dtype of the parameters, activations, gradients and Adam
     moments: float32 by default, float64 for runs that must match a float64
@@ -42,7 +38,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     epochs: int = 30
     seed: int = 0
-    optimizer: str = "adam"  # "adam" | "sgd"
     dtype: type = net.DEFAULT_DTYPE
 
     def __post_init__(self):
@@ -52,8 +47,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 < self.learning_rate < float("inf"):
             raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
-        if self.optimizer not in _OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}; expected one of {sorted(_OPTIMIZERS)}")
 
 
 # Elements per Adam chunk: a chunk of the parameter, its gradient, m, v and
@@ -115,22 +108,6 @@ class _Adam:
         return params
 
 
-class _Sgd:
-    def __init__(self, params, config):
-        self.cfg = config
-
-    def step(self, params, grads):
-        lr = self.cfg.learning_rate
-        for i, grad in enumerate(grads):
-            if grad is None:
-                continue
-            params[i] = (params[i][0] - lr * grad[0], params[i][1] - lr * grad[1])
-        return params
-
-
-_OPTIMIZERS = {"adam": _Adam, "sgd": _Sgd}
-
-
 def _batches(n, batch_size, rng):
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
@@ -154,7 +131,7 @@ def predict_codes(params, spec, windows: WindowSet, batch=256) -> np.ndarray:
 def evaluate_accuracy(params, spec, windows: WindowSet, batch_size=256):
     """Fraction of windows whose predicted code matches the label."""
     if windows.labels is None:
-        raise EmptyDatasetError("window set has no labels")
+        raise DataError("window set has no labels")
     correct = np.count_nonzero(predict_codes(params, spec, windows, batch_size) == windows.labels)
     return int(correct) / len(windows)
 
@@ -167,12 +144,12 @@ def train(train_windows: WindowSet, config: TrainConfig, spec, val_windows=None)
     set is supplied), ties resolved to the earliest epoch.
     """
     if len(train_windows) == 0:
-        raise EmptyDatasetError("empty training set")
+        raise DataError("empty training set")
     if train_windows.labels is None:
-        raise EmptyDatasetError("training windows carry no labels")
+        raise DataError("training windows carry no labels")
     rng = np.random.default_rng(config.seed)
     params = net.init_params(spec, rng, config.dtype)
-    opt = _OPTIMIZERS[config.optimizer](params, config)
+    adam = _Adam(params, config)
 
     best_params = [None if p is None else (p[0].copy(), p[1].copy()) for p in params]
     best_score = -1.0
@@ -185,7 +162,7 @@ def train(train_windows: WindowSet, config: TrainConfig, spec, val_windows=None)
             x = normalize_window(train_windows.batch(idx))
             y = train_windows.labels[idx]
             value, grads, logits = net.loss_and_grads(params, spec, x, y, "train", rng)
-            params = opt.step(params, grads)
+            adam.step(params, grads)
             del grads  # free them before the next backward allocates its own
             total_loss += value * len(idx)
             total_correct += int(np.sum(np.argmax(logits, axis=1) == y))

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .formats import EmptyStreamError, SchemaMismatchError, read_csv, read_framed, write_csv, write_framed
+from .formats import DataError, EmptyStreamError, SchemaMismatchError, read_csv, read_framed, write_csv, write_framed
 from .formats import ChecksumFailureError, VersionMismatchError  # noqa: F401 (re-exported)
 from .kinematics import LEG_NAMES
 
@@ -32,18 +32,6 @@ DATASET_MAGIC = b"PCDS"
 DATASET_VERSION = 1
 
 
-class OutOfRangeError(ValueError):
-    """Contact code outside [0, 2^L - 1]."""
-
-
-class InsufficientHistoryError(ValueError):
-    """Fewer frames than one window needs."""
-
-
-class TooFewWindowsError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # contact state encoding
 
@@ -52,7 +40,7 @@ def codes_to_bool(codes, num_legs: int) -> np.ndarray:
     """(N,) int codes -> (N, L) boolean matrix."""
     codes = np.asarray(codes, dtype=np.int64)
     if np.any(codes < 0) or np.any(codes >= (1 << num_legs)):
-        raise OutOfRangeError("contact code outside range")
+        raise DataError(f"contact code outside range [0, {(1 << num_legs) - 1}]")
     shifts = np.arange(num_legs - 1, -1, -1)
     return ((codes[:, None] >> shifts[None, :]) & 1).astype(bool)
 
@@ -153,7 +141,7 @@ class WindowSet:
         self.w = int(w)
         ends = self.end_indices
         if ends.size and not (ends.min() >= self.w - 1 and ends.max() < self.features.shape[0]):
-            raise InsufficientHistoryError(f"window ends must lie in [{self.w - 1}, {self.features.shape[0] - 1}]")
+            raise ValueError(f"window ends must lie in [{self.w - 1}, {self.features.shape[0] - 1}]")
 
     def __len__(self) -> int:
         return self.end_indices.shape[0]
@@ -188,7 +176,7 @@ def window_set(frames: FrameSequence, w: int, stride: int = 1) -> WindowSet:
         raise ValueError(f"window stride {stride} must be >= 1")
     n = len(frames)
     if n < w:
-        raise InsufficientHistoryError(f"{n} frames cannot hold a window of {w}")
+        raise DataError(f"{n} frames cannot hold a window of {w}")
     ends = np.arange(w - 1, n, stride)
     labels = None if frames.gt is None else frames.gt[ends]
     return WindowSet(frames.features(), ends, labels, w)
@@ -216,7 +204,7 @@ def split_dataset(windows: WindowSet, seed: int):
     """Shuffled, disjoint, exhaustive 70/15/15 train/val/test split."""
     n = len(windows)
     if n < 10:
-        raise TooFewWindowsError(f"need at least 10 windows, got {n}")
+        raise DataError(f"need at least 10 windows, got {n}")
     perm = np.random.default_rng(seed).permutation(n)
     n_train = int(0.70 * n)
     n_val = int(0.15 * n)
@@ -259,11 +247,14 @@ def _pack_rows(frames: FrameSequence) -> np.ndarray:
 
 
 def _contact_codes(col, path) -> np.ndarray:
-    """Float column of contact codes -> int64; each must be a non-negative integer."""
-    bad = ~((col >= 0) & (col < 2.0**63) & (col == np.floor(col)))
+    """Float column of contact codes -> int64; each must be an integer in [0, 2^L - 1]."""
+    n_codes = 1 << len(LEG_NAMES)
+    bad = ~((col >= 0) & (col < n_codes) & (col == np.floor(col)))
     if bad.any():
         i = int(np.argmax(bad))
-        raise SchemaMismatchError(f"{path}: data row {i + 1}: bad contact code {float(col[i])!r}")
+        raise SchemaMismatchError(
+            f"{path}: data row {i + 1}: bad contact code {float(col[i])!r}, want an integer in [0, {n_codes - 1}]"
+        )
     return col.astype(np.int64)
 
 

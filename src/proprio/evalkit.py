@@ -18,18 +18,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .formats import read_csv, write_csv
+from .formats import DataError, read_csv, write_csv
 from .kinematics import LEG_NAMES
 
 ASSOC_TOL_S = 0.002
-
-
-class LengthMismatchError(ValueError):
-    pass
-
-
-class NoOverlapError(ValueError):
-    pass
 
 
 @dataclass
@@ -75,10 +67,10 @@ def classification_metrics(pred, gt) -> ClassificationReport:
     pred = np.asarray(pred, dtype=bool)
     gt = np.asarray(gt, dtype=bool)
     if pred.shape != gt.shape:
-        raise LengthMismatchError(f"shape mismatch: {pred.shape} vs {gt.shape}")
+        raise ValueError(f"shape mismatch: {pred.shape} vs {gt.shape}")
     n, num_legs = pred.shape
     if n == 0:
-        raise LengthMismatchError("empty streams")
+        raise ValueError("empty streams")
     full = float(np.mean(np.all(pred == gt, axis=1)))
     leg_acc = (pred == gt).mean(axis=0)
     counts = []
@@ -123,10 +115,10 @@ def align_trajectories(est: Trajectory, gt: Trajectory, tol: float = ASSOC_TOL_S
     nearest timestamp within tol seconds.
     """
     if len(est.t) < 2 or len(gt.t) < 2:
-        raise NoOverlapError("need at least two poses per trajectory")
+        raise DataError("need at least two poses per trajectory")
     ei, gi = _associate(est.t, gt.t, tol)
     if len(ei) < 2:
-        raise NoOverlapError("no timestamp overlap within tolerance")
+        raise DataError("no timestamp overlap within tolerance")
     a = est.p[ei]
     b = gt.p[gi]
     ca = a.mean(axis=0)
@@ -150,10 +142,10 @@ def align_trajectories(est: Trajectory, gt: Trajectory, tol: float = ASSOC_TOL_S
 def trajectory_metrics(est: Trajectory, gt: Trajectory, tol: float = ASSOC_TOL_S) -> TrajectoryReport:
     """RMSE / final drift / path length over associated (pre-aligned) poses."""
     if len(est.t) < 1 or len(gt.t) < 2:
-        raise NoOverlapError("need poses on both trajectories")
+        raise DataError("need poses on both trajectories")
     ei, gi = _associate(est.t, gt.t, tol)
     if len(ei) < 1:
-        raise NoOverlapError("no timestamp overlap within tolerance")
+        raise DataError("no timestamp overlap within tolerance")
     err = est.p[ei] - gt.p[gi]
     rmse = float(np.sqrt(np.mean(np.sum(err**2, axis=1))))
     drift = float(np.linalg.norm(err[-1]))
@@ -229,36 +221,31 @@ def _polyline(points, color):
     return f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{coords}"/>'
 
 
-def _scaled(xs, ys, box):
+def _scaled(series, box):
+    """Map each (xs, ys) series into box by the bounds of all of them, so they stay comparable."""
     x0, y0, w, h = box
-    xmin, xmax = float(np.min(xs)), float(np.max(xs))
-    ymin, ymax = float(np.min(ys)), float(np.max(ys))
+    all_x = np.concatenate([xs for xs, _ in series])
+    all_y = np.concatenate([ys for _, ys in series])
+    xmin, xmax = float(all_x.min()), float(all_x.max())
+    ymin, ymax = float(all_y.min()), float(all_y.max())
     xr = xmax - xmin or 1.0
     yr = ymax - ymin or 1.0
-    px = x0 + (np.asarray(xs) - xmin) / xr * w
-    py = y0 + h - (np.asarray(ys) - ymin) / yr * h
-    return np.stack([px, py], axis=1)
+    return [np.stack([x0 + (xs - xmin) / xr * w, y0 + h - (ys - ymin) / yr * h], axis=1) for xs, ys in series]
 
 
 def write_trajectory_svg(path, trajectories: Dict[str, Trajectory]):
     """Bird's-eye XY plot, one polyline per trajectory, deterministic bytes."""
     width, height, margin = 640, 480, 40
-    all_x = np.concatenate([t.p[:, 0] for t in trajectories.values()])
-    all_y = np.concatenate([t.p[:, 1] for t in trajectories.values()])
-    xmin, xmax = float(all_x.min()), float(all_x.max())
-    ymin, ymax = float(all_y.min()), float(all_y.max())
-    xr = xmax - xmin or 1.0
-    yr = ymax - ymin or 1.0
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for i, (name, traj) in enumerate(trajectories.items()):
-        px = margin + (traj.p[:, 0] - xmin) / xr * (width - 2 * margin)
-        py = height - margin - (traj.p[:, 1] - ymin) / yr * (height - 2 * margin)
+    box = (margin, margin, width - 2 * margin, height - 2 * margin)
+    scaled = _scaled([(t.p[:, 0], t.p[:, 1]) for t in trajectories.values()], box)
+    for i, (name, pts) in enumerate(zip(trajectories, scaled)):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        parts.append(_polyline(np.stack([px, py], axis=1), color))
+        parts.append(_polyline(pts, color))
         parts.append(
             f'<text x="{margin}" y="{20 + 14 * i}" fill="{color}" font-size="12">{name}</text>'
         )
@@ -278,8 +265,8 @@ def write_axes_svg(path, trajectories: Dict[str, Trajectory]):
     ]
     for axis, label in enumerate("xyz"):
         box = (margin, axis * panel_h + margin / 2, width - 2 * margin, panel_h - margin)
-        for i, (name, traj) in enumerate(trajectories.items()):
-            pts = _scaled(traj.t, traj.p[:, axis], box)
+        scaled = _scaled([(t.t, t.p[:, axis]) for t in trajectories.values()], box)
+        for i, pts in enumerate(scaled):
             parts.append(_polyline(pts, _SVG_COLORS[i % len(_SVG_COLORS)]))
         parts.append(
             f'<text x="4" y="{axis * panel_h + panel_h // 2}" font-size="12">{label}</text>'

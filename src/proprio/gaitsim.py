@@ -19,13 +19,17 @@ first filtered minimum trails touchdown by `LABEL_LEAD_S`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dataio import FrameSequence, bool_to_codes, upsample
-from .kinematics import LegGeometry, fk_jacobian, fk_position, ik_position
+from .kinematics import UnreachableTargetError, fk_jacobian, fk_position, ik_position
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
+
+# Ground gaits anchor stance feet in the world; an air gait cycles the feet
+# in the body frame and never touches the ground.
+GAITS = ("trot", "pronk", "stand", "air-trot")
 
 # Touchdown transient shape: rattle oscillation period, rattle amplitude as
 # a fraction of the bounce amplitude, and the compression window as a
@@ -59,10 +63,6 @@ TORQUE_ANTICIPATION_S = 0.10
 TORQUE_HOLD_S = 0.06
 
 
-class UnreachableFootTargetError(ValueError):
-    """Spec geometry cannot realize the commanded foot trajectory."""
-
-
 @dataclass
 class SensorNoise:
     """Per-channel Gaussian sigma; zeros give noiseless streams."""
@@ -85,7 +85,7 @@ NOISELESS = SensorNoise(0.0, 0.0, 0.0, 0.0, 0.0)
 
 @dataclass
 class GaitSpec:
-    gait: str = "trot"  # trot | pronk | stand | air-trot
+    gait: str = "trot"  # one of GAITS
     period: float = 1.0  # s
     duty: float = 0.5084
     step_length: float = 0.5  # m, air-gait swing amplitude
@@ -105,6 +105,8 @@ class GaitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.gait not in GAITS:
+            raise ValueError(f"unknown gait {self.gait!r}; expected one of {GAITS}")
         if self.period <= 0.0 or not 0.0 < self.duty < 1.0:
             raise ValueError("period must be positive and duty in (0, 1)")
         for name in ("speed", "turn_rate", "step_length", "step_height", "body_height", "mass"):
@@ -357,14 +359,16 @@ def simulate(spec: GaitSpec, duration: float, legs) -> SimulationResult:
         raise ValueError(f"duration must cover at least two gait periods and be finite, got {duration}")
     rng = np.random.default_rng(spec.seed)
     body = _BodyMotion(spec)
-    grounded = spec.gait in ("trot", "pronk", "stand")
+    grounded = spec.gait != "air-trot"
 
     dt_enc = 1.0 / spec.encoder_rate
     n_enc = int(round(duration * spec.encoder_rate)) + 1
     t_enc = dt_enc * np.arange(n_enc)
 
     if spec.gait == "stand":
-        schedule = [(np.array([-1e9]), np.array([1e9]))] * 4
+        # one stance from long before the run to long after it: no foot swings,
+        # and the touchdown transient has died out
+        schedule = [(np.array([-1e9, 2e9]), np.array([1e9, 3e9]))] * 4
     else:
         schedule = _stance_schedule(spec, duration, rng)
 
@@ -375,38 +379,22 @@ def simulate(spec: GaitSpec, duration: float, legs) -> SimulationResult:
 
     q_true = np.zeros((n_enc, 4, 3))
     qd_true = np.zeros((n_enc, 4, 3))
-    contacts_enc = np.zeros((n_enc, 4), dtype=bool)
+    contacts_enc = _contacts_at(schedule, t_enc) & grounded
     for leg in range(4):
-        geom: LegGeometry = legs[leg]
-        if spec.gait == "stand":
-            t_mid = np.array([0.0])
-            td = np.array([-1e9, 2e9])
-            lo = np.array([1e9, 3e9])
-            foot_w, foot_wv = _foot_world_ground(
-                replace(spec, bounce_amplitude=0.0), body, geom, td, lo, t_enc
-            )
-            contacts_enc[:, leg] = True
-        elif grounded:
-            td, lo = schedule[leg]
-            foot_w, foot_wv = _foot_world_ground(spec, body, geom, td, lo, t_enc)
-            idx = np.clip(np.searchsorted(td, t_enc, side="right") - 1, 0, len(td) - 1)
-            contacts_enc[:, leg] = (t_enc >= td[idx]) & (t_enc < lo[idx])
-        else:  # air gait: body-frame cycling, never in contact
-            offset = _gait_offsets(spec)[leg]
-            target_b, target_bv = _foot_body_air(spec, geom, offset, t_enc)
-            foot_w = foot_wv = None
-
-        if foot_w is not None:
-            rel = foot_w - pos_enc
-            target_b = np.einsum("nji,nj->ni", rot_enc, rel)
+        geom = legs[leg]
+        if grounded:
+            foot_w, foot_wv = _foot_world_ground(spec, body, geom, *schedule[leg], t_enc)
+            target_b = np.einsum("nji,nj->ni", rot_enc, foot_w - pos_enc)
             # d/dt R^T (x - p) = R^T (dx - v) - omega x R^T (x - p)
             target_bv = np.einsum("nji,nj->ni", rot_enc, foot_wv - vel_enc) - np.cross(
                 omega_body, target_b
             )
+        else:  # air gait: body-frame cycling
+            target_b, target_bv = _foot_body_air(spec, geom, _gait_offsets(spec)[leg], t_enc)
         try:
             q_true[:, leg] = ik_position(geom, target_b)
-        except ValueError as exc:
-            raise UnreachableFootTargetError(f"leg {leg}: {exc}") from exc
+        except UnreachableTargetError as exc:
+            raise UnreachableTargetError(f"leg {leg}: {exc}") from exc
         qd_true[:, leg] = np.linalg.solve(
             fk_jacobian(geom, q_true[:, leg]), target_bv[..., None]
         )[..., 0]
@@ -454,12 +442,7 @@ def simulate(spec: GaitSpec, duration: float, legs) -> SimulationResult:
     acc_imu, gyro_imu = imu_channels(t_imu, rot_imu)
     frames_imu.acc = acc_imu + rng.normal(0.0, 1.0, acc_imu.shape) * noise.accel
     frames_imu.gyro = gyro_imu + rng.normal(0.0, 1.0, gyro_imu.shape) * noise.gyro
-    contacts_imu = _contacts_at(schedule, t_imu) if spec.gait != "stand" else np.ones(
-        (len(t_imu), 4), dtype=bool
-    )
-    if spec.gait == "air-trot":
-        contacts_imu[:] = False
-        contacts_enc[:] = False
+    contacts_imu = _contacts_at(schedule, t_imu) & grounded
     frames_imu.gt = bool_to_codes(contacts_imu)
 
     return SimulationResult(

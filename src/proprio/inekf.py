@@ -83,22 +83,6 @@ class FrameError(DataError):
         self.row = row
 
 
-class NonPositiveDtError(FrameError):
-    pass
-
-
-class UnregisteredContactError(KeyError):
-    pass
-
-
-class AlreadyRegisteredError(KeyError):
-    pass
-
-
-class InvalidInputError(FrameError):
-    """NaN/Inf sensor values; the caller decides how to recover."""
-
-
 def _frozen_array(value) -> np.ndarray:
     arr = np.array(value, dtype=float)
     arr.flags.writeable = False
@@ -190,7 +174,7 @@ class FilterState:
 
     def contact_position(self, leg: int) -> np.ndarray:
         if not self.contacts[leg]:
-            raise UnregisteredContactError(leg)
+            raise ValueError(f"leg {leg} is not in contact")
         return self.mean.cols[2 + leg]
 
 
@@ -312,7 +296,7 @@ def update_contact_kinematics(state: FilterState, frame: Frame, noise: NoisePara
 def augment_contact(state: FilterState, leg: int, frame: Frame, noise: NoiseParams) -> FilterState:
     """Fill leg's slot with d = p + R h_p(alpha) and its covariance."""
     if state.contacts[leg]:
-        raise AlreadyRegisteredError(leg)
+        raise ValueError(f"leg {leg} is already in contact")
     rot = state.mean.rot
     cols = state.mean.cols.copy()
     cols[2 + leg] = cols[1] + rot @ frame.foot[leg]
@@ -332,7 +316,7 @@ def augment_contact(state: FilterState, leg: int, frame: Frame, noise: NoisePara
 def marginalize_contact(state: FilterState, leg: int) -> FilterState:
     """Zero leg's contact column and its covariance rows/columns."""
     if not state.contacts[leg]:
-        raise UnregisteredContactError(leg)
+        raise ValueError(f"leg {leg} is not in contact")
     cols = state.mean.cols.copy()
     cols[2 + leg] = 0.0
     blk = _leg_block(leg)
@@ -391,12 +375,12 @@ def _check_chunk(t, dt, gyro, accel, alpha, start):
     i = int(np.argmin(ok))
     row = start + i
     if not ok_imu[i]:
-        raise InvalidInputError(f"non-finite IMU sample at t={float(t[i])}", row)
+        raise FrameError(f"non-finite IMU sample at t={float(t[i])}", row)
     if not ok_q[i]:
-        raise InvalidInputError(f"non-finite joint angles at t={float(t[i])}", row)
+        raise FrameError(f"non-finite joint angles at t={float(t[i])}", row)
     if not dt[i] > 0.0:
-        raise NonPositiveDtError(f"dt = {float(dt[i])}", row)
-    raise NonPositiveDtError(f"dt = {float(dt[i])} exceeds the {MAX_DT} s cap", row)
+        raise FrameError(f"dt = {float(dt[i])}", row)
+    raise FrameError(f"dt = {float(dt[i])} exceeds the {MAX_DT} s cap", row)
 
 
 def frame_records(t, gyro, accel, q, legs, noise: NoiseParams, t0: float):
@@ -407,9 +391,9 @@ def frame_records(t, gyro, accel, q, legs, noise: NoiseParams, t0: float):
     dt = 0, and its IMU sample is never used and not checked; its joint
     angles place the feet already down and must be finite. Row i >= 1
     propagates from row i-1 (row 1 from t0). A chunk with a non-finite IMU
-    sample or joint angle, or a dt outside (0, MAX_DT], raises
-    InvalidInputError or NonPositiveDtError for its earliest such row,
-    finiteness first; the error's row is that row's index.
+    sample or joint angle, or a dt outside (0, MAX_DT], raises FrameError
+    for its earliest such row, finiteness first; the error's row is that
+    row's index.
     """
     t, gyro, accel, q = (np.asarray(x, dtype=float) for x in (t, gyro, accel, q))
     t_prev = float(t0)
@@ -440,12 +424,12 @@ def filter_sequence(frames, contacts, legs, noise, init: Optional[FilterState] =
     Returns (t, rotations, velocities, positions) arrays. The initial state
     defaults to identity at the first timestamp; its contact set is
     reconciled with the first frame's before stepping. A bad frame raises
-    InvalidInputError or NonPositiveDtError whose row is its index.
+    FrameError whose row is its index.
     """
     contacts = np.asarray(contacts, dtype=bool)
     n = len(frames)
     if contacts.shape != (n, NUM_LEGS):
-        raise InvalidInputError(f"contact matrix has shape {contacts.shape}, want ({n}, {NUM_LEGS})")
+        raise FrameError(f"contact matrix has shape {contacts.shape}, want ({n}, {NUM_LEGS})")
     rows = list(map(tuple, contacts.tolist()))
     state = init if init is not None else make_initial_state(t=float(frames.t[0]))
     records = frame_records(frames.t, frames.gyro, frames.acc, frames.q, legs, noise, state.t)

@@ -19,15 +19,13 @@ from typing import Optional
 import numpy as np
 from scipy.signal import butter, filtfilt
 
+from .formats import DataError
+
 # Half-power (-3 dB) frequency in cycles/sample, per gait.
 HALF_POWER_FREQ = {"trot": 0.04, "pronk": 0.08, "gallop": 0.08}
 
 FILTER_ORDER = 4
 SINGLE_MIN_BACKOFF = 30  # samples
-
-
-class SignalTooShortError(ValueError):
-    pass
 
 
 @dataclass
@@ -57,7 +55,7 @@ def lowpass(signal, half_power_freq: float) -> np.ndarray:
     """
     signal = np.asarray(signal, dtype=float)
     if signal.ndim != 1 or signal.size < 16:
-        raise SignalTooShortError(f"need a 1-D signal of >= 16 samples, got {signal.shape}")
+        raise DataError(f"need a 1-D signal of >= 16 samples, got {signal.shape}")
     if not 0.0 < half_power_freq < 0.5:
         raise ValueError(f"half-power frequency {half_power_freq} outside (0, 0.5)")
     b, a = butter(FILTER_ORDER, 2.0 * half_power_freq)
@@ -74,7 +72,7 @@ def local_extrema(signal):
     signal = np.asarray(signal, dtype=float)
     n = signal.size
     if n < 3:
-        raise SignalTooShortError("need at least 3 samples")
+        raise DataError(f"need at least 3 samples, got {n}")
     minima, maxima = [], []
     prev_sign = 0
     plateau_start = 0

@@ -32,10 +32,6 @@ _SKEW_MAP = np.array([
 ])
 
 
-class DimensionMismatchError(ValueError):
-    """Operands have incompatible shapes or column counts."""
-
-
 def skew(v) -> np.ndarray:
     """Skew-symmetric matrices S with S @ w == cross(v, w): (..., 3) -> (..., 3, 3)."""
     v = np.asarray(v, dtype=float)
@@ -107,7 +103,7 @@ def sek3_exp(xi) -> GroupElement:
     """
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or xi.size % 3 != 0 or xi.size < 6:
-        raise DimensionMismatchError(f"tangent vector length {xi.size} is not 3(K+1)")
+        raise ValueError(f"tangent vector length {xi.size} is not 3(K+1)")
     omega = xi[:3]
     theta2 = float(omega @ omega)
     theta = math.sqrt(theta2)
@@ -125,7 +121,7 @@ def sek3_exp(xi) -> GroupElement:
 def sek3_compose(a: GroupElement, b: GroupElement) -> GroupElement:
     """Group product; matches multiplication of the embedded matrices."""
     if a.k != b.k:
-        raise DimensionMismatchError(f"column counts differ: {a.k} vs {b.k}")
+        raise ValueError(f"column counts differ: {a.k} vs {b.k}")
     return GroupElement(a.rot @ b.rot, b.cols @ a.rot.T + a.cols)
 
 

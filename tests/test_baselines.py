@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from proprio import evalkit, gaitsim
+from proprio.formats import SchemaMismatchError
 from proprio.baselines import (
     GaitSchedule,
     GrfConfig,
-    MissingTorquesError,
     estimate_grf,
     gait_cycle_detect,
     grf_threshold_detect,
@@ -78,7 +78,7 @@ class TestGrfThreshold:
             acc=np.zeros((20, 3)), gyro=np.zeros((20, 3)),
             pf=np.zeros((20, 12)), vf=np.zeros((20, 12)), tau=None,
         )
-        with pytest.raises(MissingTorquesError):
+        with pytest.raises(SchemaMismatchError, match="no torque channel"):
             grf_threshold_detect(frames, GrfConfig(), legs)
 
     def test_threshold_monotonicity(self, legs):

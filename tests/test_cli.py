@@ -388,3 +388,34 @@ def test_filter_bad_frame_names_file_and_row(workdir, tmp_path, capsys, ext, kin
     }[kind]
     assert capsys.readouterr().err == f"error: {where}: {message}\n"
     assert not (tmp_path / "run" / "trajectory_est.csv").exists()
+
+
+def test_filter_contact_code_out_of_range_names_file_and_row(workdir, tmp_path, capsys):
+    _, cfg, out = workdir
+    contacts = tmp_path / "contacts.csv"
+    dataio.write_contacts(contacts, [0.0, 0.5, 1.0], [6, 16, 9])
+    args = ["--data", f"{out}/imu.csv", "--contacts", str(contacts)]
+    assert main(["--config", cfg, "--out", str(tmp_path / "run"), "filter", *args]) == 2
+    assert f"error: {contacts}: data row 2: bad contact code 16.0" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "trajectory_est.csv").exists()
+
+
+def test_eval_pred_contact_code_out_of_range_names_file_and_row(workdir, tmp_path, capsys):
+    _, cfg, _ = workdir
+    pred, gt = tmp_path / "pred.csv", tmp_path / "gt.csv"
+    dataio.write_contacts(pred, [0.0, 0.5], [16, 9])
+    dataio.write_contacts(gt, [0.0, 0.5], [6, 9])
+    assert main(["--config", cfg, "--out", str(tmp_path), "eval", "--pred", str(pred), "--gt", str(gt)]) == 2
+    assert f"error: {pred}: data row 1: bad contact code 16.0" in capsys.readouterr().err
+
+
+def test_sim_unknown_gait_exit_2(tmp_path, capsys):
+    assert _sim_with(tmp_path, "[gaitsim]\ngait = trott\n") == 2
+    assert "unknown gait 'trott'" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "imu.csv").exists()
+
+
+def test_optimizer_key_is_unknown(tmp_path, capsys):
+    # Adam is the only optimizer, so the key is gone like any other unknown key
+    assert _sim_with(tmp_path, "[contactnet]\noptimizer = adam\n") == 2
+    assert f"{tmp_path / 'bad.cfg'}:2: unknown key 'optimizer'" in capsys.readouterr().err

@@ -10,7 +10,6 @@ from proprio.contactnet import (
     Dense,
     Dropout,
     Flatten,
-    LabelOutOfRangeError,
     Pool,
     Relu,
     ShapeMismatchError,
@@ -219,7 +218,7 @@ class TestLoss:
         assert abs(loss(logits, 7) - loss(logits + 123.456, 7)) < 1e-12
 
     def test_label_out_of_range(self):
-        with pytest.raises(LabelOutOfRangeError):
+        with pytest.raises(ValueError, match=r"label 16 outside \[0, 15\]"):
             loss(np.zeros(16), 16)
 
     def test_high_precision_oracle(self):
@@ -640,19 +639,13 @@ class TestTraining:
             np.testing.assert_allclose(a[0], b[0], atol=1e-9)
 
     def test_empty_dataset(self):
-        from proprio.contactnet import EmptyDatasetError, TrainConfig, train
+        from proprio.contactnet import TrainConfig, train
         from proprio.dataio import WindowSet
+        from proprio.formats import DataError
 
         empty = WindowSet(np.zeros((16, 6)), np.array([], dtype=int), np.array([], dtype=int), 16)
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(DataError, match="empty training set"):
             train(empty, TrainConfig(), self._spec())
-
-    @pytest.mark.parametrize("name", ["Adam", "adamw", "momentum"])
-    def test_unknown_optimizer_rejected(self, name):
-        from proprio.contactnet import TrainConfig
-
-        with pytest.raises(ValueError, match="optimizer"):
-            TrainConfig(optimizer=name)
 
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_epochs_below_one_rejected(self, epochs):
@@ -667,14 +660,6 @@ class TestTraining:
 
         with pytest.raises(ValueError, match="learning rate"):
             TrainConfig(learning_rate=rate)
-
-    def test_sgd_option(self):
-        from proprio.contactnet import TrainConfig, train
-
-        windows = self._toy(n=40, seed=18)
-        cfg = TrainConfig(batch_size=20, learning_rate=1e-2, epochs=2, seed=4, optimizer="sgd")
-        _, log = train(windows, cfg, self._spec())
-        assert log[-1]["train_loss"] < log[0]["train_loss"] * 1.2
 
 
 def ref_adam_step(params, grads, m, v, t, cfg):

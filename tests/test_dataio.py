@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from proprio import dataio
+from proprio.formats import DataError
 from proprio.dataio import (
     ChecksumFailureError,
     EmptyStreamError,
     FrameSequence,
-    InsufficientHistoryError,
-    OutOfRangeError,
     SchemaMismatchError,
-    TooFewWindowsError,
     bool_to_codes,
     codes_to_bool,
     normalize_window,
@@ -61,9 +59,9 @@ class TestContactEncoding:
             assert bool_to_codes(legs[None, :]).tolist() == [code]
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(DataError, match=r"contact code outside range \[0, 15\]"):
             codes_to_bool([16], 4)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(DataError, match=r"contact code outside range \[0, 15\]"):
             codes_to_bool([-1], 4)
 
     def test_contact_state(self):
@@ -154,7 +152,7 @@ class TestWindows:
         ws = window_set(frames, 5)
         assert ws.end_indices[0] == 4
         np.testing.assert_array_equal(ws.batch([0])[0], frames.features()[0:5])
-        with pytest.raises(InsufficientHistoryError):
+        with pytest.raises(DataError, match="4 frames cannot hold a window of 5"):
             window_set(frames.rows(slice(0, 4)), 5)
 
     def test_sliding_overlap(self):
@@ -235,7 +233,7 @@ class TestStridedBatch:
     @pytest.mark.parametrize("end", [6, 20])
     def test_window_outside_features_rejected(self, end):
         # a window ending at row 6 of w = 8 would start before row 0
-        with pytest.raises(InsufficientHistoryError, match=r"\[7, 19\]"):
+        with pytest.raises(ValueError, match=r"\[7, 19\]"):
             dataio.WindowSet(np.zeros((20, 54)), np.array([9, end]), None, 8)
 
     def test_fewer_rows_than_window(self):
@@ -395,6 +393,24 @@ class TestDatasetFiles:
         np.testing.assert_array_equal(t2, t)
         np.testing.assert_array_equal(c2, codes)
 
+    @pytest.mark.parametrize("code", [16.0, -1.0, 2.5])
+    def test_contacts_bad_code_names_row(self, tmp_path, code):
+        path = tmp_path / "c.csv"
+        dataio.write_contacts(path, [0.0, 0.1, 0.2], [6, 0, 9])
+        path.write_text(path.read_text().replace("0.1,0", f"0.1,{code!r}"))
+        message = rf"data row 2: bad contact code {code!r}, want an integer in \[0, 15\]"
+        with pytest.raises(SchemaMismatchError, match=message):
+            dataio.read_contacts(path)
+
+    @pytest.mark.parametrize("ext", [".csv", ".pcds"])
+    def test_dataset_code_16_names_row(self, tmp_path, ext):
+        frames = random_frames(np.random.default_rng(2), 6)
+        frames.gt[3] = 16
+        path = tmp_path / f"d{ext}"
+        dataio.write_dataset(frames, path)
+        with pytest.raises(SchemaMismatchError, match=r"data row 4: bad contact code 16\.0"):
+            dataio.read_dataset(path)
+
 
 class TestSplit:
     def _windows(self, n):
@@ -420,7 +436,7 @@ class TestSplit:
         assert len(set(merged)) == len(merged)
 
     def test_too_few(self):
-        with pytest.raises(TooFewWindowsError):
+        with pytest.raises(DataError, match="need at least 10 windows, got 9"):
             split_dataset(self._windows(9), seed=0)
 
 

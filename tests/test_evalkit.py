@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from proprio import evalkit
+from proprio.formats import DataError
 from proprio.evalkit import (
-    LengthMismatchError,
-    NoOverlapError,
     Trajectory,
     align_trajectories,
     classification_metrics,
@@ -73,7 +72,7 @@ class TestClassificationMetrics:
         assert rep1.full_state_accuracy == rep2.full_state_accuracy
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValueError, match=r"shape mismatch: \(5, 4\) vs \(6, 4\)"):
             classification_metrics(np.zeros((5, 4), dtype=bool), np.zeros((6, 4), dtype=bool))
 
     def test_counts_sum_to_frames(self):
@@ -127,14 +126,14 @@ class TestAlignment:
     def test_no_overlap(self):
         a = rich_curve()
         b = Trajectory(a.t + 1000.0, a.p)
-        with pytest.raises(NoOverlapError):
+        with pytest.raises(DataError, match="no timestamp overlap"):
             align_trajectories(a, b)
 
 
 class TestTrajectoryMetrics:
     def test_empty_estimate(self):
         gt = rich_curve()
-        with pytest.raises(NoOverlapError):
+        with pytest.raises(DataError, match="need poses on both trajectories"):
             trajectory_metrics(Trajectory(np.array([]), np.zeros((0, 3))), gt)
 
     def test_constant_offset(self):
@@ -198,6 +197,23 @@ class TestExport:
         text = path.read_text()
         assert text.count("<polyline") == 2
         assert text.startswith("<svg")
+
+    def test_axes_svg_scales_each_panel_to_shared_bounds(self, tmp_path):
+        # an estimate p and a ground truth 3p + 5 must not draw the same polyline
+        est = rich_curve(50)
+        gt = Trajectory(est.t, 3.0 * est.p + 5.0)
+        path = tmp_path / "axes.svg"
+        evalkit.write_axes_svg(path, {"estimate": est, "ground_truth": gt})
+        lines = [line for line in path.read_text().splitlines() if line.startswith("<polyline")]
+        assert len(lines) == 6
+        for axis in range(3):
+            y0, h = axis * 160 + 15.0, 130.0
+            lo = min(est.p[:, axis].min(), gt.p[:, axis].min())
+            hi = max(est.p[:, axis].max(), gt.p[:, axis].max())
+            for line, traj in zip(lines[2 * axis : 2 * axis + 2], (est, gt)):
+                coords = line.split('points="')[1].split('"')[0].split()
+                py = np.array([float(c.split(",")[1]) for c in coords])
+                np.testing.assert_allclose(py, y0 + h - (traj.p[:, axis] - lo) / (hi - lo) * h, atol=0.005)
 
     def test_export_report_bundle(self, tmp_path):
         gt = rich_curve()

@@ -4,7 +4,7 @@ import pytest
 from proprio import gaitsim
 from proprio.dataio import window_set
 from proprio.gaitsim import GaitSpec, NOISELESS, simulate
-from proprio.kinematics import fk_position
+from proprio.kinematics import UnreachableTargetError, fk_position
 from proprio.liegroup import so3_exp
 
 
@@ -120,8 +120,13 @@ class TestValidation:
 
     def test_unreachable_geometry(self, legs):
         spec = GaitSpec(gait="trot", body_height=0.60)  # deeper than the leg
-        with pytest.raises(gaitsim.UnreachableFootTargetError):
+        with pytest.raises(UnreachableTargetError, match="leg 0: target distance outside"):
             simulate(spec, 3.0, legs)
+
+    @pytest.mark.parametrize("gait", ["trott", "gallop", "", "Trot"])
+    def test_unknown_gait_rejected(self, gait):
+        with pytest.raises(ValueError, match=r"unknown gait .*'trot', 'pronk', 'stand', 'air-trot'"):
+            GaitSpec(gait=gait)
 
     def test_bad_duty(self):
         with pytest.raises(ValueError):
