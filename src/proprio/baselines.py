@@ -62,17 +62,13 @@ def estimate_grf(tau, alpha, legs):
         svmin = np.linalg.svd(jac_t, compute_uv=False)[..., -1]
         singular = svmin < SINGULAR_SVMIN
         flags[..., leg] = singular
-        if np.all(singular):
-            forces[..., leg, :] = np.einsum(
-                "...ij,...j->...i", np.linalg.pinv(jac_t), tau_legs[..., leg, :]
-            )
-            continue
+        # one solve with the identity standing in for singular legs, whose rows
+        # alone then take the pseudo-inverse
+        tau_leg = tau_legs[..., leg, :]
         safe = np.where(singular[..., None, None], np.eye(3), jac_t)
-        sol = np.linalg.solve(safe, tau_legs[..., leg, :, None])[..., 0]
-        if np.any(singular):
-            pinv = np.linalg.pinv(jac_t)
-            alt = np.einsum("...ij,...j->...i", pinv, tau_legs[..., leg, :])
-            sol = np.where(singular[..., None], alt, sol)
+        sol = np.linalg.solve(safe, tau_leg[..., None])[..., 0]
+        if singular.any():
+            sol[singular] = np.einsum("nij,nj->ni", np.linalg.pinv(jac_t[singular]), tau_leg[singular])
         forces[..., leg, :] = sol
     return forces, flags
 

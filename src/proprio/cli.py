@@ -7,6 +7,8 @@ Offline batch semantics only; every subcommand is deterministic given
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import os
 import sys
 
@@ -86,18 +88,29 @@ def _ensure_out(args):
     return args.out
 
 
-def cmd_sim(args, cfg):
-    out = _ensure_out(args)
-    legs = cfg.kinematics.legs()
-    duration = args.duration if args.duration is not None else cfg.gaitsim.duration
-    sim = gaitsim.simulate(cfg.gaitsim.spec(seed=args.seed), duration, legs)
-    ext = "csv" if args.format == "csv" else "pcds"
+@contextlib.contextmanager
+def _naming(where):
+    """Prefix `where: ` onto a DataError raised in the block, so its message names the file."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from exc
+
+
+def _simulate(cfg, seed, duration, out, ext):
+    """Simulate and write encoder.<ext>, imu.<ext> and trajectory_gt.csv into out."""
+    sim = gaitsim.simulate(cfg.gaitsim.spec(seed=seed), duration, cfg.kinematics.legs())
     dataio.write_dataset(sim.encoder_frames, os.path.join(out, f"encoder.{ext}"))
     dataio.write_dataset(sim.imu_frames, os.path.join(out, f"imu.{ext}"))
-    evalkit.write_trajectory(
-        os.path.join(out, "trajectory_gt.csv"),
-        evalkit.Trajectory(sim.traj_t, sim.traj_pos),
-    )
+    evalkit.write_trajectory(os.path.join(out, "trajectory_gt.csv"), evalkit.Trajectory(sim.traj_t, sim.traj_pos))
+    return sim
+
+
+def cmd_sim(args, cfg):
+    out = _ensure_out(args)
+    duration = args.duration if args.duration is not None else cfg.gaitsim.duration
+    ext = "csv" if args.format == "csv" else "pcds"
+    _simulate(cfg, args.seed, duration, out, ext)
     print(f"wrote encoder.{ext}, imu.{ext}, trajectory_gt.csv to {out}")
     return 0
 
@@ -106,7 +119,8 @@ def cmd_label(args, cfg):
     out = _ensure_out(args)
     frames = dataio.read_dataset(args.data)
     heights = frames.pf.reshape(len(frames), -1, 3)[:, :, 2]
-    contacts = labelgen.generate_labels(heights, cfg.labelgen.to_labelgen())
+    with _naming(args.data):
+        contacts = labelgen.generate_labels(heights, cfg.labelgen.to_labelgen())
     frames.gt = dataio.bool_to_codes(contacts)
     base, ext = os.path.splitext(os.path.basename(args.data))
     path = os.path.join(out, f"{base}_labeled{ext}")
@@ -155,19 +169,20 @@ def cmd_infer(args, cfg):
     return 0
 
 
-def _require_overlap(t_a, path_a, t_b, path_b):
-    """Raise DataError naming both files when two time spans share no instant."""
-    if t_a[0] > t_b[-1] or t_a[-1] < t_b[0]:
-        raise DataError(
-            f"{path_a} spans {t_a[0]:g}..{t_a[-1]:g} s, {path_b} {t_b[0]:g}..{t_b[-1]:g} s: no overlap"
-        )
-
-
-def _run_filter(frames, contacts, legs, cfg, out, rot=None, vel=None, pos=None):
-    """Filter from the first frame at the given pose and `[inekf] init_cov`; writes trajectory_est.csv."""
-    init = inekf.make_initial_state(rot, vel, pos, float(frames.t[0]), cfg.inekf.init_cov)
-    t, rot_f, _, pos_f = inekf.filter_sequence(frames, contacts, legs, cfg.inekf.noise(), init)
-    est = evalkit.Trajectory(t, pos_f, rot_f)
+def _run_filter(frames, t_c, codes, cfg, out, data, pose=(None, None, None)):
+    """Filter the frames from the first one at or after t_c[0], with the codes held onto them, from
+    pose (rot, vel, pos) and `[inekf] init_cov`; writes trajectory_est.csv. Names a bad frame's row of `data`."""
+    legs = cfg.kinematics.legs()
+    first = int(np.argmax(frames.t >= t_c[0]))
+    frames = frames.rows(slice(first, None))
+    contacts = dataio.codes_to_bool(codes[dataio.hold(t_c, frames.t)], len(legs))
+    init = inekf.make_initial_state(*pose, float(frames.t[0]), cfg.inekf.init_cov)
+    try:
+        t, _, _, pos = inekf.filter_sequence(frames, contacts, legs, cfg.inekf.noise(), init)
+    except inekf.FrameError as exc:
+        where = data if exc.row is None else dataio.row_location(data, first + exc.row)
+        raise inekf.FrameError(f"{where}: {exc}") from exc
+    est = evalkit.Trajectory(t, pos)
     evalkit.write_trajectory(os.path.join(out, "trajectory_est.csv"), est)
     return est
 
@@ -176,17 +191,12 @@ def cmd_filter(args, cfg):
     out = _ensure_out(args)
     frames = dataio.read_dataset(args.data)
     t_c, codes = dataio.read_contacts(args.contacts)
-    _require_overlap(t_c, args.contacts, frames.t, args.data)
-    legs = cfg.kinematics.legs()
-    # align contacts to frames by nearest timestamp, zero-order hold before
-    idx = np.clip(np.searchsorted(t_c, frames.t + 1e-9) - 1, 0, len(t_c) - 1)
-    contacts = dataio.codes_to_bool(codes[idx], len(legs))
-    first = int(np.argmax(frames.t >= t_c[0]))
-    try:
-        _run_filter(frames.rows(slice(first, None)), contacts[first:], legs, cfg, out)
-    except inekf.FrameError as exc:
-        where = args.data if exc.row is None else dataio.row_location(args.data, first + exc.row)
-        raise inekf.FrameError(f"{where}: {exc}") from exc
+    t = frames.t
+    if t_c[0] > t[-1] or t_c[-1] < t[0]:
+        raise DataError(
+            f"{args.contacts} spans {t_c[0]:g}..{t_c[-1]:g} s, {args.data} {t[0]:g}..{t[-1]:g} s: no overlap"
+        )
+    _run_filter(frames, t_c, codes, cfg, out, args.data)
     print(f"wrote {os.path.join(out, 'trajectory_est.csv')}")
     return 0
 
@@ -194,14 +204,28 @@ def cmd_filter(args, cfg):
 def cmd_baseline(args, cfg):
     out = _ensure_out(args)
     frames = dataio.read_dataset(args.data)
-    if args.method == "grf":
-        contacts = baselines.grf_threshold_detect(frames, cfg.baselines.grf(), cfg.kinematics.legs())
-    else:
-        contacts = baselines.gait_cycle_detect(frames.t, cfg.baselines.schedule())
+    with _naming(args.data):
+        if args.method == "grf":
+            contacts = baselines.grf_threshold_detect(frames, cfg.baselines.grf(), cfg.kinematics.legs())
+        else:
+            contacts = baselines.gait_cycle_detect(frames.t, cfg.baselines.schedule())
     path = os.path.join(out, f"contacts_{args.method}.csv")
     dataio.write_contacts(path, frames.t, dataio.bool_to_codes(contacts))
     print(f"wrote {path}")
     return 0
+
+
+def _contact_report(t_pred, pred, t_gt, gt, cfg):
+    """Compare every predicted code inside the ground truth's time span with the
+    ground-truth code held onto it (zero-order hold), so the rates may differ."""
+    inside = (t_pred >= t_gt[0] - 1e-9) & (t_pred <= t_gt[-1] + 1e-9)
+    if not inside.any():
+        raise DataError(f"no prediction inside the ground truth's span {t_gt[0]:g}..{t_gt[-1]:g} s")
+    num_legs = len(cfg.kinematics.legs())
+    return evalkit.classification_metrics(
+        dataio.codes_to_bool(pred[inside], num_legs),
+        dataio.codes_to_bool(gt[dataio.hold(t_gt, t_pred[inside])], num_legs),
+    )
 
 
 def cmd_eval(args, cfg):
@@ -212,17 +236,8 @@ def cmd_eval(args, cfg):
     if args.pred and args.gt:
         tp, cp = dataio.read_contacts(args.pred)
         tg, cg = dataio.read_contacts(args.gt)
-        _require_overlap(tp, args.pred, tg, args.gt)
-        # every prediction inside the common time span, against the last
-        # ground-truth code at or before it (zero-order hold)
-        hold = np.searchsorted(tg, tp + 1e-9, side="right") - 1
-        inside = (hold >= 0) & (tp <= tg[-1] + 1e-9)
-        if not inside.any():
-            raise DataError(f"{args.pred}: no prediction inside the span of {args.gt}")
-        num_legs = len(cfg.kinematics.legs())
-        rep = evalkit.classification_metrics(
-            dataio.codes_to_bool(cp[inside], num_legs), dataio.codes_to_bool(cg[hold[inside]], num_legs)
-        )
+        with _naming(f"{args.pred} against {args.gt}"):
+            rep = _contact_report(tp, cp, tg, cg, cfg)
         class_reports["contacts"] = rep
         print(f"full-state accuracy: {rep.full_state_accuracy:.4f} leg avg: {rep.leg_average_accuracy:.4f}")
     if args.traj_est and args.traj_gt:
@@ -242,46 +257,34 @@ def cmd_eval(args, cfg):
 def cmd_pipeline(args, cfg):
     """sim -> label -> train -> infer -> filter -> eval on synthetic data."""
     out = _ensure_out(args)
-    legs = cfg.kinematics.legs()
-    sim = gaitsim.simulate(cfg.gaitsim.spec(seed=args.seed), cfg.gaitsim.duration, legs)
-    dataio.write_dataset(sim.encoder_frames, os.path.join(out, "encoder.csv"))
-    dataio.write_dataset(sim.imu_frames, os.path.join(out, "imu.csv"))
-    evalkit.write_trajectory(
-        os.path.join(out, "trajectory_gt.csv"), evalkit.Trajectory(sim.traj_t, sim.traj_pos)
-    )
+    sim = _simulate(cfg, args.seed, cfg.gaitsim.duration, out, "csv")
+    enc, imu = sim.encoder_frames, sim.imu_frames
 
-    # self-supervised labels at the encoder rate, upsampled onto IMU frames
-    heights = sim.encoder_frames.pf.reshape(len(sim.encoder_frames), len(legs), 3)[:, :, 2]
+    # self-supervised labels at the encoder rate, held onto the IMU frames
+    heights = enc.pf.reshape(len(enc), -1, 3)[:, :, 2]
     gait_cfg = cfg.labelgen.to_labelgen()
     if cfg.gaitsim.gait in labelgen.HALF_POWER_FREQ:
         gait_cfg.gait = cfg.gaitsim.gait
-    labels_enc = labelgen.generate_labels(heights, gait_cfg)
-    labeled = sim.encoder_frames
-    labeled.gt = dataio.bool_to_codes(labels_enc)
-    frames_imu = dataio.upsample(labeled, cfg.gaitsim.imu_rate)
-    frames_imu.acc = sim.imu_frames.acc
-    frames_imu.gyro = sim.imu_frames.gyro
-    dataio.write_dataset(labeled, os.path.join(out, "encoder_labeled.csv"))
+    labels = dataio.bool_to_codes(labelgen.generate_labels(heights, gait_cfg))
+    dataio.write_dataset(dataclasses.replace(enc, gt=labels), os.path.join(out, "encoder_labeled.csv"))
+    labeled = dataclasses.replace(imu, gt=labels[dataio.hold(enc.t, imu.t)])
 
-    params, spec, _, test_set = _train_stage(frames_imu, cfg, args.seed, cfg.contactnet.epochs, out)
+    params, spec, _, test_set = _train_stage(labeled, cfg, args.seed, cfg.contactnet.epochs, out)
     test_acc = evaluate_accuracy(params, spec, test_set)
 
-    stream = dataio.window_set(sim.imu_frames, spec.window, stride=1)
+    stream = dataio.window_set(imu, spec.window, stride=1)
     codes = predict_codes(params, spec, stream)
-    ends = stream.end_indices
-    dataio.write_contacts(os.path.join(out, "contacts_pred.csv"), sim.imu_frames.t[ends], codes)
-    dataio.write_contacts(
-        os.path.join(out, "contacts_gt.csv"), sim.imu_frames.t, dataio.bool_to_codes(sim.contacts_imu)
-    )
+    t_pred = imu.t[stream.end_indices]
+    dataio.write_contacts(os.path.join(out, "contacts_pred.csv"), t_pred, codes)
+    dataio.write_contacts(os.path.join(out, "contacts_gt.csv"), imu.t, imu.gt)
 
-    # filter from the first classified frame
-    first = int(ends[0])
-    contacts = dataio.codes_to_bool(codes, len(legs))
-    sub = sim.imu_frames.rows(slice(first, None))
-    est = _run_filter(sub, contacts, legs, cfg, out, sim.traj_rot[first], sim.traj_vel[first], sim.traj_pos[first])
+    # filter from the first classified frame, at the true pose there
+    first = int(stream.end_indices[0])
+    pose = (sim.traj_rot[first], sim.traj_vel[first], sim.traj_pos[first])
+    est = _run_filter(imu, t_pred, codes, cfg, out, os.path.join(out, "imu.csv"), pose)
     gt_traj = evalkit.Trajectory(sim.traj_t, sim.traj_pos)
 
-    rep_c = evalkit.classification_metrics(contacts, sim.contacts_imu[ends])
+    rep_c = _contact_report(t_pred, codes, imu.t, imu.gt, cfg)
     aligned, _ = evalkit.align_trajectories(est, gt_traj, cfg.eval.assoc_tol)
     rep_t = evalkit.trajectory_metrics(aligned, gt_traj, cfg.eval.assoc_tol)
     evalkit.export_report(

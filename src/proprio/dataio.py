@@ -6,16 +6,17 @@ velocities, 12 foot positions (hip frame), 12 foot velocities (hip frame),
 with legs ordered RF, LF, RH, LH. Optional per-frame extras: 12 joint
 torques and a ground-truth contact code.
 
-A dataset file holds one row of CSV_COLUMNS per frame (NaN marks a missing
-optional): a `.csv` path is a CSV table, any other a framed `.pcds` file
-whose payload is the frame count u64 and the rows as float64. `formats`
-holds the frame, the CSV rules and the error classes.
+A dataset file holds one row of CSV_COLUMNS per frame, laid out by LAYOUT
+(NaN marks a missing optional): a `.csv` path is a CSV table, any other a
+framed `.pcds` file whose payload is the frame count u64 and the rows as
+float64. `formats` holds the frame, the CSV rules and the error classes.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -24,9 +25,6 @@ from numpy.lib.stride_tricks import as_strided
 from .formats import DataError, EmptyStreamError, SchemaMismatchError, read_csv, read_framed, write_csv, write_framed
 from .formats import ChecksumFailureError, VersionMismatchError  # noqa: F401 (re-exported)
 from .kinematics import LEG_NAMES
-
-N_FEATURES = 54
-N_JOINTS = 12
 
 DATASET_MAGIC = b"PCDS"
 DATASET_VERSION = 1
@@ -83,6 +81,22 @@ class FrameSequence:
         return np.hstack([self.q, self.qd, self.acc, self.gyro, self.pf, self.vf])
 
 
+# (field, width) of each column group of a dataset row, in FrameSequence
+# field order; tau and gt are optional
+LAYOUT = (("t", 1), ("q", 12), ("qd", 12), ("acc", 3), ("gyro", 3), ("pf", 12), ("vf", 12), ("tau", 12), ("gt", 1))
+# field -> its row column: an index for a width-1 field, else a slice
+_COLUMNS = {
+    name: start if width == 1 else slice(start, start + width)
+    for (name, width), start in zip(LAYOUT, accumulate((width for _, width in LAYOUT), initial=0))
+}
+
+
+def hold(t_src, t_query) -> np.ndarray:
+    """Zero-order hold: per query time, the index of the last source sample at or
+    before it (1 ns of slack), clipped to [0, len(t_src) - 1]."""
+    return np.clip(np.searchsorted(t_src, np.asarray(t_query) + 1e-9, side="right") - 1, 0, len(t_src) - 1)
+
+
 def upsample(frames: FrameSequence, target_rate: float) -> FrameSequence:
     """Resample a stream onto a uniform grid at target_rate (Hz).
 
@@ -103,24 +117,15 @@ def upsample(frames: FrameSequence, target_rate: float) -> FrameSequence:
     n_out = int(np.floor((t[-1] - t[0]) / dt + 1e-9)) + 1
     tg = t[0] + dt * np.arange(n_out)
 
-    def lin(arr):
-        return np.stack([np.interp(tg, t, arr[:, j]) for j in range(arr.shape[1])], axis=1)
+    def resample(name):
+        col = getattr(frames, name)
+        if col is None:
+            return None
+        if name == "gt":
+            return col[hold(t, tg)]
+        return np.stack([np.interp(tg, t, col[:, j]) for j in range(col.shape[1])], axis=1)
 
-    gt = None
-    if frames.gt is not None:
-        idx = np.clip(np.searchsorted(t, tg + 1e-12, side="right") - 1, 0, len(t) - 1)
-        gt = frames.gt[idx]
-    return FrameSequence(
-        t=tg,
-        q=lin(frames.q),
-        qd=lin(frames.qd),
-        acc=lin(frames.acc),
-        gyro=lin(frames.gyro),
-        pf=lin(frames.pf),
-        vf=lin(frames.vf),
-        tau=None if frames.tau is None else lin(frames.tau),
-        gt=gt,
-    )
+    return FrameSequence(t=tg, **{name: resample(name) for name, _ in LAYOUT[1:]})
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +240,11 @@ CSV_COLUMNS = _csv_header()
 
 
 def _pack_rows(frames: FrameSequence) -> np.ndarray:
-    n = len(frames)
-    rows = np.full((n, 1 + N_FEATURES + N_JOINTS + 1), np.nan)
-    rows[:, 0] = frames.t
-    rows[:, 1:55] = frames.features()
-    if frames.tau is not None:
-        rows[:, 55:67] = frames.tau
-    if frames.gt is not None:
-        rows[:, 67] = frames.gt
+    rows = np.full((len(frames), len(CSV_COLUMNS)), np.nan)
+    for name, col in _COLUMNS.items():
+        values = getattr(frames, name)
+        if values is not None:
+            rows[:, col] = values
     return rows
 
 
@@ -259,19 +261,11 @@ def _contact_codes(col, path) -> np.ndarray:
 
 
 def _unpack_rows(rows: np.ndarray, path) -> FrameSequence:
-    tau = rows[:, 55:67]
-    gt = rows[:, 67]
-    return FrameSequence(
-        t=rows[:, 0].copy(),
-        q=rows[:, 1:13].copy(),
-        qd=rows[:, 13:25].copy(),
-        acc=rows[:, 25:28].copy(),
-        gyro=rows[:, 28:31].copy(),
-        pf=rows[:, 31:43].copy(),
-        vf=rows[:, 43:55].copy(),
-        tau=None if np.all(np.isnan(tau)) else tau.copy(),
-        gt=None if np.all(np.isnan(gt)) else _contact_codes(gt, path),
-    )
+    cols = {name: rows[:, col].copy() for name, col in _COLUMNS.items()}
+    cols.update({name: None for name in ("tau", "gt") if np.all(np.isnan(cols[name]))})
+    if cols["gt"] is not None:
+        cols["gt"] = _contact_codes(cols["gt"], path)
+    return FrameSequence(**cols)
 
 
 def write_dataset(frames: FrameSequence, path):

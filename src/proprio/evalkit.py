@@ -51,15 +51,12 @@ class TrajectoryReport:
     final_drift: float  # m
     final_drift_pct: float  # % of ground-truth path length
     path_length: float  # m
-    error_t: np.ndarray  # (M,)
-    error_xyz: np.ndarray  # (M, 3) est - gt per axis
 
 
 @dataclass
 class Trajectory:
     t: np.ndarray  # (N,)
     p: np.ndarray  # (N, 3)
-    rot: Optional[np.ndarray] = None  # (N, 3, 3)
 
 
 def classification_metrics(pred, gt) -> ClassificationReport:
@@ -68,22 +65,17 @@ def classification_metrics(pred, gt) -> ClassificationReport:
     gt = np.asarray(gt, dtype=bool)
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {gt.shape}")
-    n, num_legs = pred.shape
+    n = pred.shape[0]
     if n == 0:
         raise ValueError("empty streams")
     full = float(np.mean(np.all(pred == gt, axis=1)))
     leg_acc = (pred == gt).mean(axis=0)
-    counts = []
-    fprs, fnrs = [], []
-    for leg in range(num_legs):
-        p, g = pred[:, leg], gt[:, leg]
-        tp = int(np.sum(p & g))
-        fp = int(np.sum(p & ~g))
-        tn = int(np.sum(~p & ~g))
-        fn = int(np.sum(~p & g))
-        counts.append(LegCounts(tp, fp, tn, fn))
-        fprs.append(fp / (fp + tn) if fp + tn > 0 else None)
-        fnrs.append(fn / (fn + tp) if fn + tp > 0 else None)
+    counts = [
+        LegCounts(int(np.sum(p & g)), int(np.sum(p & ~g)), int(np.sum(~p & ~g)), int(np.sum(~p & g)))
+        for p, g in zip(pred.T, gt.T)
+    ]
+    fprs = [c.fp / (c.fp + c.tn) if c.fp + c.tn > 0 else None for c in counts]
+    fnrs = [c.fn / (c.fn + c.tp) if c.fn + c.tp > 0 else None for c in counts]
     have_fpr = [x for x in fprs if x is not None]
     have_fnr = [x for x in fnrs if x is not None]
     return ClassificationReport(
@@ -131,12 +123,7 @@ def align_trajectories(est: Trajectory, gt: Trajectory, tol: float = ASSOC_TOL_S
     c, s = np.cos(yaw), np.sin(yaw)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     trans = cb - rot @ ca
-    aligned = Trajectory(
-        est.t.copy(),
-        est.p @ rot.T + trans,
-        None if est.rot is None else np.einsum("ij,njk->nik", rot, est.rot),
-    )
-    return aligned, (rot, trans)
+    return Trajectory(est.t.copy(), est.p @ rot.T + trans), (rot, trans)
 
 
 def trajectory_metrics(est: Trajectory, gt: Trajectory, tol: float = ASSOC_TOL_S) -> TrajectoryReport:
@@ -157,8 +144,6 @@ def trajectory_metrics(est: Trajectory, gt: Trajectory, tol: float = ASSOC_TOL_S
         final_drift=drift,
         final_drift_pct=100.0 * drift / path,
         path_length=path,
-        error_t=est.t[ei].copy(),
-        error_xyz=err,
     )
 
 
@@ -233,47 +218,42 @@ def _scaled(series, box):
     return [np.stack([x0 + (xs - xmin) / xr * w, y0 + h - (ys - ymin) / yr * h], axis=1) for xs, ys in series]
 
 
-def write_trajectory_svg(path, trajectories: Dict[str, Trajectory]):
-    """Bird's-eye XY plot, one polyline per trajectory, deterministic bytes."""
-    width, height, margin = 640, 480, 40
+def _write_svg(path, width, height, body):
+    """Write an SVG document of the given size: a white background, then the body elements."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
+        *body,
+        "</svg>",
     ]
-    box = (margin, margin, width - 2 * margin, height - 2 * margin)
-    scaled = _scaled([(t.p[:, 0], t.p[:, 1]) for t in trajectories.values()], box)
-    for i, (name, pts) in enumerate(zip(trajectories, scaled)):
-        color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        parts.append(_polyline(pts, color))
-        parts.append(
-            f'<text x="{margin}" y="{20 + 14 * i}" fill="{color}" font-size="12">{name}</text>'
-        )
-    parts.append("</svg>")
     with open(path, "w") as f:
         f.write("\n".join(parts) + "\n")
+
+
+def write_trajectory_svg(path, trajectories: Dict[str, Trajectory]):
+    """Bird's-eye XY plot, one polyline per trajectory, deterministic bytes."""
+    width, height, margin = 640, 480, 40
+    box = (margin, margin, width - 2 * margin, height - 2 * margin)
+    scaled = _scaled([(t.p[:, 0], t.p[:, 1]) for t in trajectories.values()], box)
+    body = []
+    for i, (name, pts) in enumerate(zip(trajectories, scaled)):
+        color = _SVG_COLORS[i % len(_SVG_COLORS)]
+        body.append(_polyline(pts, color))
+        body.append(f'<text x="{margin}" y="{20 + 14 * i}" fill="{color}" font-size="12">{name}</text>')
+    _write_svg(path, width, height, body)
 
 
 def write_axes_svg(path, trajectories: Dict[str, Trajectory]):
     """Per-axis position vs time, three stacked panels."""
     width, panel_h, margin = 640, 160, 30
-    height = 3 * panel_h
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
+    body = []
     for axis, label in enumerate("xyz"):
         box = (margin, axis * panel_h + margin / 2, width - 2 * margin, panel_h - margin)
         scaled = _scaled([(t.t, t.p[:, axis]) for t in trajectories.values()], box)
-        for i, pts in enumerate(scaled):
-            parts.append(_polyline(pts, _SVG_COLORS[i % len(_SVG_COLORS)]))
-        parts.append(
-            f'<text x="4" y="{axis * panel_h + panel_h // 2}" font-size="12">{label}</text>'
-        )
-    parts.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(parts) + "\n")
+        body += [_polyline(pts, _SVG_COLORS[i % len(_SVG_COLORS)]) for i, pts in enumerate(scaled)]
+        body.append(f'<text x="4" y="{axis * panel_h + panel_h // 2}" font-size="12">{label}</text>')
+    _write_svg(path, width, 3 * panel_h, body)
 
 
 def export_report(

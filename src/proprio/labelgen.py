@@ -73,21 +73,13 @@ def local_extrema(signal):
     n = signal.size
     if n < 3:
         raise DataError(f"need at least 3 samples, got {n}")
-    minima, maxima = [], []
-    prev_sign = 0
-    plateau_start = 0
-    for i in range(1, n):
-        d = signal[i] - signal[i - 1]
-        if d == 0.0:
-            continue
-        sign = 1 if d > 0.0 else -1
-        if prev_sign > 0 and sign < 0 and plateau_start > 0:
-            maxima.append(plateau_start)
-        elif prev_sign < 0 and sign > 0 and plateau_start > 0:
-            minima.append(plateau_start)
-        prev_sign = sign
-        plateau_start = i
-    return np.asarray(minima, dtype=np.int64), np.asarray(maxima, dtype=np.int64)
+    d = np.diff(signal)
+    nz = np.flatnonzero(d)  # NaN counts as a fall, as `d > 0` is false for it
+    rising = d[nz] > 0.0
+    turn = rising[:-1] != rising[1:]
+    # a plateau starts at the index after the nonzero diff that ends it
+    start, was_rising = nz[:-1][turn] + 1, rising[:-1][turn]
+    return start[~was_rising], start[was_rising]
 
 
 def _label_one_leg(height, cutoff, backoff) -> np.ndarray:

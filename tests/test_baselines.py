@@ -50,6 +50,22 @@ class TestEstimateGrf:
         assert flags[2] and not flags[0]
         assert np.all(np.isfinite(forces))
 
+    def test_mixed_batch_equals_per_row_estimates(self, legs):
+        rng = np.random.default_rng(4)
+        alpha = rng.normal(0.0, 0.5, size=(30, 4, 3))
+        alpha[::3, :, 2] = 0.0  # straight knees: every leg singular on these rows
+        alpha[1::4, 1, 2] = 0.0  # and one singular leg among regular ones
+        tau = rng.normal(0.0, 10.0, size=(30, 12))
+        forces, flags = estimate_grf(tau, alpha, legs)
+        assert flags.any() and not flags.all() and flags.all(axis=1).any()
+        for i in range(len(tau)):
+            f_i, flags_i = estimate_grf(tau[i], alpha[i], legs)
+            assert np.array_equal(f_i, forces[i]) and np.array_equal(flags_i, flags[i])
+        # a singular leg takes the pseudo-inverse
+        for i, leg in zip(*np.nonzero(flags)):
+            pinv = np.linalg.pinv(fk_jacobian(legs[leg], alpha[i, leg]).T)
+            np.testing.assert_allclose(forces[i, leg], pinv @ tau[i, 3 * leg : 3 * leg + 3], rtol=1e-12, atol=1e-12)
+
 
 class TestGrfThreshold:
     def test_all_below_threshold(self, legs):

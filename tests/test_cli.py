@@ -198,6 +198,24 @@ def test_label_unordered_timestamps_exit_2(workdir, tmp_path, capsys):
     assert f"{path}:13:" in capsys.readouterr().err
 
 
+def test_label_too_few_rows_names_file(workdir, tmp_path, capsys):
+    _, cfg, out = workdir
+    path = tmp_path / "ten_rows.csv"
+    dataio.write_dataset(dataio.read_dataset(f"{out}/encoder.csv").rows(slice(0, 10)), path)
+    assert main(["--config", cfg, "--out", str(tmp_path), "label", "--data", str(path)]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
+def test_grf_baseline_without_torques_names_file(workdir, tmp_path, capsys):
+    _, cfg, out = workdir
+    frames = dataio.read_dataset(f"{out}/encoder.csv")
+    frames.tau = None
+    path = tmp_path / "no_torques.csv"
+    dataio.write_dataset(frames, path)
+    assert main(["--config", cfg, "--out", str(tmp_path), "baseline", "--method", "grf", "--data", str(path)]) == 2
+    assert f"error: {path}: frames carry no torque channel" in capsys.readouterr().err
+
+
 def test_train_unlabeled_dataset_names_file(workdir, tmp_path, capsys):
     _, cfg, out = workdir
     frames = dataio.read_dataset(f"{out}/imu.csv")

@@ -76,6 +76,23 @@ class TestContactEncoding:
         assert np.array_equal(dataio.bool_to_codes(mat), codes)
 
 
+class TestHold:
+    T = np.array([0.0, 0.002, 0.004, 0.006])
+
+    def test_equal_timestamp_picks_that_sample(self):
+        assert np.array_equal(dataio.hold(self.T, self.T), [0, 1, 2, 3])
+
+    def test_query_half_a_nanosecond_early_picks_the_sample(self):
+        assert np.array_equal(dataio.hold(self.T, self.T[1:] - 0.5e-9), [1, 2, 3])
+        assert np.array_equal(dataio.hold(self.T, self.T[1:] - 2e-9), [0, 1, 2])
+
+    def test_between_samples_picks_the_earlier(self):
+        assert np.array_equal(dataio.hold(self.T, [0.001, 0.0039, 0.005]), [0, 1, 2])
+
+    def test_queries_outside_the_source_are_clipped(self):
+        assert np.array_equal(dataio.hold(self.T, [-1.0, -1e-6, 0.007, 10.0]), [0, 0, 3, 3])
+
+
 class TestUpsample:
     def test_identity_rate(self):
         rng = np.random.default_rng(0)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from proprio import gaitsim
-from proprio.dataio import window_set
+from proprio import gaitsim, labelgen
+from proprio.dataio import bool_to_codes, hold, upsample, window_set
 from proprio.gaitsim import GaitSpec, NOISELESS, simulate
 from proprio.kinematics import UnreachableTargetError, fk_position
 from proprio.liegroup import so3_exp
@@ -167,6 +167,21 @@ class TestDeriveWindows:
         windows = window_set(sim.imu_frames, w=150, stride=1)
         codes = sim.imu_frames.gt[windows.end_indices]
         assert np.array_equal(windows.labels, codes)
+
+    def test_held_encoder_labels_match_upsampled_labels(self, legs):
+        # the IMU frames carry the encoder channels upsampled, so holding
+        # encoder-rate labels onto them is the same as upsampling the
+        # labeled encoder stream
+        spec = GaitSpec(gait="trot", seed=8, jitter=0.02)
+        sim = simulate(spec, 3.0, legs)
+        enc, imu = sim.encoder_frames, sim.imu_frames
+        labels = bool_to_codes(labelgen.generate_labels(enc.pf.reshape(len(enc), 4, 3)[:, :, 2]))
+        held = labels[hold(enc.t, imu.t)]
+        enc.gt = labels
+        up = upsample(enc, spec.imu_rate)
+        for name in ("t", "q", "qd", "pf", "vf", "tau"):
+            assert np.array_equal(getattr(imu, name), getattr(up, name)), name
+        assert np.array_equal(held, up.gt)
 
     def test_jitter_moves_contacts(self, legs):
         a = simulate(GaitSpec(gait="trot", seed=6, jitter=0.0), 4.0, legs)

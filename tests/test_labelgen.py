@@ -11,6 +11,26 @@ from proprio.labelgen import (
 )
 
 
+def reference_local_extrema(signal):
+    """Per-sample loop that local_extrema must match index for index."""
+    signal = np.asarray(signal, dtype=float)
+    minima, maxima = [], []
+    prev_sign = 0
+    plateau_start = 0
+    for i in range(1, signal.size):
+        d = signal[i] - signal[i - 1]
+        if d == 0.0:
+            continue
+        sign = 1 if d > 0.0 else -1
+        if prev_sign > 0 and sign < 0 and plateau_start > 0:
+            maxima.append(plateau_start)
+        elif prev_sign < 0 and sign > 0 and plateau_start > 0:
+            minima.append(plateau_start)
+        prev_sign = sign
+        plateau_start = i
+    return np.asarray(minima, dtype=np.int64), np.asarray(maxima, dtype=np.int64)
+
+
 def sine_amplitude_ratio(freq, n=4096):
     """Measured filtfilt amplitude ratio via least-squares fit (FFT-free of
     the implementation under test)."""
@@ -83,6 +103,21 @@ class TestLocalExtrema:
     def test_too_short(self):
         with pytest.raises(DataError, match="need at least 3 samples"):
             local_extrema([1.0, 2.0])
+
+    def test_matches_reference_loop_on_plateau_heavy_signals(self):
+        # small integer alphabets make long plateaus and plateaus at the ends
+        rng = np.random.default_rng(11)
+        for _ in range(1500):
+            n = int(rng.integers(3, 41))
+            signal = rng.integers(0, int(rng.integers(2, 5)), size=n).astype(float)
+            got, want = local_extrema(signal), reference_local_extrema(signal)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), signal
+
+    def test_nan_diff_counts_as_a_fall(self):
+        signal = [0.0, 1.0, np.nan, 2.0, 0.0, 1.0]
+        for g, w in zip(local_extrema(signal), reference_local_extrema(signal)):
+            assert np.array_equal(g, w)
 
 
 class TestGenerateLabels:
