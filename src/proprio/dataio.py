@@ -293,14 +293,7 @@ def read_dataset(path) -> FrameSequence:
             raise EmptyStreamError(f"{path}: no frames")
         rows = cur.array((count, len(CSV_COLUMNS)))
         cur.end()
-    t = rows[:, 0]
-    bad = ~np.isfinite(t)
-    bad[1:] |= ~(t[1:] > t[:-1])
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise SchemaMismatchError(
-            f"{row_location(path, i)}: timestamp {float(t[i])!r} is not finite or does not exceed the one before it"
-        )
+    _check_times(rows[:, 0], lambda i: row_location(path, i))
     return _unpack_rows(rows, path)
 
 
@@ -309,6 +302,17 @@ def row_location(path, i: int) -> str:
     if str(path).endswith(".csv"):
         return f"{path}:{i + 2}"  # CSV line 1 is the header
     return f"{path}: frame {i}"
+
+
+def _check_times(t, where):
+    """Raise at where(i) for the first timestamp i that is not finite or not above the one before it."""
+    bad = ~np.isfinite(t)
+    bad[1:] |= ~(t[1:] > t[:-1])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SchemaMismatchError(
+            f"{where(i)}: timestamp {float(t[i])!r} is not finite or does not exceed the one before it"
+        )
 
 
 # contact stream files: t, decimal code
@@ -322,5 +326,7 @@ def write_contacts(path, t, codes):
 
 
 def read_contacts(path):
+    """(t, codes) of a contacts CSV; timestamps are checked as read_dataset checks them."""
     rows = read_csv(path, CONTACTS_COLUMNS)
+    _check_times(rows[:, 0], lambda i: f"{path}:{i + 2}")
     return rows[:, 0], _contact_codes(rows[:, 1], path)

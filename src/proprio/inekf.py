@@ -4,7 +4,8 @@ Leg l owns column 2+l of the mean (v, p, d_0..d_{L-1}) and block
 9+3l : 12+3l of the covariance, which is in right-invariant error
 coordinates (rotation, v, p, d_0..d_{L-1}). Zero-slot rule: while leg l is
 out of contact its column and its block rows and columns are exactly zero.
-The adjoint of a zero column adds no noise, and a zero block stays zero
+The process noise Q has a zero block for such a leg, the adjoint of a zero
+column is R on the leg's own block alone, and a zero block stays zero
 through Phi P Phi^T and the Joseph update, so no step needs a mask.
 
 The filter runs in two parts:
@@ -16,21 +17,20 @@ The filter runs in two parts:
   It does so in a few vectorised calls per CHUNK frames; CHUNK = 4096
   keeps those arrays near 3 MB for any sequence length.
 - step (propagate, reconcile the contact set, correct) does the
-  state-dependent algebra block by block:
-  - Ad Qc Ad^T = S (R Qg R^T) S^T plus R Qa R^T on the velocity block and
-    R Qc R^T on each contact block, with S = [I; skew(c_0); ...] built
-    from the mean columns in one product and the three R Q R^T from one
-    stacked product;
-  - Phi = I + N exactly (the error dynamics are nilpotent), and N is
-    nonzero only in the v and p rows over the rot, v, p columns;
+  state-dependent algebra on whole 21x21 matrices:
+  - propagate sets P to Phi P Phi^T + (Phi G)(Q dt)(Phi G)^T with
+    G = adjoint(mean). Phi = I + N_dt dt + N_dt2 dt^2 is exact (the error
+    dynamics are nilpotent), and Q is the block-diagonal (gyro, accel,
+    contact x L) covariance with the blocks of the legs out of contact
+    zeroed;
   - H is +I on a contact block and -I on the position block, cached per
     contact set, so each entry of P H^T and H P H^T is one exact difference;
     the gain K = P H^T S^-1 comes from one LAPACK gesv call, and the Joseph
     update (I - KH) P (I - KH)^T + K N K^T is P + W K^T + K W^T with
     W = K S / 2 - P H^T.
 
-NoiseParams is frozen and caches, once, the stacked (gyro, accel, contact)
-covariances and the two constant matrices of Phi's N (skew(g) blocks).
+NoiseParams is frozen and caches, once, N_dt and N_dt2 (the skew(g)
+blocks) and Q for every contact set.
 
 Symmetry and orthogonality are each enforced once per step. propagate
 symmetrizes the covariance; augment_contact adds a symmetric block and the
@@ -48,15 +48,17 @@ and a lift-off zeroes it.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.linalg.lapack import dgesv
 
 from .formats import DataError
 from .kinematics import LEG_NAMES, fk_jacobian, fk_position
-from .liegroup import (  # noqa: F401 (adjoint: perfbench/perlayer.py traces liegroup through inekf)
+from .liegroup import (
     GroupElement,
     ORTHOGONALITY_TOL,
     adjoint,
@@ -73,6 +75,7 @@ NUM_LEGS = len(LEG_NAMES)
 DIM = 9 + 3 * NUM_LEGS  # covariance size
 CHUNK = 4096  # frames per batch of precomputed records (~0.75 KB each)
 _EYE3 = np.eye(3)
+_EYE = np.eye(DIM)
 
 
 class FrameError(DataError):
@@ -100,9 +103,9 @@ class NoiseParams:
     contact columns.
 
     Frozen, with read-only arrays: after validation __post_init__ caches
-    what every step reuses, the (3, 3, 3) stack of the gyro, accel and
-    contact covariances (one R Q R^T product for all three) and Phi's N
-    rows as n_dt dt + n_dt2 dt^2 (the skew(gravity) blocks).
+    what every step reuses, Phi's constant matrices N_dt and N_dt2 (so that
+    Phi = I + N_dt dt + N_dt2 dt^2) and process_cov, the process noise Q of
+    each contact set, keyed by its tuple of per-leg bools.
     """
 
     gyro_cov: np.ndarray = field(default_factory=lambda: np.eye(3) * 1e-4)
@@ -111,7 +114,7 @@ class NoiseParams:
     encoder_cov: np.ndarray = field(default_factory=lambda: np.eye(3) * 4e-6)
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -9.81]))
     new_contact_prior: float = 1e-4
-    q_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    process_cov: dict = field(init=False, repr=False, compare=False)
     n_dt: np.ndarray = field(init=False, repr=False, compare=False)
     n_dt2: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -125,14 +128,19 @@ class NoiseParams:
         if not (np.all(np.isfinite(self.gravity)) and 0.0 <= self.new_contact_prior < np.inf):
             raise ValueError("gravity must be finite and new_contact_prior finite and non-negative")
         gx = skew(self.gravity)
-        n_dt = np.zeros((6, 9))
-        n_dt[0:3, 0:3] = gx
-        n_dt[3:6, 3:6] = _EYE3
-        n_dt2 = np.zeros((6, 9))
-        n_dt2[3:6, 0:3] = 0.5 * gx
-        q_stack = np.stack((self.gyro_cov, self.accel_cov, self.contact_cov))
-        for name, arr in (("q_stack", q_stack), ("n_dt", n_dt), ("n_dt2", n_dt2)):
+        n_dt = np.zeros((DIM, DIM))
+        n_dt[3:6, 0:3] = gx
+        n_dt[6:9, 3:6] = _EYE3
+        n_dt2 = np.zeros((DIM, DIM))
+        n_dt2[6:9, 0:3] = 0.5 * gx
+        q_all = block_diag(self.gyro_cov, self.accel_cov, np.zeros((3, 3)), *[self.contact_cov] * NUM_LEGS)
+        process_cov = {}
+        for contacts in itertools.product((False, True), repeat=NUM_LEGS):
+            keep = np.repeat((True,) * 3 + contacts, 3)
+            process_cov[contacts] = _frozen_array(np.where(np.outer(keep, keep), q_all, 0.0))
+        for name, arr in (("n_dt", n_dt), ("n_dt2", n_dt2)):
             object.__setattr__(self, name, _frozen_array(arr))
+        object.__setattr__(self, "process_cov", process_cov)
 
 
 class Frame(NamedTuple):
@@ -201,7 +209,6 @@ def _leg_block(leg: int) -> slice:
 class _Layout(NamedTuple):
     legs: np.ndarray  # legs in contact
     cols: np.ndarray  # their mean columns
-    blocks: Tuple[slice, ...]  # their covariance blocks
     h: np.ndarray  # (3m, DIM) measurement Jacobian: +I on each leg's block, -I on the position block
     h_t: np.ndarray  # its transpose, C-contiguous
     diag_idx: Tuple[np.ndarray, np.ndarray]  # the 3x3 diagonal blocks of an innovation matrix
@@ -220,7 +227,6 @@ def _contact_layout(contacts: Tuple[bool, ...]) -> Optional[_Layout]:
     return _Layout(
         legs,
         2 + legs,
-        tuple(_leg_block(leg) for leg in legs.tolist()),
         h,
         np.ascontiguousarray(h.T),
         (np.repeat(rows, 3, axis=1).ravel(), np.tile(rows, 3).ravel()),
@@ -237,25 +243,17 @@ def propagate(state: FilterState, frame: Frame, noise: NoiseParams) -> FilterSta
     cols = state.mean.cols
     dt = frame.dt
 
-    dv = (rot @ frame.accel + noise.gravity) * dt
+    dv = (np.dot(rot, frame.accel) + noise.gravity) * dt
     new_cols = cols.copy()
     new_cols[0] += dv
     new_cols[1] += (cols[0] + 0.5 * dv) * dt
-    mean = GroupElement(rot @ frame.d_rot, new_cols)
+    mean = GroupElement(np.dot(rot, frame.d_rot), new_cols)
 
-    # P + Ad Qc Ad^T dt: Ad's rotation column is S R, each other column R on its block
-    gyro, accel, slip = rot @ noise.q_stack @ rot.T * dt
-    s_mat = np.concatenate((_EYE3, skew(cols).reshape(-1, 3)))
-    cov = state.cov + s_mat @ gyro @ s_mat.T
-    cov[3:6, 3:6] += accel
-    layout = _contact_layout(state.contacts)
-    if layout is not None:
-        for blk in layout.blocks:
-            cov[blk, blk] += slip
-    # Phi (P + Q dt) Phi^T with Phi = I + N; N's rows v and p over rot, v, p
-    n_rows = noise.n_dt * dt + noise.n_dt2 * (dt * dt)
-    cov[3:9] += n_rows @ cov[:9]
-    cov[:, 3:9] += cov[:, :9] @ n_rows.T
+    # Phi P Phi^T + (Phi G)(Q dt)(Phi G)^T with G = Ad(mean) before the step
+    phi = _EYE + noise.n_dt * dt + noise.n_dt2 * (dt * dt)
+    phi_g = np.dot(phi, adjoint(state.mean))
+    cov = np.dot(np.dot(phi, state.cov), phi.T)
+    cov += np.dot(np.dot(phi_g, noise.process_cov[state.contacts] * dt), phi_g.T)
     return FilterState(mean, state.contacts, _symmetrize(cov), frame.t)
 
 
@@ -279,17 +277,17 @@ def update_contact_kinematics(state: FilterState, frame: Frame, noise: NoisePara
         return state
     rot = state.mean.rot
     cols = state.mean.cols
-    innovation = (frame.foot[layout.legs] @ rot.T + cols[1] - cols[layout.cols]).ravel()
+    innovation = (np.dot(frame.foot[layout.legs], rot.T) + cols[1] - cols[layout.cols]).ravel()
     meas_cov = rot @ (frame.enc[layout.legs] + noise.contact_cov) @ rot.T
 
     # each entry of P H^T and H P H^T is one difference of two entries, so exact
-    pht = state.cov @ layout.h_t
-    s_mat = layout.h @ pht
+    pht = np.dot(state.cov, layout.h_t)
+    s_mat = np.dot(layout.h, pht)
     s_mat[layout.diag_idx] += meas_cov.ravel()
     gain = _gain(pht, s_mat)
-    mean = sek3_compose(sek3_exp(gain @ innovation), state.mean)
+    mean = sek3_compose(sek3_exp(np.dot(gain, innovation)), state.mean)
     # Joseph form (I - KH) P (I - KH)^T + K N K^T = P + W K^T + K W^T
-    wk = (gain @ (0.5 * s_mat) - pht) @ gain.T
+    wk = np.dot(np.dot(gain, 0.5 * s_mat) - pht, gain.T)
     return FilterState(mean, state.contacts, state.cov + (wk + wk.T), state.t)
 
 

@@ -58,7 +58,7 @@ def so3_exp(omega) -> np.ndarray:
 def orthogonality_defect(rot) -> float:
     """Max absolute entry of R R^T - I."""
     rot = np.asarray(rot, dtype=float)
-    return float(np.abs(rot @ rot.T - _EYE3).max())
+    return float(np.abs(np.dot(rot, rot.T) - _EYE3).max())
 
 
 def project_rotation(rot) -> np.ndarray:
@@ -92,51 +92,57 @@ class GroupElement:
         return m
 
 
+def _rodrigues_entries(p, q, x, y, z) -> tuple:
+    """Row-major entries of I + p W + q W^2, W = skew((x, y, z)), W^2 = w w^T - |w|^2 I."""
+    xx, yy, zz, xy, xz, yz = x * x, y * y, z * z, x * y, x * z, y * z
+    return (
+        1.0 - q * (yy + zz), q * xy - p * z, q * xz + p * y,
+        q * xy + p * z, 1.0 - q * (xx + zz), q * yz - p * x,
+        q * xz - p * y, q * yz + p * x, 1.0 - q * (xx + yy),
+    )
+
+
 def sek3_exp(xi) -> GroupElement:
     """Exponential map of SE_K(3) from a flat tangent vector.
 
     xi = [omega, b_1, ..., b_K]; the rotation is I + a W + b W^2
     (so3_exp(omega)) and each column is J_l(omega) @ b_i, with
     J_l = I + b W + c W^2 the left Jacobian of SO(3) (W = skew(omega)).
-    Both come from one product of their coefficients with the stacked
-    basis [I, W, W^2].
+    Both are written entry by entry from Python scalars, with
+    W^2 = omega omega^T - theta^2 I; the columns take J_l^T = I - b W + c W^2.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or xi.size % 3 != 0 or xi.size < 6:
         raise ValueError(f"tangent vector length {xi.size} is not 3(K+1)")
-    omega = xi[:3]
-    theta2 = float(omega @ omega)
+    x, y, z = xi[:3].tolist()
+    theta2 = x * x + y * y + z * z
     theta = math.sqrt(theta2)
     if theta < SMALL_ANGLE:
         a, b, c = 1.0 - theta2 / 6.0, 0.5 - theta2 / 24.0, 1.0 / 6.0 - theta2 / 120.0
     else:
         sin = math.sin(theta)
         a, b, c = sin / theta, (1.0 - math.cos(theta)) / theta2, (theta - sin) / (theta2 * theta)
-    w = skew(omega)
-    basis = np.concatenate((_EYE3, w, w @ w)).reshape(3, 9)
-    rot, jac = (np.array(((1.0, a, b), (1.0, b, c))) @ basis).reshape(2, 3, 3)
-    return GroupElement(rot, xi[3:].reshape(-1, 3) @ jac.T)
+    rot_jac_t = np.array(_rodrigues_entries(a, b, x, y, z) + _rodrigues_entries(-b, c, x, y, z)).reshape(2, 3, 3)
+    return GroupElement(rot_jac_t[0], np.dot(xi[3:].reshape(-1, 3), rot_jac_t[1]))
 
 
 def sek3_compose(a: GroupElement, b: GroupElement) -> GroupElement:
     """Group product; matches multiplication of the embedded matrices."""
     if a.k != b.k:
         raise ValueError(f"column counts differ: {a.k} vs {b.k}")
-    return GroupElement(a.rot @ b.rot, b.cols @ a.rot.T + a.cols)
+    return GroupElement(np.dot(a.rot, b.rot), np.dot(b.cols, a.rot.T) + a.cols)
 
 
 def adjoint(g: GroupElement) -> np.ndarray:
     """Adjoint matrix: Ad(X) xi = vee(X hat(xi) X^-1).
 
     Block structure: R on every diagonal block, skew(col_i) R in the
-    (i+1, 0) block, zero elsewhere.
+    (i+1, 0) block, zero elsewhere; each is one assignment to a
+    (K+1, 3, K+1, 3) array.
     """
-    k = g.k
-    dim = 3 * (k + 1)
-    ad = np.zeros((dim, dim))
-    ad[:3, :3] = g.rot
-    for i in range(k):
-        r0 = 3 * (i + 1)
-        ad[r0 : r0 + 3, r0 : r0 + 3] = g.rot
-        ad[r0 : r0 + 3, :3] = skew(g.cols[i]) @ g.rot
-    return ad
+    n = g.k + 1
+    ad = np.zeros((n, 3, n, 3))
+    blocks = np.arange(n)
+    ad[blocks, :, blocks, :] = g.rot
+    ad[1:, :, 0, :] = skew(g.cols) @ g.rot
+    return ad.reshape(3 * n, 3 * n)

@@ -198,6 +198,22 @@ def test_label_unordered_timestamps_exit_2(workdir, tmp_path, capsys):
     assert f"{path}:13:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "filter"])
+def test_unordered_contact_timestamps_exit_2(workdir, tmp_path, capsys, command):
+    _, cfg, out = workdir
+    contacts = tmp_path / "unordered.csv"
+    dataio.write_contacts(contacts, [0.0, 0.3, 0.1, 0.6], [6, 9, 6, 9])
+    if command == "eval":
+        pred = tmp_path / "pred.csv"
+        dataio.write_contacts(pred, [0.0, 0.2, 0.5], [6, 6, 9])
+        args = ["eval", "--pred", str(pred), "--gt", str(contacts)]
+    else:
+        args = ["filter", "--data", f"{out}/imu.csv", "--contacts", str(contacts)]
+    assert main(["--config", cfg, "--out", str(tmp_path / "run"), *args]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {contacts}:4: timestamp 0.1 is not finite or does not exceed the one before it\n"
+
+
 def test_label_too_few_rows_names_file(workdir, tmp_path, capsys):
     _, cfg, out = workdir
     path = tmp_path / "ten_rows.csv"

@@ -106,6 +106,26 @@ class TestPropagate:
         assert_psd(out.cov)
         assert_zero_slots(out)
 
+    @pytest.mark.parametrize("code", range(1 << NUM_LEGS))
+    def test_matches_dense_reference_per_contact_set(self, legs, code):
+        contacts = tuple(bool(code >> leg & 1) for leg in range(NUM_LEGS))
+        on = np.r_[np.ones(9, bool), np.repeat(contacts, 3)]
+        rng = np.random.default_rng(20 + code)
+        cols = rng.normal(size=(2 + NUM_LEGS, 3))
+        cols[2:][~np.array(contacts)] = 0.0
+        a = rng.normal(size=(DIM, DIM)) * on[:, None]
+        state = FilterState(GroupElement(so3_exp(rng.normal(size=3)), cols), contacts, a @ a.T * 1e-3, 0.0)
+        gyro, accel = rng.normal(size=3), rng.normal(size=3) - GRAVITY
+        noise = noise_params()
+        out = propagate(state, one_frame(state, gyro, accel, STANCE, 1e-3, legs), noise)
+        ref = ref_propagate(state, gyro, accel, 1e-3, noise)
+        np.testing.assert_allclose(out.cov, ref.cov, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out.mean.rot, ref.mean.rot, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out.mean.cols, ref.mean.cols, rtol=0, atol=1e-15)
+        assert np.array_equal(out.cov, out.cov.T)
+        assert_zero_slots(out)
+        assert out.contacts == contacts
+
     def test_dt_validation(self, legs):
         state = make_initial_state()
         with pytest.raises(FrameError, match=r"^dt = 0\.0$"):
@@ -466,14 +486,9 @@ class TestFixedSlots:
             inekf.filter_sequence(frames, contacts[:-1], legs, noise, init)
 
 
-def ref_filter_step(state, gyro, accel, alpha, t, contacts, legs, noise):
-    """One step as a dense per-frame computation, the form the block-structured
-    step must reproduce: input checks, a 21-wide Phi, Ad Qc Ad^T through
-    adjoint, per-leg FK, a stacked H and the Joseph product."""
-    if not (np.all(np.isfinite(gyro)) and np.all(np.isfinite(accel))):
-        raise FrameError(f"non-finite IMU sample at t={t}")
-    if not np.all(np.isfinite(alpha)):
-        raise FrameError(f"non-finite joint angles at t={t}")
+def ref_propagate(state, gyro, accel, t, noise):
+    """Propagation as a dense per-frame computation: the dt checks, a 21-wide
+    Phi and Ad Qc Ad^T through adjoint."""
     dt = t - state.t
     if not dt > 0.0:
         raise FrameError(f"dt = {dt}")
@@ -497,7 +512,18 @@ def ref_filter_step(state, gyro, accel, alpha, t, contacts, legs, noise):
             qc[9 + 3 * leg : 12 + 3 * leg, 9 + 3 * leg : 12 + 3 * leg] = noise.contact_cov
     ad = adjoint(state.mean)
     cov = phi @ (state.cov + ad @ qc @ ad.T * dt) @ phi.T
-    state = FilterState(GroupElement(rot @ so3_exp(gyro * dt), new_cols), state.contacts, (cov + cov.T) / 2, t)
+    return FilterState(GroupElement(rot @ so3_exp(gyro * dt), new_cols), state.contacts, (cov + cov.T) / 2, t)
+
+
+def ref_filter_step(state, gyro, accel, alpha, t, contacts, legs, noise):
+    """One step as a dense per-frame computation, the form the filter's
+    step must reproduce: ref_propagate, per-leg FK, a stacked H and the
+    Joseph product."""
+    if not (np.all(np.isfinite(gyro)) and np.all(np.isfinite(accel))):
+        raise FrameError(f"non-finite IMU sample at t={t}")
+    if not np.all(np.isfinite(alpha)):
+        raise FrameError(f"non-finite joint angles at t={t}")
+    state = ref_propagate(state, gyro, accel, t, noise)
 
     for leg, want in enumerate(contacts):
         blk = slice(9 + 3 * leg, 12 + 3 * leg)

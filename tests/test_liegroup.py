@@ -115,7 +115,38 @@ class TestSo3Exp:
             np.testing.assert_allclose(sek3_exp(xi).rot, so3_exp(xi[:3]), rtol=0, atol=1e-15)
 
 
+def ref_sek3_exp(xi):
+    """SE_K(3) exp from one product of the coefficients (1, a, b) and
+    (1, b, c) with the stacked basis [I, W, W^2], the form the closed-form
+    entries replaced."""
+    omega = xi[:3]
+    theta2 = float(omega @ omega)
+    theta = np.sqrt(theta2)
+    if theta < SMALL_ANGLE:
+        a, b, c = 1.0 - theta2 / 6.0, 0.5 - theta2 / 24.0, 1.0 / 6.0 - theta2 / 120.0
+    else:
+        a, b, c = np.sin(theta) / theta, (1.0 - np.cos(theta)) / theta2, (theta - np.sin(theta)) / (theta2 * theta)
+    w = skew(omega)
+    basis = np.concatenate((np.eye(3), w, w @ w)).reshape(3, 9)
+    rot, jac = (np.array(((1.0, a, b), (1.0, b, c))) @ basis).reshape(2, 3, 3)
+    return GroupElement(rot, xi[3:].reshape(-1, 3) @ jac.T)
+
+
 class TestSek3:
+    @pytest.mark.parametrize("theta", [
+        0.0, 1e-9, SMALL_ANGLE * (1 - 1e-6), SMALL_ANGLE * (1 + 1e-6), 1e-3, 1.0, np.pi - 1e-6,
+    ])
+    def test_matches_basis_product_form(self, theta):
+        # with the identity as the translation part the columns are J_l^T,
+        # so rotation and left Jacobian are compared entry by entry
+        rng = np.random.default_rng(16)
+        for _ in range(50):
+            axis = rng.normal(size=3)
+            xi = np.concatenate([theta * axis / np.linalg.norm(axis), np.eye(3).ravel()])
+            got, ref = sek3_exp(xi), ref_sek3_exp(xi)
+            np.testing.assert_allclose(got.rot, ref.rot, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(got.cols, ref.cols, rtol=0, atol=1e-15)
+
     def test_zero_tangent(self):
         g = sek3_exp(np.zeros(12))
         assert np.array_equal(g.rot, np.eye(3))
@@ -222,7 +253,28 @@ def _vee(m, k):
     return out
 
 
+def ref_adjoint(g):
+    """Adjoint filled one block column at a time, the form the vectorised
+    adjoint replaced."""
+    k = g.k
+    dim = 3 * (k + 1)
+    ad = np.zeros((dim, dim))
+    ad[:3, :3] = g.rot
+    for i in range(k):
+        r0 = 3 * (i + 1)
+        ad[r0 : r0 + 3, r0 : r0 + 3] = g.rot
+        ad[r0 : r0 + 3, :3] = skew(g.cols[i]) @ g.rot
+    return ad
+
+
 class TestAdjoint:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_per_column_loop(self, k):
+        rng = np.random.default_rng(17 + k)
+        for _ in range(20):
+            g = random_element(rng, k)
+            np.testing.assert_allclose(adjoint(g), ref_adjoint(g), rtol=0, atol=1e-15)
+
     def test_identity(self):
         assert np.array_equal(adjoint(GroupElement(np.eye(3), np.zeros((3, 3)))), np.eye(12))
 
