@@ -1,10 +1,10 @@
 """Comparison contact detectors: force thresholding and gait scheduling.
 
 The force detector maps joint torques through the kinematic Jacobian
-transpose (static approximation, no dynamics terms), low-passes the
-vertical component and thresholds its magnitude. The schedule detector
-reproduces a commanded gait cycle: contact while the leg phase sits inside
-the duty window.
+transpose (static approximation, no dynamics terms), low-passes every
+leg's vertical component in one call and thresholds its magnitude. The
+schedule detector reproduces a commanded gait cycle: contact while the leg
+phase sits inside the duty window.
 """
 
 from __future__ import annotations
@@ -79,11 +79,7 @@ def grf_threshold_detect(frames, config: GrfConfig, legs) -> np.ndarray:
         raise SchemaMismatchError("frames carry no torque channel")
     alpha = frames.q.reshape(-1, 4, 3)
     forces, _ = estimate_grf(frames.tau, alpha, legs)
-    out = np.zeros((len(frames), 4), dtype=bool)
-    for leg in range(4):
-        fz = lowpass(forces[:, leg, 2], config.cutoff)
-        out[:, leg] = np.abs(fz) > config.threshold
-    return out
+    return np.abs(lowpass(forces[:, :, 2], config.cutoff)) > config.threshold
 
 
 def gait_cycle_detect(timestamps, schedule: GaitSchedule) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Command-line front end: simulate, label, train, infer, filter, evaluate.
 
 Offline batch semantics only; every subcommand is deterministic given
---seed and its inputs. Exit codes: 0 success, 1 usage error, 2 data error.
+--seed and its inputs. Each stage is one function that its subcommand and
+`pipeline` both call; `pipeline` labels with the cutoff of `[gaitsim] gait`
+when labelgen knows it. Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -83,11 +85,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _ensure_out(args):
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 @contextlib.contextmanager
 def _naming(where):
     """Prefix `where: ` onto a DataError raised in the block, so its message names the file."""
@@ -107,25 +104,31 @@ def _simulate(cfg, seed, duration, out, ext):
 
 
 def cmd_sim(args, cfg):
-    out = _ensure_out(args)
     duration = args.duration if args.duration is not None else cfg.gaitsim.duration
     ext = "csv" if args.format == "csv" else "pcds"
-    _simulate(cfg, args.seed, duration, out, ext)
-    print(f"wrote encoder.{ext}, imu.{ext}, trajectory_gt.csv to {out}")
+    _simulate(cfg, args.seed, duration, args.out, ext)
+    print(f"wrote encoder.{ext}, imu.{ext}, trajectory_gt.csv to {args.out}")
     return 0
 
 
-def cmd_label(args, cfg):
-    out = _ensure_out(args)
-    frames = dataio.read_dataset(args.data)
+def _label_stage(frames, labelgen_cfg, data, path):
+    """Contact codes from the frames' foot heights; writes the labeled frames to path.
+
+    Returns the labeled frames. A DataError names `data`, the frames' source.
+    """
     heights = frames.pf.reshape(len(frames), -1, 3)[:, :, 2]
-    with _naming(args.data):
-        contacts = labelgen.generate_labels(heights, cfg.labelgen.to_labelgen())
-    frames.gt = dataio.bool_to_codes(contacts)
+    with _naming(data):
+        contacts = labelgen.generate_labels(heights, labelgen_cfg)
+    labeled = dataclasses.replace(frames, gt=dataio.bool_to_codes(contacts))
+    dataio.write_dataset(labeled, path)
+    return labeled
+
+
+def cmd_label(args, cfg):
     base, ext = os.path.splitext(os.path.basename(args.data))
-    path = os.path.join(out, f"{base}_labeled{ext}")
-    dataio.write_dataset(frames, path)
-    dataio.write_contacts(os.path.join(out, f"{base}_labels.csv"), frames.t, frames.gt)
+    path = os.path.join(args.out, f"{base}_labeled{ext}")
+    labeled = _label_stage(dataio.read_dataset(args.data), cfg.labelgen.to_labelgen(), args.data, path)
+    dataio.write_contacts(os.path.join(args.out, f"{base}_labels.csv"), labeled.t, labeled.gt)
     print(f"wrote {path}")
     return 0
 
@@ -147,25 +150,32 @@ def _train_stage(frames, cfg, seed, epochs, out):
 
 
 def cmd_train(args, cfg):
-    out = _ensure_out(args)
     frames = dataio.read_dataset(args.data)
     if frames.gt is None:
         raise SchemaMismatchError(f"{args.data}: training dataset has no contact labels")
     epochs = args.epochs if args.epochs is not None else cfg.contactnet.epochs
-    _, _, log, _ = _train_stage(frames, cfg, args.seed, epochs, out)
-    print(f"wrote {os.path.join(out, 'weights.pcnw')} (best val acc {max(r['val_acc'] for r in log):.4f})")
+    _, _, log, _ = _train_stage(frames, cfg, args.seed, epochs, args.out)
+    print(f"wrote {os.path.join(args.out, 'weights.pcnw')} (best val acc {max(r['val_acc'] for r in log):.4f})")
     return 0
 
 
-def cmd_infer(args, cfg):
-    out = _ensure_out(args)
-    frames = dataio.read_dataset(args.data)
-    params, spec = load_params(args.weights)
+def _infer_stage(frames, params, spec, out):
+    """Classify every stride-1 window in the compute dtype; writes contacts_pred.csv.
+
+    Returns (window end times, codes).
+    """
     windows = dataio.window_set(frames, spec.window, stride=1)
     codes = predict_codes(cast_params(params), spec, windows)
-    path = os.path.join(out, "contacts_pred.csv")
-    dataio.write_contacts(path, frames.t[windows.end_indices], codes)
-    print(f"wrote {path}")
+    t = frames.t[windows.end_indices]
+    dataio.write_contacts(os.path.join(out, "contacts_pred.csv"), t, codes)
+    return t, codes
+
+
+def cmd_infer(args, cfg):
+    frames = dataio.read_dataset(args.data)
+    params, spec = load_params(args.weights)
+    _infer_stage(frames, params, spec, args.out)
+    print(f"wrote {os.path.join(args.out, 'contacts_pred.csv')}")
     return 0
 
 
@@ -188,7 +198,6 @@ def _run_filter(frames, t_c, codes, cfg, out, data, pose=(None, None, None)):
 
 
 def cmd_filter(args, cfg):
-    out = _ensure_out(args)
     frames = dataio.read_dataset(args.data)
     t_c, codes = dataio.read_contacts(args.contacts)
     t = frames.t
@@ -196,103 +205,93 @@ def cmd_filter(args, cfg):
         raise DataError(
             f"{args.contacts} spans {t_c[0]:g}..{t_c[-1]:g} s, {args.data} {t[0]:g}..{t[-1]:g} s: no overlap"
         )
-    _run_filter(frames, t_c, codes, cfg, out, args.data)
-    print(f"wrote {os.path.join(out, 'trajectory_est.csv')}")
+    _run_filter(frames, t_c, codes, cfg, args.out, args.data)
+    print(f"wrote {os.path.join(args.out, 'trajectory_est.csv')}")
     return 0
 
 
 def cmd_baseline(args, cfg):
-    out = _ensure_out(args)
     frames = dataio.read_dataset(args.data)
     with _naming(args.data):
         if args.method == "grf":
             contacts = baselines.grf_threshold_detect(frames, cfg.baselines.grf(), cfg.kinematics.legs())
         else:
             contacts = baselines.gait_cycle_detect(frames.t, cfg.baselines.schedule())
-    path = os.path.join(out, f"contacts_{args.method}.csv")
+    path = os.path.join(args.out, f"contacts_{args.method}.csv")
     dataio.write_contacts(path, frames.t, dataio.bool_to_codes(contacts))
     print(f"wrote {path}")
     return 0
 
 
-def _contact_report(t_pred, pred, t_gt, gt, cfg):
+def _contact_report(t_pred, pred, t_gt, gt):
     """Compare every predicted code inside the ground truth's time span with the
     ground-truth code held onto it (zero-order hold), so the rates may differ."""
     inside = (t_pred >= t_gt[0] - 1e-9) & (t_pred <= t_gt[-1] + 1e-9)
     if not inside.any():
         raise DataError(f"no prediction inside the ground truth's span {t_gt[0]:g}..{t_gt[-1]:g} s")
-    num_legs = len(cfg.kinematics.legs())
     return evalkit.classification_metrics(
-        dataio.codes_to_bool(pred[inside], num_legs),
-        dataio.codes_to_bool(gt[dataio.hold(t_gt, t_pred[inside])], num_legs),
+        dataio.codes_to_bool(pred[inside], inekf.NUM_LEGS),
+        dataio.codes_to_bool(gt[dataio.hold(t_gt, t_pred[inside])], inekf.NUM_LEGS),
     )
 
 
+def _trajectory_report(est, gt, cfg):
+    """Align est to gt in yaw and translation, then score it: (aligned estimate, report)."""
+    aligned, _ = evalkit.align_trajectories(est, gt, cfg.eval.assoc_tol)
+    return aligned, evalkit.trajectory_metrics(aligned, gt, cfg.eval.assoc_tol)
+
+
 def cmd_eval(args, cfg):
-    out = _ensure_out(args)
-    class_reports = {}
-    traj_reports = {}
-    trajectories = {}
+    class_reports = traj_reports = trajectories = None
     if args.pred and args.gt:
         tp, cp = dataio.read_contacts(args.pred)
         tg, cg = dataio.read_contacts(args.gt)
         with _naming(f"{args.pred} against {args.gt}"):
-            rep = _contact_report(tp, cp, tg, cg, cfg)
-        class_reports["contacts"] = rep
+            rep = _contact_report(tp, cp, tg, cg)
+        class_reports = {"contacts": rep}
         print(f"full-state accuracy: {rep.full_state_accuracy:.4f} leg avg: {rep.leg_average_accuracy:.4f}")
     if args.traj_est and args.traj_gt:
         est = evalkit.read_trajectory(args.traj_est)
         gt = evalkit.read_trajectory(args.traj_gt)
-        aligned, _ = evalkit.align_trajectories(est, gt, cfg.eval.assoc_tol)
-        rep = evalkit.trajectory_metrics(aligned, gt, cfg.eval.assoc_tol)
-        traj_reports["trajectory"] = rep
+        aligned, rep = _trajectory_report(est, gt, cfg)
+        traj_reports = {"trajectory": rep}
         trajectories = {"estimate": aligned, "ground_truth": gt}
         print(f"ATE RMSE: {rep.rmse:.4f} m, final drift {rep.final_drift_pct:.2f}% of {rep.path_length:.2f} m")
     if not class_reports and not traj_reports:
         raise UsageError("eval needs --pred/--gt and/or --traj-est/--traj-gt")
-    evalkit.export_report(out, class_reports or None, trajectories or None, traj_reports or None)
+    evalkit.export_report(args.out, class_reports, trajectories, traj_reports)
     return 0
 
 
 def cmd_pipeline(args, cfg):
     """sim -> label -> train -> infer -> filter -> eval on synthetic data."""
-    out = _ensure_out(args)
+    out = args.out
     sim = _simulate(cfg, args.seed, cfg.gaitsim.duration, out, "csv")
-    enc, imu = sim.encoder_frames, sim.imu_frames
+    imu = sim.imu_frames
 
-    # self-supervised labels at the encoder rate, held onto the IMU frames
-    heights = enc.pf.reshape(len(enc), -1, 3)[:, :, 2]
-    gait_cfg = cfg.labelgen.to_labelgen()
+    # self-supervised labels at the encoder rate with the simulated gait's cutoff, held onto the IMU frames
+    labelgen_cfg = cfg.labelgen.to_labelgen()
     if cfg.gaitsim.gait in labelgen.HALF_POWER_FREQ:
-        gait_cfg.gait = cfg.gaitsim.gait
-    labels = dataio.bool_to_codes(labelgen.generate_labels(heights, gait_cfg))
-    dataio.write_dataset(dataclasses.replace(enc, gt=labels), os.path.join(out, "encoder_labeled.csv"))
-    labeled = dataclasses.replace(imu, gt=labels[dataio.hold(enc.t, imu.t)])
+        labelgen_cfg.gait = cfg.gaitsim.gait
+    enc = _label_stage(
+        sim.encoder_frames, labelgen_cfg, os.path.join(out, "encoder.csv"), os.path.join(out, "encoder_labeled.csv")
+    )
+    labeled = dataclasses.replace(imu, gt=enc.gt[dataio.hold(enc.t, imu.t)])
 
     params, spec, _, test_set = _train_stage(labeled, cfg, args.seed, cfg.contactnet.epochs, out)
     test_acc = evaluate_accuracy(params, spec, test_set)
-
-    stream = dataio.window_set(imu, spec.window, stride=1)
-    codes = predict_codes(params, spec, stream)
-    t_pred = imu.t[stream.end_indices]
-    dataio.write_contacts(os.path.join(out, "contacts_pred.csv"), t_pred, codes)
+    t_pred, codes = _infer_stage(imu, params, spec, out)
     dataio.write_contacts(os.path.join(out, "contacts_gt.csv"), imu.t, imu.gt)
 
     # filter from the first classified frame, at the true pose there
-    first = int(stream.end_indices[0])
+    first = spec.window - 1
     pose = (sim.traj_rot[first], sim.traj_vel[first], sim.traj_pos[first])
     est = _run_filter(imu, t_pred, codes, cfg, out, os.path.join(out, "imu.csv"), pose)
     gt_traj = evalkit.Trajectory(sim.traj_t, sim.traj_pos)
 
-    rep_c = _contact_report(t_pred, codes, imu.t, imu.gt, cfg)
-    aligned, _ = evalkit.align_trajectories(est, gt_traj, cfg.eval.assoc_tol)
-    rep_t = evalkit.trajectory_metrics(aligned, gt_traj, cfg.eval.assoc_tol)
-    evalkit.export_report(
-        out,
-        {"network": rep_c},
-        {"estimate": aligned, "ground_truth": gt_traj},
-        {"network": rep_t},
-    )
+    rep_c = _contact_report(t_pred, codes, imu.t, imu.gt)
+    aligned, rep_t = _trajectory_report(est, gt_traj, cfg)
+    evalkit.export_report(out, {"network": rep_c}, {"estimate": aligned, "ground_truth": gt_traj}, {"network": rep_t})
     print(
         f"pipeline done: test acc {test_acc:.4f}, contact acc {rep_c.leg_average_accuracy:.4f}, "
         f"drift {rep_t.final_drift_pct:.2f}% of {rep_t.path_length:.2f} m"
@@ -321,6 +320,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         cfg = load_config(args.config)
+        os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](args, cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -172,30 +172,27 @@ def _fmt(x):
 
 
 def write_classification_csv(path, reports: Dict[str, ClassificationReport]):
-    names = LEG_NAMES
-    with open(path, "w") as f:
-        header = ["name", "frames", "full_state_acc"]
-        header += [f"acc_{n}" for n in names]
-        header += ["leg_avg_acc"]
-        header += [f"fpr_{n}" for n in names] + ["avg_fpr"]
-        header += [f"fnr_{n}" for n in names] + ["avg_fnr"]
-        f.write(",".join(header) + "\n")
-        for name, rep in reports.items():
-            row = [name, str(rep.frames), _fmt(rep.full_state_accuracy)]
-            row += [_fmt(a) for a in rep.leg_accuracy] + [_fmt(rep.leg_average_accuracy)]
-            row += [_fmt(x) for x in rep.leg_fpr] + [_fmt(rep.average_fpr)]
-            row += [_fmt(x) for x in rep.leg_fnr] + [_fmt(rep.average_fnr)]
-            f.write(",".join(row) + "\n")
+    legs = LEG_NAMES
+    header = ["name", "frames", "full_state_acc", *[f"acc_{n}" for n in legs], "leg_avg_acc"]
+    header += [f"fpr_{n}" for n in legs] + ["avg_fpr"] + [f"fnr_{n}" for n in legs] + ["avg_fnr"]
+    rows = [
+        [name, rep.frames]
+        + [_fmt(x) for x in (rep.full_state_accuracy, *rep.leg_accuracy, rep.leg_average_accuracy)]
+        + [_fmt(x) for x in (*rep.leg_fpr, rep.average_fpr, *rep.leg_fnr, rep.average_fnr)]
+        for name, rep in reports.items()
+    ]
+    write_csv(path, header, rows)
 
 
 def write_trajectory_metrics_csv(path, reports: Dict[str, TrajectoryReport]):
-    with open(path, "w") as f:
-        f.write("name,rmse_m,final_drift_m,final_drift_pct,path_length_m\n")
-        for name, rep in reports.items():
-            f.write(
-                f"{name},{_fmt(rep.rmse)},{_fmt(rep.final_drift)},"
-                f"{_fmt(rep.final_drift_pct)},{_fmt(rep.path_length)}\n"
-            )
+    write_csv(
+        path,
+        ["name", "rmse_m", "final_drift_m", "final_drift_pct", "path_length_m"],
+        [
+            [name, _fmt(rep.rmse), _fmt(rep.final_drift), _fmt(rep.final_drift_pct), _fmt(rep.path_length)]
+            for name, rep in reports.items()
+        ],
+    )
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

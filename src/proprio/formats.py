@@ -6,9 +6,9 @@ CRC and version, then takes the payload through a bounds-checked Cursor.
 
 CSV tables: lines end in LF (CRLF is read too); the header line must equal
 the expected columns exactly and every later line has as many fields.
-Numbers are written with `repr`, which round-trips float64 exactly, and NaN
-as an empty field; each field reads back with `float()`, an empty one as
-NaN. Errors name `path:line`; a table with no rows raises EmptyStreamError.
+Fields are written with `str`, which for a Python float is its shortest
+round-tripping form (float64 reads back exactly), and NaN as an empty
+field; each field reads back with `float()`, an empty one as NaN. Errors name `path:line`; a table with no rows raises EmptyStreamError.
 """
 
 from __future__ import annotations
@@ -108,11 +108,11 @@ def read_framed(path, magic: bytes, version: int) -> Cursor:
 
 
 def write_csv(path, header, rows):
-    """Header line, then one line per row; a row holds Python numbers (ndarray.tolist())."""
+    """Header line, then one line per row; a row holds Python numbers (ndarray.tolist()) or strings."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join("" if v != v else repr(v) for v in row) + "\n")
+            f.write(",".join("" if v != v else str(v) for v in row) + "\n")
 
 
 def read_csv(path, header) -> np.ndarray:

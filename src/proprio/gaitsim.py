@@ -412,7 +412,7 @@ def simulate(spec: GaitSpec, duration: float, legs) -> SimulationResult:
             "nij,nj->ni", fk_jacobian(geom, q_meas[:, leg]), qd_meas[:, leg]
         )
 
-    tau = _synthetic_torques(spec, legs, q_true, qd_true, contacts_enc, rot_enc, body, t_enc, rng)
+    tau = _synthetic_torques(spec, legs, q_true, qd_true, contacts_enc, rot_enc, t_enc, rng)
 
     # IMU channels on the encoder grid feed the encoder-rate frames; the
     # IMU-rate frames get them natively below.
@@ -466,7 +466,7 @@ def _dilate(mask, before, after):
     return out
 
 
-def _synthetic_torques(spec, legs, q_true, qd_true, contacts, rot, body, t, rng):
+def _synthetic_torques(spec, legs, q_true, qd_true, contacts, rot, t, rng):
     """Commanded-torque model: weight sharing through J^T plus swing inertia.
 
     The torque window is dilated around true stance (feed-forward

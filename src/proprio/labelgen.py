@@ -1,11 +1,12 @@
 """Self-supervised contact labels from foot-height signals.
 
-Offline pipeline per leg: zero-phase low-pass filter the hip-frame foot
-height, find interior extrema, then mark contact between the local minima
-that fall between consecutive peaks. When a single minimum sits between two
-peaks, a fixed backoff extends the contact window backwards, bounded at the
-start of the signal. Touchdown bounce transients are removed by the filter
-and therefore never split a stance.
+Zero-phase low-pass filter every leg's hip-frame foot height in one call,
+then per leg find the interior extrema. Extrema alternate, so each peak
+has at most one local minimum before it; every minimum that a peak
+follows ends a contact window that reaches a fixed backoff back, bounded
+at the start of the signal. A minimum after the last peak starts no
+contact. Touchdown bounce transients are removed by the filter and
+therefore never split a stance.
 
 Foot height convention: hip-frame z, more negative = lower. Runs at the
 native rate of the stream fed in (the backoff constant is in samples).
@@ -49,18 +50,19 @@ class LabelGenConfig:
 def lowpass(signal, half_power_freq: float) -> np.ndarray:
     """Zero-phase Butterworth low-pass, -3 dB point at half_power_freq.
 
-    half_power_freq is normalized in cycles/sample. Forward-backward
-    filtering with reflected edges keeps extrema aligned with the raw
-    timeline and avoids spurious boundary extrema.
+    signal is (N,) or (N, L), filtered along axis 0 (each column on its
+    own, in one call). half_power_freq is normalized in cycles/sample.
+    Forward-backward filtering with reflected edges keeps extrema aligned
+    with the raw timeline and avoids spurious boundary extrema.
     """
     signal = np.asarray(signal, dtype=float)
-    if signal.ndim != 1 or signal.size < 16:
-        raise DataError(f"need a 1-D signal of >= 16 samples, got {signal.shape}")
+    if signal.ndim not in (1, 2) or len(signal) < 16:
+        raise DataError(f"need a signal of >= 16 samples along axis 0 (1-D or 2-D), got {signal.shape}")
     if not 0.0 < half_power_freq < 0.5:
         raise ValueError(f"half-power frequency {half_power_freq} outside (0, 0.5)")
     b, a = butter(FILTER_ORDER, 2.0 * half_power_freq)
-    padlen = min(signal.size - 1, 3 * max(len(a), len(b)) * int(1 + 0.05 / half_power_freq))
-    return filtfilt(b, a, signal, padtype="even", padlen=padlen)
+    padlen = min(len(signal) - 1, 3 * max(len(a), len(b)) * int(1 + 0.05 / half_power_freq))
+    return filtfilt(b, a, signal, axis=0, padtype="even", padlen=padlen)
 
 
 def local_extrema(signal):
@@ -82,28 +84,19 @@ def local_extrema(signal):
     return start[~was_rising], start[was_rising]
 
 
-def _label_one_leg(height, cutoff, backoff) -> np.ndarray:
-    filtered = lowpass(height, cutoff)
+def _label_one_leg(filtered, backoff) -> np.ndarray:
+    """Contact mask of one low-passed foot-height signal.
+
+    Extrema alternate, so at most one minimum falls between consecutive
+    peaks; each minimum that a peak follows ends a contact that starts
+    `backoff` samples earlier, bounded at 0 (none when backoff < 0).
+    """
     min_idx, max_idx = local_extrema(filtered)
-    n = height.size
-    contacts = np.zeros(n, dtype=bool)
-    i = j = 0
-    num_min, num_max = len(min_idx), len(max_idx)
-    while i < num_min and j < num_max:
-        contact_start = min_idx[i]
-        next_peak = max_idx[j]
-        count = 0
-        contact_end = -1
-        while i < num_min and min_idx[i] < next_peak:
-            contact_end = min_idx[i]
-            i += 1
-            count += 1
-        if count == 1:
-            contact_start = max(contact_end - backoff, 0)
-        if count > 0:
-            contacts[contact_start : contact_end + 1] = True
-        j += 1
-    return contacts
+    end = min_idx[min_idx < max_idx.max(initial=-1)]
+    start = np.clip(end - backoff, 0, end + 1)
+    n = filtered.size
+    edges = np.bincount(start, minlength=n + 1) - np.bincount(end + 1, minlength=n + 1)
+    return np.cumsum(edges[:n]) > 0
 
 
 def generate_labels(foot_heights, config: LabelGenConfig = LabelGenConfig()) -> np.ndarray:
@@ -114,8 +107,8 @@ def generate_labels(foot_heights, config: LabelGenConfig = LabelGenConfig()) -> 
     foot_heights = np.asarray(foot_heights, dtype=float)
     if foot_heights.ndim != 2:
         raise ValueError(f"expected an (N, L) array of foot heights, got shape {foot_heights.shape}")
-    cutoff = config.cutoff()
+    filtered = lowpass(foot_heights, config.cutoff())
     out = np.zeros(foot_heights.shape, dtype=bool)
-    for leg in range(foot_heights.shape[1]):
-        out[:, leg] = _label_one_leg(foot_heights[:, leg], cutoff, config.single_min_backoff)
+    for leg, column in enumerate(filtered.T):
+        out[:, leg] = _label_one_leg(column, config.single_min_backoff)
     return out

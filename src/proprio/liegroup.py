@@ -41,18 +41,19 @@ def skew(v) -> np.ndarray:
 def so3_exp(omega) -> np.ndarray:
     """Rodrigues' formula over leading axes: (..., 3) -> (..., 3, 3).
 
-    Below SMALL_ANGLE the two coefficients switch to their series,
+    R = I + a W + b W^2 from the closed-form entries `sek3_exp` uses. Below
+    SMALL_ANGLE the two coefficients switch to their series,
     sin(t)/t ~ 1 - t^2/6 and (1 - cos t)/t^2 ~ 1/2 - t^2/24, per vector.
     """
     omega = np.asarray(omega, dtype=float)
-    theta2 = np.sum(omega * omega, axis=-1)
+    x, y, z = omega[..., 0], omega[..., 1], omega[..., 2]
+    theta2 = x * x + y * y + z * z
     theta = np.sqrt(theta2)
     small = theta < SMALL_ANGLE
     safe = np.where(small, 1.0, theta)
     a = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
     b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(safe)) / safe**2)
-    w = skew(omega)
-    return _EYE3 + a[..., None, None] * w + b[..., None, None] * (w @ w)
+    return np.stack(_rodrigues_entries(a, b, x, y, z), axis=-1).reshape(omega.shape[:-1] + (3, 3))
 
 
 def orthogonality_defect(rot) -> float:

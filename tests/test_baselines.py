@@ -11,6 +11,7 @@ from proprio.baselines import (
     grf_threshold_detect,
 )
 from proprio.kinematics import fk_jacobian
+from proprio.labelgen import lowpass
 
 TROT_OFFSETS = np.array([0.0, 0.5, 0.5, 0.0])
 
@@ -102,6 +103,17 @@ class TestGrfThreshold:
         low = grf_threshold_detect(sim.encoder_frames, GrfConfig(threshold=10.0), legs)
         high = grf_threshold_detect(sim.encoder_frames, GrfConfig(threshold=25.0), legs)
         assert not np.any(high & ~low)  # raising the threshold never adds positives
+
+    def test_matches_per_leg_lowpass(self, legs):
+        sim = gaitsim.simulate(gaitsim.GaitSpec(gait="trot", seed=6), 4.0, legs)
+        frames, config = sim.encoder_frames, GrfConfig()
+        forces, _ = estimate_grf(frames.tau, frames.q.reshape(-1, 4, 3), legs)
+        per_leg = np.stack(
+            [np.abs(lowpass(forces[:, leg, 2], config.cutoff)) > config.threshold for leg in range(4)], axis=1
+        )
+        got = grf_threshold_detect(frames, config, legs)
+        assert got.any() and not got.all()
+        assert np.array_equal(got, per_leg)
 
     def test_accuracy_band_on_trot(self, legs):
         sim = gaitsim.simulate(gaitsim.GaitSpec(gait="trot", seed=4), 20.0, legs)

@@ -295,6 +295,15 @@ stride = 40
         a = open(os.path.join(out1, name), "rb").read()
         b = open(os.path.join(out2, name), "rb").read()
         assert a == b, f"{name} differs between identical runs"
+    # the subcommands run the pipeline's own stages: same inputs, same bytes
+    out3 = str(tmp_path / "c")
+    weights = os.path.join(out1, "weights.pcnw")
+    assert main(["--config", str(cfg), "--out", out3, "infer", "--data", f"{out1}/imu.csv", "--weights", weights]) == 0
+    assert main(["--config", str(cfg), "--out", out3, "label", "--data", f"{out1}/encoder.csv"]) == 0
+    for name in ("contacts_pred.csv", "encoder_labeled.csv"):
+        a = open(os.path.join(out1, name), "rb").read()
+        b = open(os.path.join(out3, name), "rb").read()
+        assert a == b, f"{name} from the subcommand differs from the pipeline's"
 
 
 def test_filter_reads_init_cov(workdir, tmp_path):

@@ -5,6 +5,7 @@ from proprio import gaitsim
 from proprio.formats import DataError
 from proprio.labelgen import (
     LabelGenConfig,
+    _label_one_leg,
     generate_labels,
     local_extrema,
     lowpass,
@@ -29,6 +30,30 @@ def reference_local_extrema(signal):
         prev_sign = sign
         plateau_start = i
     return np.asarray(minima, dtype=np.int64), np.asarray(maxima, dtype=np.int64)
+
+
+def reference_label_one_leg(filtered, backoff):
+    """Two-pointer walk over minima and peaks that _label_one_leg must match
+    index for index: the minima before each peak form one contact."""
+    min_idx, max_idx = local_extrema(filtered)
+    contacts = np.zeros(filtered.size, dtype=bool)
+    i = j = 0
+    num_min, num_max = len(min_idx), len(max_idx)
+    while i < num_min and j < num_max:
+        contact_start = min_idx[i]
+        next_peak = max_idx[j]
+        count = 0
+        contact_end = -1
+        while i < num_min and min_idx[i] < next_peak:
+            contact_end = min_idx[i]
+            i += 1
+            count += 1
+        if count == 1:
+            contact_start = max(contact_end - backoff, 0)
+        if count > 0:
+            contacts[contact_start : contact_end + 1] = True
+        j += 1
+    return contacts
 
 
 def sine_amplitude_ratio(freq, n=4096):
@@ -63,6 +88,15 @@ class TestLowpass:
     def test_too_short(self):
         with pytest.raises(DataError, match=">= 16 samples"):
             lowpass(np.zeros(15), 0.04)
+        with pytest.raises(DataError, match=">= 16 samples"):
+            lowpass(np.zeros((15, 4)), 0.04)
+
+    def test_columns_match_one_dimensional_calls(self):
+        heights = _gait_heights(seed=8, duration=4.0)[0]
+        both = lowpass(heights, 0.04)
+        assert both.shape == heights.shape
+        for leg in range(4):
+            assert np.array_equal(both[:, leg], lowpass(heights[:, leg], 0.04))
 
     def test_bad_cutoff(self):
         with pytest.raises(ValueError):
@@ -118,6 +152,31 @@ class TestLocalExtrema:
         signal = [0.0, 1.0, np.nan, 2.0, 0.0, 1.0]
         for g, w in zip(local_extrema(signal), reference_local_extrema(signal)):
             assert np.array_equal(g, w)
+
+
+class TestLabelOneLeg:
+    def test_matches_reference_loop(self):
+        # random walks give many extrema; small integer alphabets give plateaus,
+        # peaks without minima and minima after the last peak
+        rng = np.random.default_rng(12)
+        for k in range(1600):
+            n = int(rng.integers(3, 201))
+            if k % 2:
+                signal = rng.integers(0, int(rng.integers(2, 5)), size=n).astype(float)
+            else:
+                signal = np.cumsum(rng.normal(size=n))
+            backoff = int(rng.integers(0, 41))
+            got = _label_one_leg(signal, backoff)
+            assert got.dtype == bool and np.array_equal(got, reference_label_one_leg(signal, backoff)), (signal, backoff)
+
+    def test_one_window_per_minimum_before_the_last_peak(self):
+        # minima at 2 and 5, peaks at 1, 3 and 7, and a minimum-free tail
+        signal = np.array([0.0, 2.0, 1.0, 3.0, 0.5, 0.2, 0.8, 4.0, 1.0])
+        assert list(np.flatnonzero(_label_one_leg(signal, 1))) == [1, 2, 4, 5]
+        assert list(np.flatnonzero(_label_one_leg(signal, 9))) == [0, 1, 2, 3, 4, 5]
+        assert not _label_one_leg(signal, -1).any()
+        for backoff in (-3, -1, 0, 1, 2, 9):
+            assert np.array_equal(_label_one_leg(signal, backoff), reference_label_one_leg(signal, backoff))
 
 
 class TestGenerateLabels:

@@ -55,14 +55,17 @@ def _expm_series(m, terms=20):
 
 
 def ref_so3_exp(omega):
-    """Rodrigues' formula for one vector with the 4th-order series below
-    SMALL_ANGLE, the per-vector form the broadcast so3_exp replaced."""
-    theta = np.linalg.norm(omega)
+    """Rodrigues' formula over leading axes from skew(omega) and the batched
+    product W @ W, the form the closed-form entries of so3_exp replaced."""
+    omega = np.asarray(omega, dtype=float)
+    theta2 = np.sum(omega * omega, axis=-1)
+    theta = np.sqrt(theta2)
+    small = theta < SMALL_ANGLE
+    safe = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
+    b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(safe)) / safe**2)
     w = skew(omega)
-    w2 = w @ w
-    if theta < SMALL_ANGLE:
-        return np.eye(3) + w + w2 / 2.0 + (w @ w2) / 6.0 + (w2 @ w2) / 24.0
-    return np.eye(3) + np.sin(theta) / theta * w + (1.0 - np.cos(theta)) / theta**2 * w2
+    return np.eye(3) + a[..., None, None] * w + b[..., None, None] * (w @ w)
 
 
 class TestSo3Exp:
@@ -107,6 +110,13 @@ class TestSo3Exp:
             np.testing.assert_allclose(batch[idx], so3_exp(omegas[idx]), rtol=0, atol=1e-15)
             np.testing.assert_allclose(batch[idx], ref_so3_exp(omegas[idx]), rtol=0, atol=1e-15)
         assert np.array_equal(batch[0, 0], np.eye(3))
+
+    def test_matches_skew_product_form(self):
+        rng = np.random.default_rng(16)
+        increments = rng.normal(size=(2500, 3)) * 1e-3  # gyro * dt at 1 kHz
+        large = rng.uniform(-np.pi, np.pi, size=(500, 3))
+        for omegas in (increments, large):
+            np.testing.assert_allclose(so3_exp(omegas), ref_so3_exp(omegas), rtol=0, atol=1e-15)
 
     def test_sek3_rotation_is_so3_exp(self):
         rng = np.random.default_rng(14)
