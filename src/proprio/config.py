@@ -71,6 +71,8 @@ class LabelgenConfig:
     backoff: int = 30
 
     def to_labelgen(self) -> labelgen.LabelGenConfig:
+        if self.backoff < 0:
+            raise ConfigError(f"[labelgen] backoff must be a non-negative number of samples, got {self.backoff}")
         return labelgen.LabelGenConfig(
             gait=self.gait,
             half_power_freq=self.half_power_freq or None,

@@ -32,12 +32,14 @@ The filter runs in two parts:
 NoiseParams is frozen and caches, once, N_dt and N_dt2 (the skew(g)
 blocks) and Q for every contact set.
 
-Symmetry and orthogonality are each enforced once per step. propagate
-symmetrizes the covariance; augment_contact adds a symmetric block and the
-Joseph form P + (W K^T + K W^T) adds a symmetric matrix, so the covariance
-leaving every stage is exactly symmetric. step checks the rotation's
-orthogonality defect once, at its end, and projects it back onto SO(3)
-when the defect exceeds ORTHOGONALITY_TOL.
+Symmetry is enforced once per step: propagate symmetrizes the covariance;
+augment_contact adds a symmetric block and the Joseph form
+P + (W K^T + K W^T) adds a symmetric matrix, so the covariance leaving
+every stage is exactly symmetric. Orthogonality is checked once per CHUNK
+frames: filter_sequence measures the rotation's defect at the start of
+each chunk of frame records, the first included, and projects it back onto
+SO(3) when the defect exceeds ORTHOGONALITY_TOL. A step adds round-off of
+order 1e-16 to the defect, so a chunk leaves it far below that tolerance.
 
 Propagation integrates the IMU strapdown equations on the mean. The
 forward-kinematic correction of the feet in contact applies the gain on
@@ -237,7 +239,7 @@ def propagate(state: FilterState, frame: Frame, noise: NoiseParams) -> FilterSta
     """Strapdown mean integration plus right-invariant covariance update.
 
     The covariance it returns is exactly symmetric; the rotation is not
-    re-projected here (step checks it once, at its end).
+    re-projected here (filter_sequence checks it once per chunk).
     """
     rot = state.mean.rot
     cols = state.mean.cols
@@ -341,19 +343,22 @@ def step(state: FilterState, frame: Frame, contacts, noise: NoiseParams) -> Filt
     frame: this frame's record from frame_records, whose dt runs from the
     state's time to frame.t. contacts: per-leg booleans (detected contact
     states), any sequence; when it equals state.contacts the reconcile is
-    skipped. The rotation is re-projected onto SO(3) at the end when
-    its orthogonality defect exceeds ORTHOGONALITY_TOL.
+    skipped. The rotation is not re-projected here (filter_sequence checks
+    it once per chunk).
     """
     state = propagate(state, frame, noise)
     contacts = tuple(contacts)
     if contacts != state.contacts:
         state = _reconcile_contacts(state, contacts, frame, noise)
-    state = update_contact_kinematics(state, frame, noise)
+    return update_contact_kinematics(state, frame, noise)
+
+
+def _orthonormalized(state: FilterState) -> FilterState:
+    """state with its rotation projected onto SO(3) when the defect exceeds ORTHOGONALITY_TOL."""
     rot = state.mean.rot
-    if orthogonality_defect(rot) > ORTHOGONALITY_TOL:
-        mean = GroupElement(project_rotation(rot), state.mean.cols)
-        state = FilterState(mean, state.contacts, state.cov, state.t)
-    return state
+    if orthogonality_defect(rot) <= ORTHOGONALITY_TOL:
+        return state
+    return FilterState(GroupElement(project_rotation(rot), state.mean.cols), state.contacts, state.cov, state.t)
 
 
 def _check_chunk(t, dt, gyro, accel, alpha, start):
@@ -421,8 +426,10 @@ def filter_sequence(frames, contacts, legs, noise, init: Optional[FilterState] =
 
     Returns (t, rotations, velocities, positions) arrays. The initial state
     defaults to identity at the first timestamp; its contact set is
-    reconciled with the first frame's before stepping. A bad frame raises
-    FrameError whose row is its index.
+    reconciled with the first frame's before stepping. At the start of
+    every CHUNK records, the first included, the rotation is projected
+    onto SO(3) when its orthogonality defect exceeds ORTHOGONALITY_TOL.
+    A bad frame raises FrameError whose row is its index.
     """
     contacts = np.asarray(contacts, dtype=bool)
     n = len(frames)
@@ -431,7 +438,7 @@ def filter_sequence(frames, contacts, legs, noise, init: Optional[FilterState] =
     rows = list(map(tuple, contacts.tolist()))
     state = init if init is not None else make_initial_state(t=float(frames.t[0]))
     records = frame_records(frames.t, frames.gyro, frames.acc, frames.q, legs, noise, state.t)
-    state = _reconcile_contacts(state, rows[0], next(records), noise)
+    state = _reconcile_contacts(_orthonormalized(state), rows[0], next(records), noise)
 
     t_out = np.empty(n)
     rot_out = np.empty((n, 3, 3))
@@ -442,6 +449,8 @@ def filter_sequence(frames, contacts, legs, noise, init: Optional[FilterState] =
     vel_out[0] = state.velocity
     pos_out[0] = state.position
     for i, frame in enumerate(records, 1):
+        if i % CHUNK == 0:
+            state = _orthonormalized(state)
         state = step(state, frame, rows[i], noise)
         t_out[i] = state.t
         rot_out[i] = state.rotation

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import butter, filtfilt
 
 from .formats import DataError
 
@@ -54,12 +53,17 @@ def lowpass(signal, half_power_freq: float) -> np.ndarray:
     own, in one call). half_power_freq is normalized in cycles/sample.
     Forward-backward filtering with reflected edges keeps extrema aligned
     with the raw timeline and avoids spurious boundary extrema.
+
+    scipy.signal is imported here, not at module level: it is the slowest
+    import of the package, and only the low-pass stages need it.
     """
     signal = np.asarray(signal, dtype=float)
     if signal.ndim not in (1, 2) or len(signal) < 16:
         raise DataError(f"need a signal of >= 16 samples along axis 0 (1-D or 2-D), got {signal.shape}")
     if not 0.0 < half_power_freq < 0.5:
         raise ValueError(f"half-power frequency {half_power_freq} outside (0, 0.5)")
+    from scipy.signal import butter, filtfilt
+
     b, a = butter(FILTER_ORDER, 2.0 * half_power_freq)
     padlen = min(len(signal) - 1, 3 * max(len(a), len(b)) * int(1 + 0.05 / half_power_freq))
     return filtfilt(b, a, signal, axis=0, padtype="even", padlen=padlen)
@@ -89,12 +93,13 @@ def _label_one_leg(filtered, backoff) -> np.ndarray:
 
     Extrema alternate, so at most one minimum falls between consecutive
     peaks; each minimum that a peak follows ends a contact that starts
-    `backoff` samples earlier, bounded at 0 (none when backoff < 0).
+    `backoff` samples earlier, bounded at 0 (none when backoff < 0). A
+    backoff longer than the signal counts as its length.
     """
     min_idx, max_idx = local_extrema(filtered)
     end = min_idx[min_idx < max_idx.max(initial=-1)]
-    start = np.clip(end - backoff, 0, end + 1)
     n = filtered.size
+    start = np.clip(end - min(backoff, n), 0, end + 1)
     edges = np.bincount(start, minlength=n + 1) - np.bincount(end + 1, minlength=n + 1)
     return np.cumsum(edges[:n]) > 0
 

@@ -214,6 +214,32 @@ def test_unordered_contact_timestamps_exit_2(workdir, tmp_path, capsys, command)
     assert err == f"error: {contacts}:4: timestamp 0.1 is not finite or does not exceed the one before it\n"
 
 
+def _label_with_backoff(workdir, tmp_path, backoff):
+    _, _, out = workdir
+    cfg = tmp_path / f"backoff_{backoff}.cfg"
+    cfg.write_text(FAST_CFG + f"[labelgen]\nbackoff = {backoff}\n")
+    run = tmp_path / f"run_{backoff}"
+    code = main(["--config", str(cfg), "--out", str(run), "label", "--data", f"{out}/encoder.csv"])
+    return code, run / "encoder_labels.csv"
+
+
+def test_label_negative_backoff_exit_2(workdir, tmp_path, capsys):
+    code, labels = _label_with_backoff(workdir, tmp_path, -1)
+    assert code == 2
+    assert "[labelgen] backoff must be a non-negative number of samples, got -1" in capsys.readouterr().err
+    assert not labels.exists()
+
+
+def test_label_backoff_longer_than_signal_reaches_its_start(workdir, tmp_path):
+    _, _, out = workdir
+    n = len(dataio.read_dataset(f"{out}/encoder.csv"))
+    code, huge = _label_with_backoff(workdir, tmp_path, 10**20)
+    assert code == 0
+    code, full = _label_with_backoff(workdir, tmp_path, n)
+    assert code == 0
+    assert huge.read_bytes() == full.read_bytes()
+
+
 def test_label_too_few_rows_names_file(workdir, tmp_path, capsys):
     _, cfg, out = workdir
     path = tmp_path / "ten_rows.csv"

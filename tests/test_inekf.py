@@ -18,7 +18,16 @@ from proprio.inekf import (
     update_contact_kinematics,
 )
 from proprio.kinematics import fk_jacobian, fk_position
-from proprio.liegroup import GroupElement, adjoint, sek3_compose, sek3_exp, skew, so3_exp
+from proprio.liegroup import (
+    ORTHOGONALITY_TOL,
+    GroupElement,
+    adjoint,
+    orthogonality_defect,
+    sek3_compose,
+    sek3_exp,
+    skew,
+    so3_exp,
+)
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 STANCE = np.tile([0.0, 0.5, 1.0], (4, 1))
@@ -655,3 +664,31 @@ class TestFrameRecords:
         frames.acc[0] = np.nan
         for a, b in zip(ref, inekf.filter_sequence(frames, contacts, legs, noise, init)):
             assert np.array_equal(a, b)
+
+    def test_init_rotation_projected_before_first_record(self, monkeypatch):
+        frames, contacts, legs, noise, init = self._run(monkeypatch)
+        rot = init.rotation * (1.0 + 5e-7)
+        assert 5e-7 < orthogonality_defect(rot) < 2e-6
+        init = FilterState(GroupElement(rot, init.mean.cols), init.contacts, init.cov, init.t)
+        _, rots, _, _ = inekf.filter_sequence(frames, contacts, legs, noise, init)
+        assert max(map(orthogonality_defect, rots)) < ORTHOGONALITY_TOL
+
+    def test_rotation_checked_at_each_chunk_start(self, monkeypatch):
+        frames, contacts, legs, noise, init = self._run(monkeypatch)
+        c = self.SMALL_CHUNK
+        stepped = []
+        real_step = inekf.step
+
+        def perturbing_step(state, frame, row, noise):
+            stepped.append(1)
+            if len(stepped) == c + 10:  # record c + 10, inside the second chunk
+                mean = GroupElement(state.mean.rot * (1.0 + 5e-7), state.mean.cols)
+                state = FilterState(mean, state.contacts, state.cov, state.t)
+            return real_step(state, frame, row, noise)
+
+        monkeypatch.setattr(inekf, "step", perturbing_step)
+        _, rots, _, _ = inekf.filter_sequence(frames, contacts, legs, noise, init)
+        defects = np.array([orthogonality_defect(r) for r in rots])
+        assert defects[: c + 10].max() < ORTHOGONALITY_TOL
+        assert defects[c + 10 : 2 * c].min() > 5e-7  # carried to the end of the chunk
+        assert defects[2 * c :].max() < ORTHOGONALITY_TOL

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import proprio
 from proprio import gaitsim
 from proprio.formats import DataError
 from proprio.labelgen import (
@@ -101,6 +106,26 @@ class TestLowpass:
     def test_bad_cutoff(self):
         with pytest.raises(ValueError):
             lowpass(np.zeros(100), 0.6)
+
+
+IMPORT_CHECK = """
+import sys
+import numpy as np
+import proprio.cli, proprio.inekf, proprio.contactnet
+assert "scipy.signal" not in sys.modules, "scipy.signal loaded at import"
+from proprio.labelgen import lowpass
+out = lowpass(np.sin(np.arange(64.0)), 0.04)
+assert out.shape == (64,) and np.isfinite(out).all()
+assert "scipy.signal" in sys.modules
+"""
+
+
+def test_scipy_signal_loaded_by_lowpass_only():
+    # a fresh process, since this one may have loaded scipy.signal already
+    src = os.path.dirname(os.path.dirname(os.path.abspath(proprio.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", IMPORT_CHECK], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestLocalExtrema:
