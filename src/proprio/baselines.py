@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formats import SchemaMismatchError
-from .kinematics import fk_jacobian
+from .kinematics import LEG_NAMES, fk_jacobian
 from .labelgen import lowpass
 
 SINGULAR_SVMIN = 1e-4
@@ -26,6 +26,8 @@ class GrfConfig:
     cutoff: float = 0.04  # cycles/sample, half-power frequency
 
     def __post_init__(self):
+        if not np.isfinite(self.threshold):
+            raise ValueError(f"force threshold must be finite, got {self.threshold}")
         if self.threshold <= 0.0:
             raise ValueError("force threshold must be positive")
 
@@ -33,15 +35,21 @@ class GrfConfig:
 @dataclass
 class GaitSchedule:
     period: float  # s
-    offsets: np.ndarray  # (L,), per-leg phase offsets in [0, 1)
+    offsets: np.ndarray  # (4,), per-leg phase offsets in [0, 1), in LEG_NAMES order
     duty: float
     start_time: float = 0.0
 
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=float)
+        if not 0.0 < self.period < np.inf:
+            raise ValueError(f"gait period must be positive and finite, got {self.period}")
+        if not np.isfinite(self.start_time):
+            raise ValueError(f"gait start time must be finite, got {self.start_time}")
         if not 0.0 < self.duty < 1.0:
             raise ValueError("duty factor must lie in (0, 1)")
-        if np.any(self.offsets < 0.0) or np.any(self.offsets >= 1.0):
+        if self.offsets.shape != (len(LEG_NAMES),):
+            raise ValueError(f"need one phase offset per leg ({','.join(LEG_NAMES)}), got {self.offsets.tolist()}")
+        if not np.all((self.offsets >= 0.0) & (self.offsets < 1.0)):
             raise ValueError("phase offsets must lie in [0, 1)")
 
 

@@ -2,33 +2,51 @@
 
 Grammar: section headers in brackets, one key=value per line, '#' starts a
 comment, blank lines ignored. Unknown sections or keys are rejected with
-their file location. Every key has a documented default, so an empty file
-is a valid configuration.
+their file location. Every key has a default, so an empty file is valid.
+
+Sections only forward their values to the library objects that use them,
+which own every default and range check: a key's default is read from its
+library twin, and only values no library object holds (`duration`,
+`stride`, the `[inekf]` sigmas) keep their numbers here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import inspect
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import baselines, gaitsim, inekf, kinematics, labelgen
+from . import baselines, contactnet, evalkit, gaitsim, inekf, kinematics, labelgen
+from .gaitsim import GaitSpec, SensorNoise
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _defaults(func) -> dict:
+    """Keyword defaults of a library function, which owns those values."""
+    return {name: p.default for name, p in inspect.signature(func).parameters.items()}
+
+
+_LEGS = _defaults(kinematics.default_legs)
+_FILTER_NOISE = inekf.NoiseParams()
+_NET = _defaults(contactnet.preset)
+# [gaitsim] keys whose GaitSpec field has a longer name; `noise_<x>` keys go to SensorNoise.<x>
+_SPEC_RENAMES = {"bounce_amp": "bounce_amplitude", "vibration_amp": "vibration_amplitude"}
+
+
 @dataclass
 class KinematicsConfig:
-    abd: float = 0.062
-    l1: float = 0.209
-    l2: float = 0.195
-    hip_x: float = 0.19
-    hip_y: float = 0.049
+    abd: float = _LEGS["abd"]
+    l1: float = _LEGS["l1"]
+    l2: float = _LEGS["l2"]
+    hip_x: float = _LEGS["hip_x"]
+    hip_y: float = _LEGS["hip_y"]
 
     def legs(self):
-        return kinematics.default_legs(self.abd, self.l1, self.l2, self.hip_x, self.hip_y)
+        return kinematics.default_legs(**vars(self))
 
 
 @dataclass
@@ -37,126 +55,91 @@ class InekfConfig:
     accel_std: float = 0.1  # m/s^2
     contact_std: float = 0.1  # m/s
     encoder_std: float = 0.002  # rad
-    gravity_z: float = -9.81
-    contact_prior: float = 1e-4
-    init_cov: float = 1e-6  # initial covariance diagonal, right-invariant coordinates
+    gravity_z: float = float(_FILTER_NOISE.gravity[2])
+    contact_prior: float = _FILTER_NOISE.new_contact_prior
+    init_cov: float = _defaults(inekf.make_initial_state)["cov_diag"]  # right-invariant coordinates
 
     def noise(self) -> inekf.NoiseParams:
-        return inekf.NoiseParams(
-            gyro_cov=np.eye(3) * self.gyro_std**2,
-            accel_cov=np.eye(3) * self.accel_std**2,
-            contact_cov=np.eye(3) * self.contact_std**2,
-            encoder_cov=np.eye(3) * self.encoder_std**2,
-            gravity=np.array([0.0, 0.0, self.gravity_z]),
-            new_contact_prior=self.contact_prior,
-        )
+        covs = {f"{n}_cov": np.eye(3) * getattr(self, f"{n}_std") ** 2 for n in ("gyro", "accel", "contact", "encoder")}
+        gravity = np.array([0.0, 0.0, self.gravity_z])
+        return inekf.NoiseParams(**covs, gravity=gravity, new_contact_prior=self.contact_prior)
 
 
 @dataclass
 class ContactnetConfig:
-    preset: str = "2blocks"
-    window: int = 150
-    classes: int = 16
-    batch_size: int = 30
-    learning_rate: float = 1e-4
-    epochs: int = 30
-    dropout: float = 0.2
+    preset: str = _NET["name"]
+    window: int = _NET["window"]
+    classes: int = _NET["n_classes"]
+    batch_size: int = contactnet.TrainConfig.batch_size
+    learning_rate: float = contactnet.TrainConfig.learning_rate
+    epochs: int = contactnet.TrainConfig.epochs
+    dropout: float = _NET["dropout"]
     stride: int = 4  # window stride when deriving training sets
 
 
 @dataclass
 class LabelgenConfig:
-    gait: str = "trot"
+    gait: str = labelgen.LabelGenConfig.gait
     half_power_freq: float = 0.0  # 0 means: use the per-gait default
-    backoff: int = 30
+    backoff: int = labelgen.LabelGenConfig.single_min_backoff
 
     def to_labelgen(self) -> labelgen.LabelGenConfig:
         if self.backoff < 0:
             raise ConfigError(f"[labelgen] backoff must be a non-negative number of samples, got {self.backoff}")
-        return labelgen.LabelGenConfig(
-            gait=self.gait,
-            half_power_freq=self.half_power_freq or None,
-            single_min_backoff=self.backoff,
-        )
+        return labelgen.LabelGenConfig(self.gait, self.half_power_freq or None, self.backoff)
 
 
 @dataclass
 class BaselinesConfig:
-    grf_threshold: float = 15.0
-    grf_cutoff: float = 0.04
-    gait_period: float = 1.0
-    gait_duty: float = 0.5084
-    gait_offsets: str = "0.0,0.5,0.5,0.0"
-    gait_start: float = 0.0
+    grf_threshold: float = baselines.GrfConfig.threshold
+    grf_cutoff: float = baselines.GrfConfig.cutoff
+    # the schedule detector's default is the simulated trot
+    gait_period: float = GaitSpec.period
+    gait_duty: float = GaitSpec.duty
+    gait_offsets: str = ",".join(str(gaitsim.TROT_OFFSETS[leg]) for leg in kinematics.LEG_NAMES)
+    gait_start: float = baselines.GaitSchedule.start_time
 
     def grf(self) -> baselines.GrfConfig:
         return baselines.GrfConfig(threshold=self.grf_threshold, cutoff=self.grf_cutoff)
 
     def schedule(self) -> baselines.GaitSchedule:
         offsets = [float(v) for v in self.gait_offsets.split(",")]
-        return baselines.GaitSchedule(
-            period=self.gait_period,
-            offsets=np.asarray(offsets),
-            duty=self.gait_duty,
-            start_time=self.gait_start,
-        )
+        return baselines.GaitSchedule(self.gait_period, offsets, self.gait_duty, self.gait_start)
 
 
 @dataclass
 class GaitsimConfig:
-    gait: str = "trot"
-    period: float = 1.0
-    duty: float = 0.5084
-    step_length: float = 0.5
-    step_height: float = 0.10
-    body_height: float = 0.28
-    speed: float = 0.5
-    turn_rate: float = 0.0
-    jitter: float = 0.0
-    bounce_amp: float = 0.008
-    bounce_decay: float = 0.040
-    vibration_amp: float = 4e-4
-    mass: float = 9.0
-    encoder_rate: float = 500.0
-    imu_rate: float = 1000.0
-    noise_encoder: float = 0.0015
-    noise_joint_rate: float = 0.02
-    noise_gyro: float = 0.02
-    noise_accel: float = 0.1
-    noise_torque: float = 1.5
-    duration: float = 20.0
+    gait: str = GaitSpec.gait
+    period: float = GaitSpec.period
+    duty: float = GaitSpec.duty
+    step_length: float = GaitSpec.step_length
+    step_height: float = GaitSpec.step_height
+    body_height: float = GaitSpec.body_height
+    speed: float = GaitSpec.speed
+    turn_rate: float = GaitSpec.turn_rate
+    jitter: float = GaitSpec.jitter
+    bounce_amp: float = GaitSpec.bounce_amplitude
+    bounce_decay: float = GaitSpec.bounce_decay
+    vibration_amp: float = GaitSpec.vibration_amplitude
+    mass: float = GaitSpec.mass
+    encoder_rate: float = GaitSpec.encoder_rate
+    imu_rate: float = GaitSpec.imu_rate
+    noise_encoder: float = SensorNoise.encoder
+    noise_joint_rate: float = SensorNoise.joint_rate
+    noise_gyro: float = SensorNoise.gyro
+    noise_accel: float = SensorNoise.accel
+    noise_torque: float = SensorNoise.torque
+    duration: float = 20.0  # s
 
-    def spec(self, seed=0) -> gaitsim.GaitSpec:
-        return gaitsim.GaitSpec(
-            gait=self.gait,
-            period=self.period,
-            duty=self.duty,
-            step_length=self.step_length,
-            step_height=self.step_height,
-            body_height=self.body_height,
-            speed=self.speed,
-            turn_rate=self.turn_rate,
-            jitter=self.jitter,
-            bounce_amplitude=self.bounce_amp,
-            bounce_decay=self.bounce_decay,
-            vibration_amplitude=self.vibration_amp,
-            mass=self.mass,
-            encoder_rate=self.encoder_rate,
-            imu_rate=self.imu_rate,
-            noise=gaitsim.SensorNoise(
-                encoder=self.noise_encoder,
-                joint_rate=self.noise_joint_rate,
-                gyro=self.noise_gyro,
-                accel=self.noise_accel,
-                torque=self.noise_torque,
-            ),
-            seed=seed,
-        )
+    def spec(self, seed=0) -> GaitSpec:
+        values = {_SPEC_RENAMES.get(key, key): value for key, value in vars(self).items() if key != "duration"}
+        noise = {key[len("noise_") :]: values.pop(key) for key in list(values) if key.startswith("noise_")}
+        return GaitSpec(**values, noise=SensorNoise(**noise), seed=seed)
 
 
 @dataclass
 class EvalConfig:
-    assoc_tol: float = 0.002
+    assoc_tol: float = evalkit.ASSOC_TOL_S
 
 
 @dataclass
@@ -170,21 +153,9 @@ class ToolkitConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
 
-def _coerce(raw: str, target_type, where: str):
-    try:
-        if target_type is float:
-            return float(raw)
-        if target_type is int:
-            return int(raw)
-        return raw
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse {raw!r} as {target_type.__name__}") from None
-
-
 def parse_config(path) -> ToolkitConfig:
     cfg = ToolkitConfig()
     section = None
-    section_fields = None
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             where = f"{path}:{lineno}"
@@ -193,25 +164,24 @@ def parse_config(path) -> ToolkitConfig:
                 continue
             if text.startswith("[") and text.endswith("]"):
                 name = text[1:-1].strip()
-                if not hasattr(cfg, name):
+                if name not in vars(cfg):
                     raise ConfigError(f"{where}: unknown section [{name}]")
                 section = getattr(cfg, name)
-                section_fields = {fl.name: fl for fl in fields(section)}
                 continue
             if "=" not in text:
                 raise ConfigError(f"{where}: expected key=value, got {text!r}")
             if section is None:
                 raise ConfigError(f"{where}: key outside any [section]")
-            key, _, raw = text.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in section_fields:
+            key, raw = (part.strip() for part in text.split("=", 1))
+            if key not in vars(section):
                 raise ConfigError(f"{where}: unknown key {key!r}")
-            setattr(section, key, _coerce(raw, type(getattr(section, key)), where))
+            kind = type(getattr(section, key))  # float, int or str
+            try:
+                setattr(section, key, kind(raw))
+            except ValueError:
+                raise ConfigError(f"{where}: cannot parse {raw!r} as {kind.__name__}") from None
     return cfg
 
 
 def load_config(path=None) -> ToolkitConfig:
-    if path is None:
-        return ToolkitConfig()
-    return parse_config(path)
+    return ToolkitConfig() if path is None else parse_config(path)

@@ -241,7 +241,7 @@ def _head(flat_dim, n_classes, dropout):
     ]
 
 
-def preset(name, window=150, in_channels=54, n_classes=16, dropout=0.2) -> ArchitectureSpec:
+def preset(name="2blocks", window=150, in_channels=54, n_classes=16, dropout=0.2) -> ArchitectureSpec:
     """Build a named architecture for the given window length."""
     spec_layers = []
     if name == "2blocks":

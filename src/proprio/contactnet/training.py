@@ -141,7 +141,8 @@ def train(train_windows: WindowSet, config: TrainConfig, spec, val_windows=None)
 
     Log rows are dicts with epoch, train_loss, train_acc, val_acc. "Best"
     means highest validation accuracy (training accuracy when no validation
-    set is supplied), ties resolved to the earliest epoch.
+    set is supplied), ties resolved to the earliest epoch. An epoch that
+    ends with a non-finite loss or weight raises DataError.
     """
     if len(train_windows) == 0:
         raise DataError("empty training set")
@@ -167,6 +168,9 @@ def train(train_windows: WindowSet, config: TrainConfig, spec, val_windows=None)
             total_loss += value * len(idx)
             total_correct += int(np.sum(np.argmax(logits, axis=1) == y))
         train_loss = total_loss / n
+        finite = math.isfinite(train_loss) and all(np.isfinite(w).all() for p in params if p for w in p)
+        if not finite:
+            raise DataError(f"training diverged in epoch {epoch}: loss {train_loss} at learning rate {config.learning_rate}")
         train_acc = total_correct / n
         if val_windows is not None and len(val_windows):
             val_acc = evaluate_accuracy(params, spec, val_windows)

@@ -182,6 +182,8 @@ def window_set(frames: FrameSequence, w: int, stride: int = 1) -> WindowSet:
     n = len(frames)
     if n < w:
         raise DataError(f"{n} frames cannot hold a window of {w}")
+    if stride > n:
+        raise DataError(f"window stride {stride} exceeds the {n} frames")
     ends = np.arange(w - 1, n, stride)
     labels = None if frames.gt is None else frames.gt[ends]
     return WindowSet(frames.features(), ends, labels, w)

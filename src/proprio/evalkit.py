@@ -92,6 +92,8 @@ def classification_metrics(pred, gt) -> ClassificationReport:
 
 
 def _associate(t_est, t_gt, tol):
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"association tolerance must be finite and non-negative, got {tol} s")
     idx = np.searchsorted(t_gt, t_est)
     idx = np.clip(idx, 1, len(t_gt) - 1)
     left = idx - 1

@@ -107,16 +107,20 @@ class GaitSpec:
     def __post_init__(self):
         if self.gait not in GAITS:
             raise ValueError(f"unknown gait {self.gait!r}; expected one of {GAITS}")
-        if self.period <= 0.0 or not 0.0 < self.duty < 1.0:
+        if not (0.0 < self.period < np.inf and 0.0 < self.duty < 1.0):
             raise ValueError("period must be positive and duty in (0, 1)")
         for name in ("speed", "turn_rate", "step_length", "step_height", "body_height", "mass"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"gait {name} must be finite, got {value}")
-        for name in ("encoder_rate", "imu_rate"):
-            rate = getattr(self, name)
-            if not 0.0 < rate < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {rate}")
+        for name in ("jitter", "bounce_amplitude", "vibration_amplitude"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"gait {name} must be finite and non-negative, got {value}")
+        for name in ("bounce_decay", "mass", "encoder_rate", "imu_rate"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass

@@ -161,3 +161,22 @@ class TestGaitCycle:
             GaitSchedule(period=1.0, offsets=np.array([0.0, 1.2, 0.5, 0.0]), duty=0.5)
         with pytest.raises(ValueError):
             GaitSchedule(period=1.0, offsets=TROT_OFFSETS, duty=0.0)
+        with pytest.raises(ValueError, match=r"need one phase offset per leg \(RF,LF,RH,LH\), got \[0.0, 0.5, 0.5\]"):
+            GaitSchedule(period=1.0, offsets=[0.0, 0.5, 0.5], duty=0.5)
+        with pytest.raises(ValueError, match=r"phase offsets must lie in \[0, 1\)"):
+            GaitSchedule(period=1.0, offsets=np.array([0.0, np.nan, 0.5, 0.0]), duty=0.5)
+
+    @pytest.mark.parametrize("period", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_period_positive_and_finite(self, period):
+        with pytest.raises(ValueError, match=f"gait period must be positive and finite, got {period}"):
+            GaitSchedule(period=period, offsets=TROT_OFFSETS, duty=0.5)
+
+    @pytest.mark.parametrize("start", [float("nan"), float("inf"), float("-inf")])
+    def test_start_time_finite(self, start):
+        with pytest.raises(ValueError, match=f"gait start time must be finite, got {start}"):
+            GaitSchedule(period=1.0, offsets=TROT_OFFSETS, duty=0.5, start_time=start)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_grf_threshold_finite(self, threshold):
+        with pytest.raises(ValueError, match=f"force threshold must be finite, got {threshold}"):
+            GrfConfig(threshold=threshold)

@@ -647,6 +647,14 @@ class TestTraining:
         with pytest.raises(DataError, match="empty training set"):
             train(empty, TrainConfig(), self._spec())
 
+    def test_diverged_loss_rejected(self):
+        from proprio.contactnet import TrainConfig, train
+        from proprio.formats import DataError
+
+        cfg = TrainConfig(batch_size=10, learning_rate=1e20, epochs=2, seed=3)
+        with pytest.raises(DataError, match=r"training diverged in epoch 1: loss nan at learning rate 1e\+20"):
+            train(self._toy(n=40, seed=17), cfg, self._spec())
+
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_epochs_below_one_rejected(self, epochs):
         from proprio.contactnet import TrainConfig

@@ -193,6 +193,12 @@ class TestWindows:
         with pytest.raises(ValueError, match="stride"):
             window_set(frames, 5, stride)
 
+    def test_stride_beyond_the_frames_rejected(self):
+        frames = random_frames(np.random.default_rng(12), 30)
+        assert len(window_set(frames, 5, 30)) == 1
+        with pytest.raises(DataError, match=f"window stride {10**20} exceeds the 30 frames"):
+            window_set(frames, 5, 10**20)
+
 
 def fancy_gather(windows, idx):
     """Window gather by one (B, w) row-index array, the strided batch's reference."""

@@ -130,6 +130,14 @@ class TestAlignment:
             align_trajectories(a, b)
 
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_tolerance_finite_non_negative(self, tol):
+        gt = rich_curve()
+        for score in (align_trajectories, trajectory_metrics):
+            with pytest.raises(ValueError, match=f"association tolerance must be finite and non-negative, got {tol}"):
+                score(gt, gt, tol)
+
+
 class TestTrajectoryMetrics:
     def test_empty_estimate(self):
         gt = rich_curve()

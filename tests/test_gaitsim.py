@@ -132,7 +132,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             GaitSpec(duty=1.2)
 
-    @pytest.mark.parametrize("name", ["imu_rate", "encoder_rate"])
+    @pytest.mark.parametrize("name", ["imu_rate", "encoder_rate", "bounce_decay"])
     @pytest.mark.parametrize("rate", [float("inf"), float("nan"), 0.0, -500.0])
     def test_rates_positive_and_finite(self, name, rate):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {rate}"):
@@ -143,6 +143,22 @@ class TestValidation:
     def test_gait_values_finite(self, name, value):
         with pytest.raises(ValueError, match=f"gait {name} must be finite, got {value}"):
             GaitSpec(**{name: value})
+
+    @pytest.mark.parametrize("name", ["jitter", "bounce_amplitude", "vibration_amplitude"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1])
+    def test_gait_values_finite_non_negative(self, name, value):
+        with pytest.raises(ValueError, match=f"gait {name} must be finite and non-negative, got {value}"):
+            GaitSpec(**{name: value})
+
+    @pytest.mark.parametrize("mass", [-1.0, 0.0])
+    def test_mass_positive(self, mass):
+        with pytest.raises(ValueError, match=f"mass must be positive and finite, got {mass}"):
+            GaitSpec(mass=mass)
+
+    @pytest.mark.parametrize("period", [float("nan"), float("inf"), 0.0])
+    def test_period_positive_and_finite(self, period):
+        with pytest.raises(ValueError, match="period must be positive"):
+            GaitSpec(period=period)
 
     @pytest.mark.parametrize("name", ["encoder", "joint_rate", "gyro", "accel", "torque"])
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
