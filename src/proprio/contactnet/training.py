@@ -141,13 +141,17 @@ def train(train_windows: WindowSet, config: TrainConfig, spec, val_windows=None)
 
     Log rows are dicts with epoch, train_loss, train_acc, val_acc. "Best"
     means highest validation accuracy (training accuracy when no validation
-    set is supplied), ties resolved to the earliest epoch. An epoch that
-    ends with a non-finite loss or weight raises DataError.
+    set is supplied), ties resolved to the earliest epoch. A label code of
+    spec.n_classes or more, or an epoch that ends with a non-finite loss or
+    weight, raises DataError.
     """
     if len(train_windows) == 0:
         raise DataError("empty training set")
     if train_windows.labels is None:
         raise DataError("training windows carry no labels")
+    top = int(train_windows.labels.max())
+    if top >= spec.n_classes:
+        raise DataError(f"largest label code {top} needs at least {top + 1} classes; the network has {spec.n_classes}")
     rng = np.random.default_rng(config.seed)
     params = net.init_params(spec, rng, config.dtype)
     adam = _Adam(params, config)

@@ -6,35 +6,40 @@ coordinates (rotation, v, p, d_0..d_{L-1}). Zero-slot rule: while leg l is
 out of contact its column and its block rows and columns are exactly zero.
 The process noise Q has a zero block for such a leg, the adjoint of a zero
 column is R on the leg's own block alone, and a zero block stays zero
-through Phi P Phi^T and the Joseph update, so no step needs a mask.
+through Phi (P + G (Q dt) G^T) Phi^T and the Joseph update, so no step
+needs a mask.
 
 The filter runs in two parts:
 
 - frame_records, the per-sequence pass, checks the inputs and computes all
   that a step needs and the state does not change: dt, the rotation
-  increments so3_exp(omega dt), every leg's body-frame foot position and
-  its encoder covariance J Sigma_enc J^T through the kinematic Jacobian.
-  It does so in a few vectorised calls per CHUNK frames; CHUNK = 4096
-  keeps those arrays near 3 MB for any sequence length.
+  increments so3_exp(omega dt), every leg's body-frame foot position, its
+  encoder covariance J Sigma_enc J^T through the kinematic Jacobian, and
+  its measurement covariance J Sigma_enc J^T + contact_cov. It does so in
+  a few vectorised calls per CHUNK frames; CHUNK = 4096 keeps those arrays
+  near 4 MB for any sequence length.
 - step (propagate, reconcile the contact set, correct) does the
   state-dependent algebra on whole 21x21 matrices:
-  - propagate sets P to Phi P Phi^T + (Phi G)(Q dt)(Phi G)^T with
-    G = adjoint(mean). Phi = I + N_dt dt + N_dt2 dt^2 is exact (the error
-    dynamics are nilpotent), and Q is the block-diagonal (gyro, accel,
-    contact x L) covariance with the blocks of the legs out of contact
-    zeroed;
+  - propagate sets P to Phi (P + G (Q dt) G^T) Phi^T with G =
+    adjoint(mean), four GEMMs. Phi = I + N_dt dt + N_dt2 dt^2 is exact (the
+    error dynamics are nilpotent), and Q is the block-diagonal (gyro,
+    accel, contact x L) covariance with the blocks of the legs out of
+    contact zeroed;
   - H is +I on a contact block and -I on the position block, cached per
     contact set, so each entry of P H^T and H P H^T is one exact difference;
-    the gain K = P H^T S^-1 comes from one LAPACK gesv call, and the Joseph
-    update (I - KH) P (I - KH)^T + K N K^T is P + W K^T + K W^T with
-    W = K S / 2 - P H^T.
+    the gain K = P H^T S^-1 comes from one LAPACK gesv call, loaded on
+    first use; exp(K v) is formed and left-composed with the mean in one
+    pass (sek3_exp_compose); and the Joseph update
+    (I - KH) P (I - KH)^T + K N K^T is P + W K^T + K W^T with
+    W = K S / 2 - P H^T, P added in place to the symmetric W K^T + K W^T.
 
 NoiseParams is frozen and caches, once, N_dt and N_dt2 (the skew(g)
-blocks) and Q for every contact set.
+blocks) and Q for every contact set, and Phi for the first PHI_CACHE_SIZE
+distinct dt (a 1 kHz stream has a handful).
 
 Symmetry is enforced once per step: propagate symmetrizes the covariance;
 augment_contact adds a symmetric block and the Joseph form
-P + (W K^T + K W^T) adds a symmetric matrix, so the covariance leaving
+(W K^T + K W^T) + P adds a symmetric matrix, so the covariance leaving
 every stage is exactly symmetric. Orthogonality is checked once per CHUNK
 frames: filter_sequence measures the rotation's defect at the start of
 each chunk of frame records, the first included, and projects it back onto
@@ -55,12 +60,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.linalg.lapack import dgesv
 
 from .formats import DataError
 from .kinematics import LEG_NAMES, fk_jacobian, fk_position
-from .liegroup import (
+from .liegroup import (  # noqa: F401 (perfbench traces sek3_exp and sek3_compose by their names here)
     GroupElement,
     ORTHOGONALITY_TOL,
     adjoint,
@@ -68,14 +71,17 @@ from .liegroup import (
     project_rotation,
     sek3_compose,
     sek3_exp,
+    sek3_exp_compose,
     skew,
     so3_exp,
 )
 
 MAX_DT = 0.1  # sanity cap on a single propagation step (s)
+MAX_GRAVITY = 1000.0  # sanity cap on the gravity norm (m/s^2)
 NUM_LEGS = len(LEG_NAMES)
 DIM = 9 + 3 * NUM_LEGS  # covariance size
-CHUNK = 4096  # frames per batch of precomputed records (~0.75 KB each)
+CHUNK = 4096  # frames per batch of precomputed records (~1 KB each)
+PHI_CACHE_SIZE = 64  # distinct dt whose Phi NoiseParams keeps
 _EYE3 = np.eye(3)
 _EYE = np.eye(DIM)
 
@@ -89,7 +95,7 @@ class FrameError(DataError):
 
 
 def _frozen_array(value) -> np.ndarray:
-    arr = np.array(value, dtype=float)
+    arr = np.array(value, dtype=float, order="C")
     arr.flags.writeable = False
     return arr
 
@@ -107,7 +113,9 @@ class NoiseParams:
     Frozen, with read-only arrays: after validation __post_init__ caches
     what every step reuses, Phi's constant matrices N_dt and N_dt2 (so that
     Phi = I + N_dt dt + N_dt2 dt^2) and process_cov, the process noise Q of
-    each contact set, keyed by its tuple of per-leg bools.
+    each contact set, keyed by its tuple of per-leg bools. phi(dt) keeps
+    the read-only Phi and its transpose of the first PHI_CACHE_SIZE
+    distinct dt it is asked for.
     """
 
     gyro_cov: np.ndarray = field(default_factory=lambda: np.eye(3) * 1e-4)
@@ -119,6 +127,7 @@ class NoiseParams:
     process_cov: dict = field(init=False, repr=False, compare=False)
     n_dt: np.ndarray = field(init=False, repr=False, compare=False)
     n_dt2: np.ndarray = field(init=False, repr=False, compare=False)
+    _phi: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("gyro_cov", "accel_cov", "contact_cov", "encoder_cov"):
@@ -129,20 +138,42 @@ class NoiseParams:
         object.__setattr__(self, "gravity", _frozen_array(self.gravity))
         if not (np.all(np.isfinite(self.gravity)) and 0.0 <= self.new_contact_prior < np.inf):
             raise ValueError("gravity must be finite and new_contact_prior finite and non-negative")
+        g_norm = float(np.linalg.norm(self.gravity))
+        if g_norm > MAX_GRAVITY:
+            raise ValueError(f"gravity norm {g_norm} m/s^2 exceeds the {MAX_GRAVITY} m/s^2 cap")
         gx = skew(self.gravity)
         n_dt = np.zeros((DIM, DIM))
         n_dt[3:6, 0:3] = gx
         n_dt[6:9, 3:6] = _EYE3
         n_dt2 = np.zeros((DIM, DIM))
         n_dt2[6:9, 0:3] = 0.5 * gx
-        q_all = block_diag(self.gyro_cov, self.accel_cov, np.zeros((3, 3)), *[self.contact_cov] * NUM_LEGS)
+        blocks = np.arange(3 + NUM_LEGS)
         process_cov = {}
         for contacts in itertools.product((False, True), repeat=NUM_LEGS):
-            keep = np.repeat((True,) * 3 + contacts, 3)
-            process_cov[contacts] = _frozen_array(np.where(np.outer(keep, keep), q_all, 0.0))
+            q = np.zeros((3 + NUM_LEGS, 3, 3 + NUM_LEGS, 3))
+            diag = [self.gyro_cov, self.accel_cov, 0.0 * _EYE3] + [self.contact_cov * on for on in contacts]
+            q[blocks, :, blocks, :] = diag
+            process_cov[contacts] = _frozen_array(q.reshape(DIM, DIM))
         for name, arr in (("n_dt", n_dt), ("n_dt2", n_dt2)):
             object.__setattr__(self, name, _frozen_array(arr))
         object.__setattr__(self, "process_cov", process_cov)
+        object.__setattr__(self, "_phi", {})
+
+    def phi(self, dt: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only (Phi, Phi^T) of the step dt, Phi = I + N_dt dt + N_dt2 dt^2.
+
+        The transpose is C-contiguous, which BLAS multiplies faster than a
+        transposed view. Only the first PHI_CACHE_SIZE distinct dt are kept,
+        so a stream whose every dt differs costs one build per step and no
+        memory growth.
+        """
+        pair = self._phi.get(dt)
+        if pair is None:
+            phi = _EYE + self.n_dt * dt + self.n_dt2 * (dt * dt)
+            pair = _frozen_array(phi), _frozen_array(phi.T)
+            if len(self._phi) < PHI_CACHE_SIZE:
+                self._phi[dt] = pair
+        return pair
 
 
 class Frame(NamedTuple):
@@ -154,6 +185,7 @@ class Frame(NamedTuple):
     d_rot: np.ndarray  # (3, 3) rotation increment so3_exp(gyro dt)
     foot: np.ndarray  # (L, 3) body-frame foot positions
     enc: np.ndarray  # (L, 3, 3) encoder covariance of each foot, J Sigma_enc J^T (body frame)
+    meas_cov: np.ndarray  # (L, 3, 3) its measurement covariance, enc + contact_cov (body frame)
 
 
 @dataclass
@@ -210,10 +242,10 @@ def _leg_block(leg: int) -> slice:
 
 class _Layout(NamedTuple):
     legs: np.ndarray  # legs in contact
-    cols: np.ndarray  # their mean columns
     h: np.ndarray  # (3m, DIM) measurement Jacobian: +I on each leg's block, -I on the position block
     h_t: np.ndarray  # its transpose, C-contiguous
-    diag_idx: Tuple[np.ndarray, np.ndarray]  # the 3x3 diagonal blocks of an innovation matrix
+    h_mean: np.ndarray  # (3m, 3K) -H[:, 3:]: p - d_l of each leg from the flat mean columns
+    diag_flat: np.ndarray  # flat indices of the 3x3 diagonal blocks of an innovation matrix
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,10 +260,10 @@ def _contact_layout(contacts: Tuple[bool, ...]) -> Optional[_Layout]:
     h[rows.ravel(), np.tile(np.arange(6, 9), legs.size)] = -1.0
     return _Layout(
         legs,
-        2 + legs,
         h,
         np.ascontiguousarray(h.T),
-        (np.repeat(rows, 3, axis=1).ravel(), np.tile(rows, 3).ravel()),
+        -h[:, 3:],
+        (np.repeat(rows, 3, axis=1) * (3 * legs.size) + np.tile(rows, 3)).ravel(),
     )
 
 
@@ -251,17 +283,26 @@ def propagate(state: FilterState, frame: Frame, noise: NoiseParams) -> FilterSta
     new_cols[1] += (cols[0] + 0.5 * dv) * dt
     mean = GroupElement(np.dot(rot, frame.d_rot), new_cols)
 
-    # Phi P Phi^T + (Phi G)(Q dt)(Phi G)^T with G = Ad(mean) before the step
-    phi = _EYE + noise.n_dt * dt + noise.n_dt2 * (dt * dt)
-    phi_g = np.dot(phi, adjoint(state.mean))
-    cov = np.dot(np.dot(phi, state.cov), phi.T)
-    cov += np.dot(np.dot(phi_g, noise.process_cov[state.contacts] * dt), phi_g.T)
+    # Phi (P + G (Q dt) G^T) Phi^T with G = Ad(mean) before the step
+    phi, phi_t = noise.phi(dt)
+    g = adjoint(state.mean)
+    cov = np.dot(np.dot(g, noise.process_cov[state.contacts] * dt), g.T)
+    cov += state.cov
+    cov = np.dot(np.dot(phi, cov), phi_t)
     return FilterState(mean, state.contacts, _symmetrize(cov), frame.t)
+
+
+@functools.cache
+def _dgesv():
+    """LAPACK dgesv, loaded on first use so that importing the package loads no scipy."""
+    from scipy.linalg.lapack import dgesv
+
+    return dgesv
 
 
 def _gain(pht: np.ndarray, s_mat: np.ndarray) -> np.ndarray:
     """K = P H^T S^-1 from one LAPACK gesv call (S^T K^T = H P)."""
-    _, _, gain_t, info = dgesv(s_mat.T, pht.T)
+    _, _, gain_t, info = _dgesv()(s_mat.T, pht.T)
     if info > 0:
         raise np.linalg.LinAlgError("Singular matrix")
     return gain_t.T
@@ -271,26 +312,30 @@ def update_contact_kinematics(state: FilterState, frame: Frame, noise: NoisePara
     """Stacked forward-kinematic correction for the feet in contact.
 
     The feet in contact are the state's contact flags; their body-frame
-    positions and encoder covariances come from the frame record. A
+    positions and measurement covariances come from the frame record. A
     singular innovation matrix raises np.linalg.LinAlgError.
     """
     layout = _contact_layout(state.contacts)
     if layout is None:
         return state
     rot = state.mean.rot
-    cols = state.mean.cols
-    innovation = (np.dot(frame.foot[layout.legs], rot.T) + cols[1] - cols[layout.cols]).ravel()
-    meas_cov = rot @ (frame.enc[layout.legs] + noise.contact_cov) @ rot.T
+    # R h(alpha) + p - d_l per leg; each entry of the second term is one exact difference
+    innovation = np.dot(frame.foot[layout.legs], rot.T).ravel()
+    innovation += np.dot(layout.h_mean, state.mean.cols.ravel())
+    meas_cov = rot @ frame.meas_cov[layout.legs] @ rot.T
 
     # each entry of P H^T and H P H^T is one difference of two entries, so exact
     pht = np.dot(state.cov, layout.h_t)
     s_mat = np.dot(layout.h, pht)
-    s_mat[layout.diag_idx] += meas_cov.ravel()
+    s_mat.reshape(-1)[layout.diag_flat] += meas_cov.ravel()
     gain = _gain(pht, s_mat)
-    mean = sek3_compose(sek3_exp(np.dot(gain, innovation)), state.mean)
-    # Joseph form (I - KH) P (I - KH)^T + K N K^T = P + W K^T + K W^T
+    mean = sek3_exp_compose(np.dot(gain, innovation), state.mean)
+    # Joseph form (I - KH) P (I - KH)^T + K N K^T = P + W K^T + K W^T,
+    # the symmetric W K^T + K W^T formed first and P added in place
     wk = np.dot(np.dot(gain, 0.5 * s_mat) - pht, gain.T)
-    return FilterState(mean, state.contacts, state.cov + (wk + wk.T), state.t)
+    cov = wk + wk.T
+    cov += state.cov
+    return FilterState(mean, state.contacts, cov, state.t)
 
 
 def augment_contact(state: FilterState, leg: int, frame: Frame, noise: NoiseParams) -> FilterState:
@@ -418,7 +463,8 @@ def frame_records(t, gyro, accel, q, legs, noise: NoiseParams, t0: float):
             foot[:, leg] = fk_position(geom, alpha[:, leg])
             jac[:, leg] = fk_jacobian(geom, alpha[:, leg])
         enc = jac @ noise.encoder_cov @ jac.swapaxes(-1, -2)
-        yield from map(Frame._make, zip(times.tolist(), dt.tolist(), acc, d_rot, foot, enc))
+        meas_cov = enc + noise.contact_cov
+        yield from map(Frame._make, zip(times.tolist(), dt.tolist(), acc, d_rot, foot, enc, meas_cov))
 
 
 def filter_sequence(frames, contacts, legs, noise, init: Optional[FilterState] = None):

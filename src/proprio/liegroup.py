@@ -30,6 +30,8 @@ _SKEW_MAP = np.array([
     [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
     [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
 ])
+# row 3k+i holds row i of skew(e_k)
+_SKEW_MAP_ROWS = _SKEW_MAP.reshape(9, 3)
 
 
 def skew(v) -> np.ndarray:
@@ -103,6 +105,19 @@ def _rodrigues_entries(p, q, x, y, z) -> tuple:
     )
 
 
+def _exp_coefficients(x, y, z) -> tuple:
+    """a = sin(t)/t, b = (1 - cos t)/t^2, c = (t - sin t)/t^3 of t = |(x, y, z)|.
+
+    Below SMALL_ANGLE each switches to its series, from Python scalars.
+    """
+    theta2 = x * x + y * y + z * z
+    theta = math.sqrt(theta2)
+    if theta < SMALL_ANGLE:
+        return 1.0 - theta2 / 6.0, 0.5 - theta2 / 24.0, 1.0 / 6.0 - theta2 / 120.0
+    sin = math.sin(theta)
+    return sin / theta, (1.0 - math.cos(theta)) / theta2, (theta - sin) / (theta2 * theta)
+
+
 def sek3_exp(xi) -> GroupElement:
     """Exponential map of SE_K(3) from a flat tangent vector.
 
@@ -116,15 +131,27 @@ def sek3_exp(xi) -> GroupElement:
     if xi.ndim != 1 or xi.size % 3 != 0 or xi.size < 6:
         raise ValueError(f"tangent vector length {xi.size} is not 3(K+1)")
     x, y, z = xi[:3].tolist()
-    theta2 = x * x + y * y + z * z
-    theta = math.sqrt(theta2)
-    if theta < SMALL_ANGLE:
-        a, b, c = 1.0 - theta2 / 6.0, 0.5 - theta2 / 24.0, 1.0 / 6.0 - theta2 / 120.0
-    else:
-        sin = math.sin(theta)
-        a, b, c = sin / theta, (1.0 - math.cos(theta)) / theta2, (theta - sin) / (theta2 * theta)
+    a, b, c = _exp_coefficients(x, y, z)
     rot_jac_t = np.array(_rodrigues_entries(a, b, x, y, z) + _rodrigues_entries(-b, c, x, y, z)).reshape(2, 3, 3)
     return GroupElement(rot_jac_t[0], np.dot(xi[3:].reshape(-1, 3), rot_jac_t[1]))
+
+
+def sek3_exp_compose(xi: np.ndarray, g: GroupElement) -> GroupElement:
+    """sek3_compose(sek3_exp(xi), g) in one pass, with no intermediate element.
+
+    xi is a flat float array of length 3(g.k + 1). With exp(xi) = (R, B J_l^T),
+    B the (K, 3) rows of xi[3:], the product is (R R_g, B J_l^T + cols_g R^T);
+    R^T = I - a W + b W^2 and J_l^T come from one np.array call.
+    """
+    if xi.size != 3 + g.cols.size:
+        raise ValueError(f"tangent vector length {xi.size} does not match {g.k} columns")
+    x, y, z = xi[:3].tolist()
+    a, b, c = _exp_coefficients(x, y, z)
+    rot_jac_t = np.array(_rodrigues_entries(-a, b, x, y, z) + _rodrigues_entries(-b, c, x, y, z)).reshape(6, 3)
+    rot_t = rot_jac_t[:3]
+    cols = np.dot(xi[3:].reshape(-1, 3), rot_jac_t[3:])
+    cols += np.dot(g.cols, rot_t)
+    return GroupElement(np.dot(rot_t.T, g.rot), cols)
 
 
 def sek3_compose(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -138,12 +165,14 @@ def adjoint(g: GroupElement) -> np.ndarray:
     """Adjoint matrix: Ad(X) xi = vee(X hat(xi) X^-1).
 
     Block structure: R on every diagonal block, skew(col_i) R in the
-    (i+1, 0) block, zero elsewhere; each is one assignment to a
-    (K+1, 3, K+1, 3) array.
+    (i+1, 0) block, zero elsewhere. The diagonal is one assignment to a
+    (K+1, 3, K+1, 3) array. skew(c) R is linear in c, so with E the (3, 9)
+    stack of skew(e_k) R, the first block column is cols @ E: two np.dot
+    calls, one to form E and one to apply it.
     """
     n = g.k + 1
     ad = np.zeros((n, 3, n, 3))
     blocks = np.arange(n)
     ad[blocks, :, blocks, :] = g.rot
-    ad[1:, :, 0, :] = skew(g.cols) @ g.rot
+    ad[1:, :, 0, :] = np.dot(g.cols, np.dot(_SKEW_MAP_ROWS, g.rot).reshape(3, 9)).reshape(-1, 3, 3)
     return ad.reshape(3 * n, 3 * n)

@@ -220,6 +220,11 @@ GAIT = ("baselines", "gait")
         ("[eval]\nassoc_tol = nan", "eval", "association tolerance must be finite and non-negative, got nan s"),
         ("[eval]\nassoc_tol = -1", "eval", "association tolerance must be finite and non-negative, got -1.0 s"),
         (f"[contactnet]\nstride = {BIG_INT}", "contactnet", f"window stride {BIG_INT} exceeds the 300 frames"),
+        ("[contactnet]\nclasses = 0", "contactnet",
+         "largest label code 9 needs at least 10 classes; the network has 0"),
+        ("[contactnet]\nclasses = 4", "contactnet",
+         "largest label code 9 needs at least 10 classes; the network has 4"),
+        ("[inekf]\ngravity_z = 1e20", "inekf", "gravity norm 1e+20 m/s^2 exceeds the 1000.0 m/s^2 cap"),
         (
             "[contactnet]\nlearning_rate = 1e20\nbatch_size = 5",
             "contactnet",

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgesv
 
+import proprio
 from proprio import gaitsim, inekf
 from proprio.config import load_config
 from proprio.inekf import (
@@ -149,7 +155,8 @@ class TestPropagate:
 
     @pytest.mark.parametrize("field,value", [
         ("gyro_cov", np.eye(3) * np.nan), ("encoder_cov", np.diag([1.0, -1.0, 1.0])),
-        ("gravity", np.array([0.0, 0.0, np.inf])), ("new_contact_prior", np.nan),
+        ("gravity", np.array([0.0, 0.0, np.inf])), ("gravity", np.array([0.0, 1e3, -1.0])),
+        ("new_contact_prior", np.nan),
     ])
     def test_noise_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -358,7 +365,7 @@ class TestStep:
         assert sorted(calls) == ["augment_contact", "marginalize_contact"]
 
     def test_contact_row_forms_agree(self):
-        frames, contacts, legs, noise, init = jittered_trot(2.0, 0.02)
+        frames, contacts, legs, noise, init = jittered_gait(2.0, 0.02)
         frames, contacts = frames.rows(slice(0, 500)), contacts[:500]
         records = list(inekf.frame_records(frames.t, frames.gyro, frames.acc, frames.q, legs, noise, init.t))
         finals = []
@@ -444,10 +451,11 @@ PINNED = {
 }
 
 
-def jittered_trot(seconds, flip_rate):
-    """Seed-101 turning trot (jitter 0.05, turn 0.3 rad/s) with a share of
+def jittered_gait(seconds, flip_rate, gait="trot"):
+    """Seed-101 turning gait (jitter 0.05, turn 0.3 rad/s) with a share of
     contact entries flipped by default_rng(0)."""
     cfg = load_config()
+    cfg.gaitsim.gait = gait
     cfg.gaitsim.jitter = 0.05
     cfg.gaitsim.turn_rate = 0.3
     legs = cfg.kinematics.legs()
@@ -461,7 +469,7 @@ def jittered_trot(seconds, flip_rate):
 
 class TestFixedSlots:
     def test_pinned_trot_with_flipped_contacts(self):
-        frames, contacts, legs, noise, init = jittered_trot(5.0, 0.01)
+        frames, contacts, legs, noise, init = jittered_gait(5.0, 0.01)
         assert len(frames) == 5001
         _, rot, _, pos = inekf.filter_sequence(frames, contacts, legs, noise, init)
         for i, (p, r) in PINNED.items():
@@ -469,7 +477,7 @@ class TestFixedSlots:
             np.testing.assert_allclose(rot[i], r, rtol=0, atol=1e-9)
 
     def test_zero_slots_through_every_stage(self):
-        frames, contacts, legs, noise, state = jittered_trot(2.0, 0.05)
+        frames, contacts, legs, noise, state = jittered_gait(2.0, 0.05)
         assert_zero_slots(state)
         switches = 0
         head = frames.rows(slice(0, 600))
@@ -488,7 +496,7 @@ class TestFixedSlots:
         assert switches > 50
 
     def test_contact_width_checked(self):
-        frames, contacts, legs, noise, init = jittered_trot(2.0, 0.0)
+        frames, contacts, legs, noise, init = jittered_gait(2.0, 0.0)
         with pytest.raises(FrameError, match="contact matrix"):
             inekf.filter_sequence(frames, contacts[:, :3], legs, noise, init)
         with pytest.raises(FrameError, match="contact matrix"):
@@ -589,7 +597,7 @@ class TestFrameRecords:
 
     def _run(self, monkeypatch, n=5 * SMALL_CHUNK - 20):
         monkeypatch.setattr(inekf, "CHUNK", self.SMALL_CHUNK)
-        frames, contacts, legs, noise, init = jittered_trot(2.0, 0.02)
+        frames, contacts, legs, noise, init = jittered_gait(2.0, 0.02)
         return frames.rows(slice(0, n)), contacts[:n].copy(), legs, noise, init
 
     def test_chunked_run_matches_dense_reference(self, monkeypatch):
@@ -692,3 +700,137 @@ class TestFrameRecords:
         assert defects[: c + 10].max() < ORTHOGONALITY_TOL
         assert defects[c + 10 : 2 * c].min() > 5e-7  # carried to the end of the chunk
         assert defects[2 * c :].max() < ORTHOGONALITY_TOL
+
+
+class TestPhiCache:
+    def test_read_only_and_equal_to_formula(self):
+        noise = noise_params()
+        for dt in (1e-3, 2.5e-3, MAX_DT):
+            phi, phi_t = noise.phi(dt)
+            ref = np.eye(DIM)
+            gx = skew(noise.gravity)
+            ref[3:6, 0:3] = gx * dt
+            ref[6:9, 0:3] = gx * (0.5 * dt * dt)
+            ref[6:9, 3:6] = np.eye(3) * dt
+            np.testing.assert_allclose(phi, ref, rtol=1e-15, atol=0)
+            assert np.array_equal(phi_t, phi.T) and phi_t.flags.c_contiguous
+            for arr in (phi, phi_t):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0] = 2.0
+            again = noise.phi(dt)
+            assert again[0] is phi and again[1] is phi_t
+
+    def test_bounded_when_every_dt_differs(self):
+        noise = noise_params()
+        n = 3 * inekf.PHI_CACHE_SIZE
+        frames, contacts, legs, _, init = jittered_gait(2.0, 0.0)
+        frames = frames.rows(slice(0, n))
+        frames.t = init.t + np.cumsum(np.linspace(1e-3, 2e-3, n)) - 1e-3
+        assert len(np.unique(np.diff(frames.t))) == n - 1
+        inekf.filter_sequence(frames, contacts[:n], legs, noise, init)
+        assert len(noise._phi) == inekf.PHI_CACHE_SIZE
+        dt = float(frames.t[-1] - frames.t[-2])
+        assert dt not in noise._phi
+        phi, phi_t = noise.phi(dt)
+        assert not phi.flags.writeable and not phi_t.flags.writeable
+        np.testing.assert_array_equal(phi, np.eye(DIM) + noise.n_dt * dt + noise.n_dt2 * (dt * dt))
+        assert len(noise._phi) == inekf.PHI_CACHE_SIZE
+
+
+def matrix_form_propagate(state, frame, noise):
+    """propagate in the whole-matrix form Phi P Phi^T + (Phi G)(Q dt)(Phi G)^T,
+    Phi built on every step; the step's four-GEMM form must reproduce it."""
+    rot = state.mean.rot
+    cols = state.mean.cols
+    dt = frame.dt
+
+    dv = (np.dot(rot, frame.accel) + noise.gravity) * dt
+    new_cols = cols.copy()
+    new_cols[0] += dv
+    new_cols[1] += (cols[0] + 0.5 * dv) * dt
+    mean = GroupElement(np.dot(rot, frame.d_rot), new_cols)
+
+    phi = np.eye(DIM) + noise.n_dt * dt + noise.n_dt2 * (dt * dt)
+    phi_g = np.dot(phi, adjoint(state.mean))
+    cov = np.dot(np.dot(phi, state.cov), phi.T)
+    cov += np.dot(np.dot(phi_g, noise.process_cov[state.contacts] * dt), phi_g.T)
+    return FilterState(mean, state.contacts, (cov + cov.T) / 2.0, frame.t)
+
+
+def exp_then_compose_update(state, frame, noise):
+    """update_contact_kinematics with exp(K v) formed as an element and then
+    composed, the measurement covariance added per leg from the frame's
+    encoder covariance, and the Joseph term added out of place."""
+    legs = np.flatnonzero(state.contacts)
+    if legs.size == 0:
+        return state
+    rows = 3 * np.arange(legs.size)[:, None] + np.arange(3)
+    h = np.zeros((3 * legs.size, DIM))
+    h[rows.ravel(), (9 + 3 * legs[:, None] + np.arange(3)).ravel()] = 1.0
+    h[rows.ravel(), np.tile(np.arange(6, 9), legs.size)] = -1.0
+    rot = state.mean.rot
+    cols = state.mean.cols
+    innovation = (np.dot(frame.foot[legs], rot.T) + cols[1] - cols[2 + legs]).ravel()
+    meas_cov = rot @ (frame.enc[legs] + noise.contact_cov) @ rot.T
+
+    pht = np.dot(state.cov, h.T)
+    s_mat = np.dot(h, pht)
+    s_mat[np.repeat(rows, 3, axis=1).ravel(), np.tile(rows, 3).ravel()] += meas_cov.ravel()
+    _, _, gain_t, info = dgesv(s_mat.T, pht.T)
+    assert info == 0
+    gain = gain_t.T
+    mean = sek3_compose(sek3_exp(np.dot(gain, innovation)), state.mean)
+    wk = np.dot(np.dot(gain, 0.5 * s_mat) - pht, gain.T)
+    return FilterState(mean, state.contacts, state.cov + (wk + wk.T), state.t)
+
+
+def assert_states_close(got, ref, atol):
+    assert got.contacts == ref.contacts and got.t == ref.t
+    for a, b in ((got.mean.rot, ref.mean.rot), (got.mean.cols, ref.mean.cols), (got.cov, ref.cov)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=atol)
+
+
+class TestMatrixFormReference:
+    @pytest.mark.parametrize("gait,flip_rate", [("trot", 0.05), ("pronk", 0.1)])
+    def test_step_matches_reference_on_every_contact_set(self, gait, flip_rate):
+        frames, contacts, legs, noise, state = jittered_gait(2.0, flip_rate, gait)
+        records = inekf.frame_records(frames.t, frames.gyro, frames.acc, frames.q, legs, noise, state.t)
+        state = inekf._reconcile_contacts(state, tuple(contacts[0]), next(records), noise)
+        chain = state
+        seen = set()
+        for row, frame in zip(contacts[1:].tolist(), records):
+            # one step from the same state, and the reference run on its own from row 0
+            got = step(state, frame, row, noise)
+            ref = matrix_form_propagate(state, frame, noise)
+            ref = exp_then_compose_update(inekf._reconcile_contacts(ref, tuple(row), frame, noise), frame, noise)
+            assert_states_close(got, ref, 1e-12)
+            assert np.array_equal(got.cov, got.cov.T)
+            chain = matrix_form_propagate(chain, frame, noise)
+            chain = exp_then_compose_update(inekf._reconcile_contacts(chain, tuple(row), frame, noise), frame, noise)
+            state = got
+            seen.add(state.contacts)
+        assert len(seen) == 1 << NUM_LEGS
+        assert_states_close(state, chain, 1e-12)
+
+
+SCIPY_CHECK = """
+import sys
+import numpy as np
+import proprio.cli
+from proprio import inekf
+from proprio.kinematics import default_legs
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy loaded at import"
+frame = next(inekf.frame_records([0.0], np.zeros((1, 3)), np.zeros((1, 3)), np.tile([0.0, 0.5, 1.0], (1, 4)),
+                                 default_legs(), inekf.NoiseParams(), 0.0))
+state = inekf.augment_contact(inekf.make_initial_state(), 0, frame, inekf.NoiseParams())
+inekf.update_contact_kinematics(state, frame, inekf.NoiseParams())
+assert "scipy.linalg.lapack" in sys.modules
+"""
+
+
+def test_scipy_loaded_by_first_gain_only():
+    # a fresh process, since this one has loaded scipy already
+    src = os.path.dirname(os.path.dirname(os.path.abspath(proprio.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", SCIPY_CHECK], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -8,6 +8,7 @@ from proprio.liegroup import (
     adjoint,
     sek3_compose,
     sek3_exp,
+    sek3_exp_compose,
     skew,
     so3_exp,
 )
@@ -249,6 +250,25 @@ class TestComposeInverse:
             sek3_compose(random_element(rng, 2), random_element(rng, 3))
 
 
+class TestExpCompose:
+    @pytest.mark.parametrize("theta", [0.0, 1e-9, SMALL_ANGLE * 0.99, SMALL_ANGLE * 1.01, 1e-3, 1.0, np.pi - 1e-6])
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_matches_exp_then_compose(self, theta, k):
+        rng = np.random.default_rng(30 + k)
+        for _ in range(10):
+            axis = rng.normal(size=3)
+            xi = np.concatenate([axis / np.linalg.norm(axis) * theta, rng.normal(size=3 * k)])
+            g = random_element(rng, k)
+            got, ref = sek3_exp_compose(xi, g), sek3_compose(sek3_exp(xi), g)
+            np.testing.assert_allclose(got.rot, ref.rot, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(got.cols, ref.cols, rtol=0, atol=1e-15)
+
+    def test_column_count_mismatch(self):
+        g = random_element(np.random.default_rng(0), 3)
+        with pytest.raises(ValueError, match="does not match 3 columns"):
+            sek3_exp_compose(np.zeros(9), g)
+
+
 def _hat(xi, k):
     m = np.zeros((3 + k, 3 + k))
     m[:3, :3] = skew(xi[:3])
@@ -284,6 +304,15 @@ class TestAdjoint:
         for _ in range(20):
             g = random_element(rng, k)
             np.testing.assert_allclose(adjoint(g), ref_adjoint(g), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_first_block_column_is_skew_cols_times_rot(self, k):
+        rng = np.random.default_rng(40 + k)
+        for _ in range(20):
+            g = random_element(rng, k)
+            ad = adjoint(g).reshape(k + 1, 3, k + 1, 3)
+            np.testing.assert_allclose(ad[1:, :, 0, :], skew(g.cols) @ g.rot, rtol=0, atol=1e-15)
+            assert np.array_equal(ad[0, :, 0, :], g.rot)
 
     def test_identity(self):
         assert np.array_equal(adjoint(GroupElement(np.eye(3), np.zeros((3, 3)))), np.eye(12))
