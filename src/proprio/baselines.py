@@ -56,28 +56,20 @@ class GaitSchedule:
 def estimate_grf(tau, alpha, legs):
     """Per-leg ground-reaction force estimate f = (J^T)^-1 tau.
 
-    tau: (..., 12) torques, alpha: (..., 4, 3) joint angles. Returns
-    (forces (..., 4, 3), singular_flags (..., 4)); near-singular legs fall
-    back to a pseudo-inverse and are flagged.
+    tau: (..., 12) torques, alpha: (..., 4, 3) joint angles, legs: the four
+    legs' LegGeometry. Returns (forces (..., 4, 3), singular_flags (..., 4));
+    near-singular legs fall back to a pseudo-inverse and are flagged.
     """
     tau = np.asarray(tau, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    tau_legs = tau.reshape(tau.shape[:-1] + (4, 3))
-    forces = np.zeros_like(tau_legs)
-    flags = np.zeros(tau_legs.shape[:-1], dtype=bool)
-    for leg in range(4):
-        jac_t = np.swapaxes(fk_jacobian(legs[leg], alpha[..., leg, :]), -1, -2)
-        svmin = np.linalg.svd(jac_t, compute_uv=False)[..., -1]
-        singular = svmin < SINGULAR_SVMIN
-        flags[..., leg] = singular
-        # one solve with the identity standing in for singular legs, whose rows
-        # alone then take the pseudo-inverse
-        tau_leg = tau_legs[..., leg, :]
-        safe = np.where(singular[..., None, None], np.eye(3), jac_t)
-        sol = np.linalg.solve(safe, tau_leg[..., None])[..., 0]
-        if singular.any():
-            sol[singular] = np.einsum("nij,nj->ni", np.linalg.pinv(jac_t[singular]), tau_leg[singular])
-        forces[..., leg, :] = sol
+    tau_legs = tau.reshape(tau.shape[:-1] + (-1, 3))
+    jac_t = np.swapaxes(fk_jacobian(legs, alpha), -1, -2)
+    flags = np.linalg.svd(jac_t, compute_uv=False)[..., -1] < SINGULAR_SVMIN
+    # one solve with the identity standing in for singular legs, which alone
+    # then take the pseudo-inverse
+    safe = np.where(flags[..., None, None], np.eye(3), jac_t)
+    forces = np.linalg.solve(safe, tau_legs[..., None])[..., 0]
+    if flags.any():
+        forces[flags] = np.einsum("nij,nj->ni", np.linalg.pinv(jac_t[flags]), tau_legs[flags])
     return forces, flags
 
 

@@ -182,13 +182,12 @@ def cmd_infer(args, cfg):
 def _run_filter(frames, t_c, codes, cfg, out, data, pose=(None, None, None)):
     """Filter the frames from the first one at or after t_c[0], with the codes held onto them, from
     pose (rot, vel, pos) and `[inekf] init_cov`; writes trajectory_est.csv. Names a bad frame's row of `data`."""
-    legs = cfg.kinematics.legs()
     first = int(np.argmax(frames.t >= t_c[0]))
     frames = frames.rows(slice(first, None))
-    contacts = dataio.codes_to_bool(codes[dataio.hold(t_c, frames.t)], len(legs))
+    contacts = dataio.codes_to_bool(codes[dataio.hold(t_c, frames.t)], inekf.NUM_LEGS)
     init = inekf.make_initial_state(*pose, float(frames.t[0]), cfg.inekf.init_cov)
     try:
-        t, _, _, pos = inekf.filter_sequence(frames, contacts, legs, cfg.inekf.noise(), init)
+        t, _, _, pos = inekf.filter_sequence(frames, contacts, cfg.kinematics.legs(), cfg.inekf.noise(), init)
     except inekf.FrameError as exc:
         where = data if exc.row is None else dataio.row_location(data, first + exc.row)
         raise inekf.FrameError(f"{where}: {exc}") from exc

@@ -69,12 +69,16 @@ class InekfConfig:
 class ContactnetConfig:
     preset: str = _NET["name"]
     window: int = _NET["window"]
-    classes: int = _NET["n_classes"]
     batch_size: int = contactnet.TrainConfig.batch_size
     learning_rate: float = contactnet.TrainConfig.learning_rate
     epochs: int = contactnet.TrainConfig.epochs
     dropout: float = _NET["dropout"]
     stride: int = 4  # window stride when deriving training sets
+
+    @property
+    def classes(self) -> int:
+        """One class per contact code: a bit for each leg."""
+        return 1 << len(kinematics.LEG_NAMES)
 
 
 @dataclass

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..dataio import WindowSet, normalize_window
 from ..formats import DataError, write_csv
+from . import layers as L
 from . import network as net
 
 
@@ -142,8 +143,10 @@ def train(train_windows: WindowSet, config: TrainConfig, spec, val_windows=None)
     Log rows are dicts with epoch, train_loss, train_acc, val_acc. "Best"
     means highest validation accuracy (training accuracy when no validation
     set is supplied), ties resolved to the earliest epoch. A label code of
-    spec.n_classes or more, or an epoch that ends with a non-finite loss or
-    weight, raises DataError.
+    spec.n_classes or more raises DataError, and so does an epoch that ends
+    with a non-finite weight or loss: its mean loss, or its last batch's loss
+    scored again on the weights after its step, since no batch loss sees the
+    weights a run ends with.
     """
     if len(train_windows) == 0:
         raise DataError("empty training set")
@@ -172,9 +175,10 @@ def train(train_windows: WindowSet, config: TrainConfig, spec, val_windows=None)
             total_loss += value * len(idx)
             total_correct += int(np.sum(np.argmax(logits, axis=1) == y))
         train_loss = total_loss / n
-        finite = math.isfinite(train_loss) and all(np.isfinite(w).all() for p in params if p for w in p)
-        if not finite:
-            raise DataError(f"training diverged in epoch {epoch}: loss {train_loss} at learning rate {config.learning_rate}")
+        stepped_loss, _ = L.cross_entropy(net.forward(params, spec, x), y)
+        loss = train_loss if not math.isfinite(train_loss) else float(stepped_loss)
+        if not math.isfinite(loss) or not all(np.isfinite(w).all() for p in params if p for w in p):
+            raise DataError(f"training diverged in epoch {epoch}: loss {loss} at learning rate {config.learning_rate}")
         train_acc = total_correct / n
         if val_windows is not None and len(val_windows):
             val_acc = evaluate_accuracy(params, spec, val_windows)

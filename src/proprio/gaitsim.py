@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dataio import FrameSequence, bool_to_codes, upsample
-from .kinematics import UnreachableTargetError, fk_jacobian, fk_position, ik_position
+from .kinematics import fk_jacobian, fk_position, ik_position
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -267,13 +267,12 @@ def _touchdown_transient(u, spec: GaitSpec):
     return z, zdot
 
 
-def _foot_world_ground(spec, body, leg_geom, td, lo, t):
-    """World foot trajectory for a ground gait leg: anchors plus swing."""
+def _foot_world_ground(spec, body, pivot, td, lo, t):
+    """World foot trajectory for a ground gait leg with abduction pivot `pivot`: anchors plus swing."""
     # anchor: ground point under the abduction pivot at mid-stance
     t_mid = (td + lo) / 2.0
     yaw_mid = body.yaw(t_mid)
     c, s = np.cos(yaw_mid), np.sin(yaw_mid)
-    pivot = leg_geom.hip + np.array([0.0, leg_geom.lateral_sign * leg_geom.abd, 0.0])
     anchors = body.pos(t_mid)[:, :2] + np.stack(
         [c * pivot[0] - s * pivot[1], s * pivot[0] + c * pivot[1]], axis=-1
     )
@@ -330,10 +329,9 @@ def _landing_weight(spec: GaitSpec) -> float:
     return min(w, _MAX_LANDING_WEIGHT)
 
 
-def _foot_body_air(spec, leg_geom, offset, t):
-    """Body-frame cycling foot target for air gaits (no ground)."""
+def _foot_body_air(spec, pivot, offset, t):
+    """Body-frame cycling foot target around abduction pivot `pivot` for air gaits (no ground)."""
     phase = (t / spec.period + offset) % 1.0
-    pivot = leg_geom.hip + np.array([0.0, leg_geom.lateral_sign * leg_geom.abd, 0.0])
     two_pi = 2.0 * np.pi
     x = pivot[0] + 0.25 * spec.step_length * np.sin(two_pi * phase)
     z = -spec.body_height + 0.5 * spec.step_height * (1.0 - np.cos(two_pi * phase))
@@ -381,42 +379,33 @@ def simulate(spec: GaitSpec, duration: float, legs) -> SimulationResult:
     vel_enc = body.vel(t_enc)
     omega_body = np.array([0.0, 0.0, body.w])
 
-    q_true = np.zeros((n_enc, 4, 3))
-    qd_true = np.zeros((n_enc, 4, 3))
+    target_b = np.empty((n_enc, 4, 3))
+    target_bv = np.empty((n_enc, 4, 3))
     contacts_enc = _contacts_at(schedule, t_enc) & grounded
+    pivots = legs.hip.copy()  # each leg's abduction pivot
+    pivots[:, 1] += legs.lateral_sign * legs.abd
     for leg in range(4):
-        geom = legs[leg]
         if grounded:
-            foot_w, foot_wv = _foot_world_ground(spec, body, geom, *schedule[leg], t_enc)
-            target_b = np.einsum("nji,nj->ni", rot_enc, foot_w - pos_enc)
+            foot_w, foot_wv = _foot_world_ground(spec, body, pivots[leg], *schedule[leg], t_enc)
+            target_b[:, leg] = np.einsum("nji,nj->ni", rot_enc, foot_w - pos_enc)
             # d/dt R^T (x - p) = R^T (dx - v) - omega x R^T (x - p)
-            target_bv = np.einsum("nji,nj->ni", rot_enc, foot_wv - vel_enc) - np.cross(
-                omega_body, target_b
+            target_bv[:, leg] = np.einsum("nji,nj->ni", rot_enc, foot_wv - vel_enc) - np.cross(
+                omega_body, target_b[:, leg]
             )
         else:  # air gait: body-frame cycling
-            target_b, target_bv = _foot_body_air(spec, geom, _gait_offsets(spec)[leg], t_enc)
-        try:
-            q_true[:, leg] = ik_position(geom, target_b)
-        except UnreachableTargetError as exc:
-            raise UnreachableTargetError(f"leg {leg}: {exc}") from exc
-        qd_true[:, leg] = np.linalg.solve(
-            fk_jacobian(geom, q_true[:, leg]), target_bv[..., None]
-        )[..., 0]
+            target_b[:, leg], target_bv[:, leg] = _foot_body_air(spec, pivots[leg], _gait_offsets(spec)[leg], t_enc)
+    q_true = ik_position(legs, target_b)
+    jac_true = fk_jacobian(legs, q_true)
+    qd_true = np.linalg.solve(jac_true, target_bv[..., None])[..., 0]
 
     noise = spec.noise
     q_meas = q_true + rng.normal(0.0, 1.0, q_true.shape) * noise.encoder
     qd_meas = qd_true + rng.normal(0.0, 1.0, qd_true.shape) * noise.joint_rate
 
-    pf = np.zeros((n_enc, 4, 3))
-    vf = np.zeros((n_enc, 4, 3))
-    for leg in range(4):
-        geom = legs[leg]
-        pf[:, leg] = fk_position(geom, q_meas[:, leg]) - geom.hip
-        vf[:, leg] = np.einsum(
-            "nij,nj->ni", fk_jacobian(geom, q_meas[:, leg]), qd_meas[:, leg]
-        )
+    pf = fk_position(legs, q_meas) - legs.hip
+    vf = np.einsum("nlij,nlj->nli", fk_jacobian(legs, q_meas), qd_meas)
 
-    tau = _synthetic_torques(spec, legs, q_true, qd_true, contacts_enc, rot_enc, t_enc, rng)
+    tau = _synthetic_torques(spec, jac_true, qd_true, contacts_enc, rot_enc, t_enc, rng)
 
     # IMU channels on the encoder grid feed the encoder-rate frames; the
     # IMU-rate frames get them natively below.
@@ -470,36 +459,31 @@ def _dilate(mask, before, after):
     return out
 
 
-def _synthetic_torques(spec, legs, q_true, qd_true, contacts, rot, t, rng):
+def _synthetic_torques(spec, jac, qd_true, contacts, rot, t, rng):
     """Commanded-torque model: weight sharing through J^T plus swing inertia.
 
-    The torque window is dilated around true stance (feed-forward
-    anticipation and hold), so force thresholding systematically
-    mispredicts the transitions.
+    `jac` is the (n, 4, 3, 3) foot Jacobian at the true joint angles. The
+    torque window is dilated around true stance (feed-forward anticipation
+    and hold), so force thresholding systematically mispredicts the
+    transitions.
     """
     n = len(t)
     rate = spec.encoder_rate
     before = int(round(TORQUE_ANTICIPATION_S * rate))
     after = int(round(TORQUE_HOLD_S * rate))
-    loaded = np.stack(
-        [_dilate(contacts[:, leg], before, after) for leg in range(4)], axis=1
-    )
+    loaded = _dilate(contacts, before, after)
     n_loaded = loaded.sum(axis=1)
     share = np.zeros(n)
     np.divide(spec.mass * 9.81, n_loaded, out=share, where=n_loaded > 0)
 
-    tau = np.zeros((n, 4, 3))
-    for leg in range(4):
-        geom = legs[leg]
-        jac = fk_jacobian(geom, q_true[:, leg])
-        f_world = np.zeros((n, 3))
-        f_world[:, 2] = np.where(loaded[:, leg], share, 0.0)
-        # swing inertia: reaction to accelerating the leg mass
-        foot_vel = np.einsum("nij,nj->ni", jac, qd_true[:, leg])
-        foot_acc = np.gradient(foot_vel, t, axis=0)
-        f_inertial = -LEG_MASS * foot_acc * (~contacts[:, leg])[:, None]
-        f_body = np.einsum("nji,nj->ni", rot, f_world) + f_inertial
-        tau[:, leg] = np.einsum("nji,nj->ni", jac, f_body)
+    f_world = np.zeros((n, 4, 3))
+    f_world[..., 2] = np.where(loaded, share[:, None], 0.0)
+    # swing inertia: reaction to accelerating the leg mass
+    foot_vel = np.einsum("nlij,nlj->nli", jac, qd_true)
+    foot_acc = np.gradient(foot_vel, t, axis=0)
+    f_inertial = -LEG_MASS * foot_acc * (~contacts)[..., None]
+    f_body = np.einsum("nji,nlj->nli", rot, f_world) + f_inertial
+    tau = np.einsum("nlji,nlj->nli", jac, f_body)
     tau += rng.normal(0.0, 1.0, tau.shape) * spec.noise.torque
     return tau
 

@@ -434,14 +434,14 @@ def _check_chunk(t, dt, gyro, accel, alpha, start):
 def frame_records(t, gyro, accel, q, legs, noise: NoiseParams, t0: float):
     """Yield the Frame record of every row, computed CHUNK rows at a time.
 
-    t (N,), gyro and accel (N, 3), q (N, 3L). Row 0 is the initial frame:
-    the filter only reconciles contacts on it, so its record has t = t0 and
-    dt = 0, and its IMU sample is never used and not checked; its joint
-    angles place the feet already down and must be finite. Row i >= 1
-    propagates from row i-1 (row 1 from t0). A chunk with a non-finite IMU
-    sample or joint angle, or a dt outside (0, MAX_DT], raises FrameError
-    for its earliest such row, finiteness first; the error's row is that
-    row's index.
+    t (N,), gyro and accel (N, 3), q (N, 3L), legs the LegGeometry of all L
+    legs. Row 0 is the initial frame: the filter only reconciles contacts on
+    it, so its record has t = t0 and dt = 0, and its IMU sample is never used
+    and not checked; its joint angles place the feet already down and must
+    be finite. Row i >= 1 propagates from row i-1 (row 1 from t0). A chunk
+    with a non-finite IMU sample or joint angle, or a dt outside
+    (0, MAX_DT], raises FrameError for its earliest such row, finiteness
+    first; the error's row is that row's index.
     """
     t, gyro, accel, q = (np.asarray(x, dtype=float) for x in (t, gyro, accel, q))
     t_prev = float(t0)
@@ -457,11 +457,8 @@ def frame_records(t, gyro, accel, q, legs, noise: NoiseParams, t0: float):
         _check_chunk(times, dt, g, acc, alpha, a)
 
         d_rot = so3_exp(g * dt[:, None])
-        foot = np.empty(alpha.shape)
-        jac = np.empty(alpha.shape + (3,))
-        for leg, geom in enumerate(legs):
-            foot[:, leg] = fk_position(geom, alpha[:, leg])
-            jac[:, leg] = fk_jacobian(geom, alpha[:, leg])
+        foot = fk_position(legs, alpha)
+        jac = fk_jacobian(legs, alpha)
         enc = jac @ noise.encoder_cov @ jac.swapaxes(-1, -2)
         meas_cov = enc + noise.contact_cov
         yield from map(Frame._make, zip(times.tolist(), dt.tolist(), acc, d_rot, foot, enc, meas_cov))

@@ -5,8 +5,9 @@ Chain per leg (body frame: x forward, y left, z up):
     hip -> Rx(abduction) -> [0, sign*abd, 0] -> Ry(hip flexion)
         -> [0, 0, -l1] -> Ry(knee) -> [0, 0, -l2] -> foot
 
-All functions broadcast over leading axes: joint angles have shape (..., 3)
-and positions (..., 3).
+A LegGeometry describes one leg, or L legs at once: then its hip is (L, 3)
+and its lateral sign (L,), and joint angles and positions carry the leg
+axis as (..., L, 3). All functions broadcast over the leading axes.
 """
 
 from __future__ import annotations
@@ -27,19 +28,19 @@ class UnreachableTargetError(ValueError):
 
 @dataclass(frozen=True)
 class LegGeometry:
-    """Geometry of one leg.
+    """Geometry of one leg, or of L legs sharing their link lengths.
 
     abd: lateral abduction link offset (m), applied along +/-y.
     l1, l2: thigh and shank lengths (m).
-    hip: hip position in the body frame (3,).
-    lateral_sign: +1 for left legs, -1 for right legs.
+    hip: hip position in the body frame, (3,) or (L, 3).
+    lateral_sign: +1 for left legs, -1 for right legs; a scalar or (L,).
     """
 
     abd: float
     l1: float
     l2: float
     hip: np.ndarray
-    lateral_sign: int
+    lateral_sign: int | np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "hip", np.asarray(self.hip, dtype=float))
@@ -52,12 +53,9 @@ class LegGeometry:
 
 
 def default_legs(abd=0.062, l1=0.209, l2=0.195, hip_x=0.19, hip_y=0.049):
-    """Four LegGeometry in RF, LF, RH, LH order, Mini-Cheetah-scale defaults."""
-    signs = ((1, -1), (1, 1), (-1, -1), (-1, 1))  # (x, y) per leg
-    return tuple(
-        LegGeometry(abd, l1, l2, np.array([sx * hip_x, sy * hip_y, 0.0]), sy)
-        for sx, sy in signs
-    )
+    """The four legs in RF, LF, RH, LH order, Mini-Cheetah-scale defaults."""
+    sx, sy = np.array([[1, -1], [1, 1], [-1, -1], [-1, 1]]).T  # per leg
+    return LegGeometry(abd, l1, l2, np.stack([sx * hip_x, sy * hip_y, np.zeros(len(sx))], axis=-1), sy)
 
 
 def _leg_plane_terms(geom, alpha):
@@ -96,7 +94,6 @@ def fk_jacobian(geom: LegGeometry, alpha) -> np.ndarray:
     ix = -geom.l2 * s3
     iz = -geom.l1 - geom.l2 * c3
     y_leg = geom.lateral_sign * geom.abd
-    x = c2 * ix + s2 * iz
     z_leg = -s2 * ix + c2 * iz
 
     jac = np.empty(alpha.shape[:-1] + (3, 3))
@@ -123,6 +120,14 @@ def _wrap_angle(a):
     return (a + np.pi) % (2.0 * np.pi) - np.pi
 
 
+def _require_reach(geom, bad, why):
+    """Raise UnreachableTargetError if any target is `bad`; for L legs, name the first leg with one."""
+    if np.any(bad):
+        if geom.hip.ndim == 2:
+            why = f"leg {int(np.argmax(bad.reshape(-1, bad.shape[-1]).any(axis=0)))}: {why}"
+        raise UnreachableTargetError(why)
+
+
 def ik_position(geom: LegGeometry, target) -> np.ndarray:
     """Joint angles reaching a body-frame foot target, knee-backward branch.
 
@@ -135,8 +140,7 @@ def ik_position(geom: LegGeometry, target) -> np.ndarray:
 
     rho_sq = r[..., 1] ** 2 + r[..., 2] ** 2
     h_sq = rho_sq - d * d
-    if np.any(h_sq <= 0.0):
-        raise UnreachableTargetError("target inside the abduction cylinder")
+    _require_reach(geom, h_sq <= 0.0, "target inside the abduction cylinder")
     h = np.sqrt(h_sq)
     a1 = _wrap_angle(np.arctan2(r[..., 2], r[..., 1]) - np.arctan2(-h, d))
 
@@ -144,10 +148,7 @@ def ik_position(geom: LegGeometry, target) -> np.ndarray:
     dist = np.sqrt(dist_sq)
     lo = abs(geom.l1 - geom.l2) + REACH_MARGIN
     hi = geom.l1 + geom.l2 - REACH_MARGIN
-    if np.any(dist < lo) or np.any(dist > hi):
-        raise UnreachableTargetError(
-            f"target distance outside [{lo:.6f}, {hi:.6f}]"
-        )
+    _require_reach(geom, (dist < lo) | (dist > hi), f"target distance outside [{lo:.6f}, {hi:.6f}]")
 
     cos_knee = (dist_sq - geom.l1**2 - geom.l2**2) / (2.0 * geom.l1 * geom.l2)
     a3 = np.arccos(np.clip(cos_knee, -1.0, 1.0))  # knee-backward: a3 in [0, pi]

@@ -26,12 +26,8 @@ class TestEstimateGrf:
     def test_forward_construction_recovery(self, legs):
         rng = np.random.default_rng(0)
         alpha = np.tile([0.05, 0.45, 1.2], (4, 1))
-        target = np.zeros((4, 3))
-        tau = np.zeros(12)
-        for leg in range(4):
-            target[leg] = [0.0, 0.0, -9.81 * 2.3]
-            jac = fk_jacobian(legs[leg], alpha[leg])
-            tau[3 * leg : 3 * leg + 3] = jac.T @ target[leg]
+        target = np.tile([0.0, 0.0, -9.81 * 2.3], (4, 1))
+        tau = np.einsum("lji,lj->li", fk_jacobian(legs, alpha), target).ravel()
         forces, flags = estimate_grf(tau, alpha, legs)
         np.testing.assert_allclose(forces, target, atol=1e-9)
         assert not flags.any()
@@ -63,8 +59,9 @@ class TestEstimateGrf:
             f_i, flags_i = estimate_grf(tau[i], alpha[i], legs)
             assert np.array_equal(f_i, forces[i]) and np.array_equal(flags_i, flags[i])
         # a singular leg takes the pseudo-inverse
+        jac = fk_jacobian(legs, alpha)
         for i, leg in zip(*np.nonzero(flags)):
-            pinv = np.linalg.pinv(fk_jacobian(legs[leg], alpha[i, leg]).T)
+            pinv = np.linalg.pinv(jac[i, leg].T)
             np.testing.assert_allclose(forces[i, leg], pinv @ tau[i, 3 * leg : 3 * leg + 3], rtol=1e-12, atol=1e-12)
 
 

@@ -655,6 +655,25 @@ class TestTraining:
         with pytest.raises(DataError, match=r"training diverged in epoch 1: loss nan at learning rate 1e\+20"):
             train(self._toy(n=40, seed=17), cfg, self._spec())
 
+    def test_label_beyond_the_class_count_rejected(self):
+        from proprio.contactnet import TrainConfig, train
+        from proprio.formats import DataError
+
+        with pytest.raises(DataError, match="largest label code 1 needs at least 2 classes; the network has 1"):
+            train(self._toy(n=40), TrainConfig(epochs=1), self._spec(classes=1))
+
+    @pytest.mark.parametrize("with_val", [False, True])
+    def test_diverged_last_step_rejected(self, with_val):
+        # one batch per epoch: the only loss is taken before the step, so the
+        # check has to score the stepped weights itself
+        from proprio.contactnet import TrainConfig, train
+        from proprio.formats import DataError
+
+        cfg = TrainConfig(batch_size=40, learning_rate=1e20, epochs=1, seed=3)
+        val = self._toy(n=10, seed=18) if with_val else None
+        with pytest.raises(DataError, match=r"training diverged in epoch 1: loss nan at learning rate 1e\+20"):
+            train(self._toy(n=40, seed=17), cfg, self._spec(), val)
+
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_epochs_below_one_rejected(self, epochs):
         from proprio.contactnet import TrainConfig

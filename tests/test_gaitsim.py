@@ -48,19 +48,16 @@ class TestTrot:
         sim = simulate(spec, 6.0, legs)
         fi = sim.imu_frames
         pf = fi.pf.reshape(-1, 4, 3)
+        feet_world = np.einsum("nij,nlj->nli", sim.traj_rot, pf + legs.hip) + sim.traj_pos[:, None]
         worst = 0.0
         for leg in range(4):
-            foot_world = (
-                np.einsum("nij,nj->ni", sim.traj_rot, pf[:, leg] + legs[leg].hip)
-                + sim.traj_pos
-            )
             in_contact = sim.contacts_imu[:, leg]
             idx = np.flatnonzero(in_contact)
             segments = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
             for seg in segments:
                 if len(seg) < 8:
                     continue
-                worst = max(worst, float(np.max(np.ptp(foot_world[seg], axis=0))))
+                worst = max(worst, float(np.max(np.ptp(feet_world[seg, leg], axis=0))))
         assert worst < 1e-9
 
     def test_commanded_targets_reproduced(self, legs):
@@ -70,9 +67,7 @@ class TestTrot:
         fe = sim.encoder_frames
         q = fe.q.reshape(-1, 4, 3)
         pf = fe.pf.reshape(-1, 4, 3)
-        for leg in range(4):
-            rebuilt = fk_position(legs[leg], q[:, leg]) - legs[leg].hip
-            np.testing.assert_allclose(rebuilt, pf[:, leg], atol=1e-8)
+        np.testing.assert_allclose(fk_position(legs, q) - legs.hip, pf, atol=1e-8)
 
     def test_imu_double_integration(self, legs):
         spec = GaitSpec(gait="trot", turn_rate=0.1, noise=NOISELESS, bounce_amplitude=0.0, vibration_amplitude=0.0)

@@ -226,7 +226,7 @@ class TestAugmentMarginalize:
         state = make_initial_state()
         out = augment_contact(state, 1, kinematic_frame(alpha, legs), noise_params())
         np.testing.assert_allclose(
-            out.contact_position(1), fk_position(legs[1], alpha[1]), atol=1e-15
+            out.contact_position(1), fk_position(legs, alpha)[1], atol=1e-15
         )
 
     def test_zero_innovation_after_augment(self, legs):
@@ -534,22 +534,23 @@ def ref_propagate(state, gyro, accel, t, noise):
 
 def ref_filter_step(state, gyro, accel, alpha, t, contacts, legs, noise):
     """One step as a dense per-frame computation, the form the filter's
-    step must reproduce: ref_propagate, per-leg FK, a stacked H and the
+    step must reproduce: ref_propagate, FK of every leg, a stacked H and the
     Joseph product."""
     if not (np.all(np.isfinite(gyro)) and np.all(np.isfinite(accel))):
         raise FrameError(f"non-finite IMU sample at t={t}")
     if not np.all(np.isfinite(alpha)):
         raise FrameError(f"non-finite joint angles at t={t}")
     state = ref_propagate(state, gyro, accel, t, noise)
+    feet, jacs = fk_position(legs, alpha), fk_jacobian(legs, alpha)
 
     for leg, want in enumerate(contacts):
         blk = slice(9 + 3 * leg, 12 + 3 * leg)
         if want and not state.contacts[leg]:
             cols, cov = state.mean.cols.copy(), state.cov.copy()
-            cols[2 + leg] = cols[1] + state.mean.rot @ fk_position(legs[leg], alpha[leg])
+            cols[2 + leg] = cols[1] + state.mean.rot @ feet[leg]
             cov[blk, :] = cov[6:9, :]
             cov[:, blk] = cov[:, 6:9]
-            g_mat = state.mean.rot @ fk_jacobian(legs[leg], alpha[leg])
+            g_mat = state.mean.rot @ jacs[leg]
             cov[blk, blk] += g_mat @ noise.encoder_cov @ g_mat.T + noise.new_contact_prior * np.eye(3)
             flags = state.contacts[:leg] + (True,) + state.contacts[leg + 1 :]
             state = FilterState(GroupElement(state.mean.rot, cols), flags, (cov + cov.T) / 2, t)
@@ -562,9 +563,9 @@ def ref_filter_step(state, gyro, accel, alpha, t, contacts, legs, noise):
     rot, m = state.mean.rot, 3 * len(active)
     innovation, h_mat, n_mat = np.zeros(m), np.zeros((m, DIM)), np.zeros((m, m))
     for row, leg in enumerate(active):
-        jac = fk_jacobian(legs[leg], alpha[leg])
+        jac = jacs[leg]
         sl = slice(3 * row, 3 * row + 3)
-        innovation[sl] = rot @ fk_position(legs[leg], alpha[leg]) + state.mean.cols[1] - state.mean.cols[2 + leg]
+        innovation[sl] = rot @ feet[leg] + state.mean.cols[1] - state.mean.cols[2 + leg]
         h_mat[sl, 6:9] = -np.eye(3)
         h_mat[sl, 9 + 3 * leg : 12 + 3 * leg] = np.eye(3)
         n_mat[sl, sl] = rot @ (jac @ noise.encoder_cov @ jac.T + noise.contact_cov) @ rot.T
@@ -612,7 +613,8 @@ class TestFrameRecords:
         np.testing.assert_allclose(pos, ref_pos, rtol=0, atol=1e-9)
         np.testing.assert_allclose(rot, ref_rot, rtol=0, atol=1e-9)
 
-    def test_kinematics_once_per_leg_per_chunk(self, monkeypatch):
+    def test_kinematics_once_per_chunk(self, monkeypatch):
+        # one call covers every leg
         frames, contacts, legs, noise, init = self._run(monkeypatch)
         calls = []
         for name in ("fk_position", "fk_jacobian"):
@@ -620,7 +622,7 @@ class TestFrameRecords:
             monkeypatch.setattr(inekf, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
         inekf.filter_sequence(frames, contacts, legs, noise, init)
         chunks = -(-len(frames) // self.SMALL_CHUNK)
-        assert len(calls) == 2 * NUM_LEGS * chunks
+        assert len(calls) == 2 * chunks
 
     @pytest.mark.parametrize("kind", ["gyro", "accel", "joint", "repeated_t", "gap", "nan_gyro_and_repeated_t"])
     def test_bad_row_in_second_chunk(self, monkeypatch, kind):

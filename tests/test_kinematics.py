@@ -148,3 +148,30 @@ class TestGeometryValidation:
     def test_hip_finite(self):
         with pytest.raises(ValueError, match="leg geometry hip must be finite"):
             LegGeometry(0.06, 0.2, 0.2, np.array([0.19, np.nan, 0.0]), 1)
+
+
+class TestLegAxis:
+    def test_matches_single_leg_calls(self, legs):
+        rng = np.random.default_rng(7)
+        alpha = random_reachable_angles(rng, 4 * 50).reshape(50, 4, 3)
+        feet, jacs = fk_position(legs, alpha), fk_jacobian(legs, alpha)
+        angles = ik_position(legs, feet)
+        assert feet.shape == angles.shape == (50, 4, 3) and jacs.shape == (50, 4, 3, 3)
+        for leg in range(4):
+            one = LegGeometry(legs.abd, legs.l1, legs.l2, legs.hip[leg], int(legs.lateral_sign[leg]))
+            assert np.array_equal(feet[:, leg], fk_position(one, alpha[:, leg]))
+            assert np.array_equal(jacs[:, leg], fk_jacobian(one, alpha[:, leg]))
+            assert np.array_equal(angles[:, leg], ik_position(one, feet[:, leg]))
+
+    def test_unreachable_target_names_its_leg(self, legs, one_leg):
+        feet = fk_position(legs, np.tile([0.0, 0.4, 1.0], (5, 4, 1)))
+        deep = feet.copy()
+        deep[3, 2, 2] -= 1.0
+        with pytest.raises(UnreachableTargetError, match=r"^leg 2: target distance outside"):
+            ik_position(legs, deep)
+        at_hip = feet.copy()
+        at_hip[1, 1] = legs.hip[1]
+        with pytest.raises(UnreachableTargetError, match=r"^leg 1: target inside the abduction cylinder"):
+            ik_position(legs, at_hip)
+        with pytest.raises(UnreachableTargetError, match=r"^target distance outside"):
+            ik_position(one_leg, deep[3, 2])
