@@ -3,8 +3,9 @@
 The force detector maps joint torques through the kinematic Jacobian
 transpose (static approximation, no dynamics terms), low-passes every
 leg's vertical component in one call and thresholds its magnitude. The
-schedule detector reproduces a commanded gait cycle: contact while the leg
-phase sits inside the duty window.
+schedule detector reproduces a commanded gait cycle: a leg touches down at
+start + (k + offset) * period, as in `gaitsim`, and stays down for the duty
+fraction of the period.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class GrfConfig:
 @dataclass
 class GaitSchedule:
     period: float  # s
-    offsets: np.ndarray  # (4,), per-leg phase offsets in [0, 1), in LEG_NAMES order
+    offsets: np.ndarray  # (4,), per-leg touchdown phase in [0, 1) of the period, in LEG_NAMES order
     duty: float
     start_time: float = 0.0
 
@@ -85,5 +86,5 @@ def grf_threshold_detect(frames, config: GrfConfig, legs) -> np.ndarray:
 def gait_cycle_detect(timestamps, schedule: GaitSchedule) -> np.ndarray:
     """(N, L) contact booleans from the commanded gait cycle."""
     t = np.asarray(timestamps, dtype=float)
-    phase = (t[:, None] - schedule.start_time) / schedule.period + schedule.offsets[None, :]
+    phase = (t[:, None] - schedule.start_time) / schedule.period - schedule.offsets[None, :]
     return np.mod(phase, 1.0) < schedule.duty

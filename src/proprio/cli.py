@@ -99,7 +99,7 @@ def _simulate(cfg, seed, duration, out, ext):
     sim = gaitsim.simulate(cfg.gaitsim.spec(seed=seed), duration, cfg.kinematics.legs())
     dataio.write_dataset(sim.encoder_frames, os.path.join(out, f"encoder.{ext}"))
     dataio.write_dataset(sim.imu_frames, os.path.join(out, f"imu.{ext}"))
-    evalkit.write_trajectory(os.path.join(out, "trajectory_gt.csv"), evalkit.Trajectory(sim.traj_t, sim.traj_pos))
+    evalkit.write_trajectory(os.path.join(out, "trajectory_gt.csv"), evalkit.Trajectory(sim.imu_frames.t, sim.traj_pos))
     return sim
 
 
@@ -241,15 +241,18 @@ def _trajectory_report(est, gt, cfg):
 
 
 def cmd_eval(args, cfg):
+    for given, partner in (("pred", "gt"), ("gt", "pred"), ("traj_est", "traj_gt"), ("traj_gt", "traj_est")):
+        if getattr(args, given) and not getattr(args, partner):
+            raise UsageError(f"eval --{given} needs --{partner}".replace("_", "-"))
     class_reports = traj_reports = trajectories = None
-    if args.pred and args.gt:
+    if args.pred:
         tp, cp = dataio.read_contacts(args.pred)
         tg, cg = dataio.read_contacts(args.gt)
         with _naming(f"{args.pred} against {args.gt}"):
             rep = _contact_report(tp, cp, tg, cg)
         class_reports = {"contacts": rep}
         print(f"full-state accuracy: {rep.full_state_accuracy:.4f} leg avg: {rep.leg_average_accuracy:.4f}")
-    if args.traj_est and args.traj_gt:
+    if args.traj_est:
         est = evalkit.read_trajectory(args.traj_est)
         gt = evalkit.read_trajectory(args.traj_gt)
         aligned, rep = _trajectory_report(est, gt, cfg)
@@ -286,7 +289,7 @@ def cmd_pipeline(args, cfg):
     first = spec.window - 1
     pose = (sim.traj_rot[first], sim.traj_vel[first], sim.traj_pos[first])
     est = _run_filter(imu, t_pred, codes, cfg, out, os.path.join(out, "imu.csv"), pose)
-    gt_traj = evalkit.Trajectory(sim.traj_t, sim.traj_pos)
+    gt_traj = evalkit.Trajectory(imu.t, sim.traj_pos)
 
     rep_c = _contact_report(t_pred, codes, imu.t, imu.gt)
     aligned, rep_t = _trajectory_report(est, gt_traj, cfg)

@@ -214,18 +214,22 @@ class ArchitectureSpec:
     name: str = "custom"
 
 
-PRESET_NAMES = ("2blocks", "1block", "4blocks", "convpool")
-
-
 def _block(in_ch, out_ch, dropout):
-    return [
-        Conv(in_ch, out_ch),
-        Relu(),
-        Conv(out_ch, out_ch),
-        Relu(),
-        Dropout(dropout),
-        Pool(2),
-    ]
+    return [Conv(in_ch, out_ch), Relu(), Conv(out_ch, out_ch), Relu(), Dropout(dropout), Pool(2)]
+
+
+def _conv_pool(in_ch, out_ch, dropout):
+    return [Conv(in_ch, out_ch), Relu(), Pool(2)]
+
+
+# preset name -> (stage builder, output channels of each conv stage)
+_PRESETS = {
+    "2blocks": (_block, (64, 128)),
+    "1block": (_block, (64,)),
+    "4blocks": (_block, (64, 128, 256, 512)),
+    "convpool": (_conv_pool, (64, 128)),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def _head(flat_dim, n_classes, dropout):
@@ -243,23 +247,12 @@ def _head(flat_dim, n_classes, dropout):
 
 def preset(name="2blocks", window=150, in_channels=54, n_classes=16, dropout=0.2) -> ArchitectureSpec:
     """Build a named architecture for the given window length."""
-    spec_layers = []
-    if name == "2blocks":
-        for ch_in, ch_out in ((in_channels, 64), (64, 128)):
-            spec_layers += _block(ch_in, ch_out, dropout)
-    elif name == "1block":
-        spec_layers += _block(in_channels, 64, dropout)
-    elif name == "4blocks":
-        chans = (64, 128, 256, 512)
-        ch_in = in_channels
-        for ch_out in chans:
-            spec_layers += _block(ch_in, ch_out, dropout)
-            ch_in = ch_out
-    elif name == "convpool":
-        spec_layers += [Conv(in_channels, 64), Relu(), Pool(2)]
-        spec_layers += [Conv(64, 128), Relu(), Pool(2)]
-    else:
+    if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    stage, widths = _PRESETS[name]
+    spec_layers = []
+    for ch_in, ch_out in zip((in_channels, *widths), widths):
+        spec_layers += stage(ch_in, ch_out, dropout)
     shape = (in_channels, window)
     for layer in spec_layers:
         shape = layer.out_shape(shape)

@@ -146,7 +146,8 @@ def train(train_windows: WindowSet, config: TrainConfig, spec, val_windows=None)
     spec.n_classes or more raises DataError, and so does an epoch that ends
     with a non-finite weight or loss: its mean loss, or its last batch's loss
     scored again on the weights after its step, since no batch loss sees the
-    weights a run ends with.
+    weights a run ends with. That score runs in float32, the dtype `infer`
+    runs in, so weights too large for it fail a float64 run too.
     """
     if len(train_windows) == 0:
         raise DataError("empty training set")
@@ -175,7 +176,7 @@ def train(train_windows: WindowSet, config: TrainConfig, spec, val_windows=None)
             total_loss += value * len(idx)
             total_correct += int(np.sum(np.argmax(logits, axis=1) == y))
         train_loss = total_loss / n
-        stepped_loss, _ = L.cross_entropy(net.forward(params, spec, x), y)
+        stepped_loss, _ = L.cross_entropy(net.forward(net.cast_params(params), spec, x), y)
         loss = train_loss if not math.isfinite(train_loss) else float(stepped_loss)
         if not math.isfinite(loss) or not all(np.isfinite(w).all() for p in params if p for w in p):
             raise DataError(f"training diverged in epoch {epoch}: loss {loss} at learning rate {config.learning_rate}")

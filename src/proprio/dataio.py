@@ -78,16 +78,28 @@ class FrameSequence:
 
     def features(self) -> np.ndarray:
         """(N, 54) feature matrix in the fixed column order."""
-        return np.hstack([self.q, self.qd, self.acc, self.gyro, self.pf, self.vf])
+        return np.hstack([getattr(self, name) for name, _ in _FEATURES])
 
 
-# (field, width) of each column group of a dataset row, in FrameSequence
-# field order; tau and gt are optional
-LAYOUT = (("t", 1), ("q", 12), ("qd", 12), ("acc", 3), ("gyro", 3), ("pf", 12), ("vf", 12), ("tau", 12), ("gt", 1))
-# field -> its row column: an index for a width-1 field, else a slice
+_JOINTS = [f"{leg}{j}" for leg in LEG_NAMES for j in (1, 2, 3)]
+_FEET = [f"{leg}_{axis}" for leg in LEG_NAMES for axis in "xyz"]
+# (field, CSV column names) of the six feature groups, in feature order
+_FEATURES = (
+    ("q", [f"q_{n}" for n in _JOINTS]),
+    ("qd", [f"dq_{n}" for n in _JOINTS]),
+    ("acc", [f"acc_{a}" for a in "xyz"]),
+    ("gyro", [f"gyro_{a}" for a in "xyz"]),
+    ("pf", [f"pf_{n}" for n in _FEET]),
+    ("vf", [f"vf_{n}" for n in _FEET]),
+)
+# (field, CSV column names) of each column group of a dataset row, in
+# FrameSequence field order: the time, the features, the optional tau and gt
+LAYOUT = (("t", ["t"]), *_FEATURES, ("tau", [f"tau_{n}" for n in _JOINTS]), ("gt", ["contact_code"]))
+CSV_COLUMNS = [c for _, names in LAYOUT for c in names]
+# field -> its row column: an index for a one-column field, else a slice
 _COLUMNS = {
-    name: start if width == 1 else slice(start, start + width)
-    for (name, width), start in zip(LAYOUT, accumulate((width for _, width in LAYOUT), initial=0))
+    name: start if len(names) == 1 else slice(start, start + len(names))
+    for (name, names), start in zip(LAYOUT, accumulate((len(names) for _, names in LAYOUT), initial=0))
 }
 
 
@@ -226,21 +238,6 @@ def split_dataset(windows: WindowSet, seed: int):
 # file formats
 
 
-def _csv_header() -> list:
-    cols = ["t"]
-    cols += [f"q_{l}{j}" for l in LEG_NAMES for j in (1, 2, 3)]
-    cols += [f"dq_{l}{j}" for l in LEG_NAMES for j in (1, 2, 3)]
-    cols += ["acc_x", "acc_y", "acc_z", "gyro_x", "gyro_y", "gyro_z"]
-    cols += [f"pf_{l}_{a}" for l in LEG_NAMES for a in "xyz"]
-    cols += [f"vf_{l}_{a}" for l in LEG_NAMES for a in "xyz"]
-    cols += [f"tau_{l}{j}" for l in LEG_NAMES for j in (1, 2, 3)]
-    cols += ["contact_code"]
-    return cols
-
-
-CSV_COLUMNS = _csv_header()
-
-
 def _pack_rows(frames: FrameSequence) -> np.ndarray:
     rows = np.full((len(frames), len(CSV_COLUMNS)), np.nan)
     for name, col in _COLUMNS.items():
@@ -257,7 +254,7 @@ def _contact_codes(col, path) -> np.ndarray:
     if bad.any():
         i = int(np.argmax(bad))
         raise SchemaMismatchError(
-            f"{path}: data row {i + 1}: bad contact code {float(col[i])!r}, want an integer in [0, {n_codes - 1}]"
+            f"{row_location(path, i)}: bad contact code {float(col[i])!r}, want an integer in [0, {n_codes - 1}]"
         )
     return col.astype(np.int64)
 
@@ -295,7 +292,7 @@ def read_dataset(path) -> FrameSequence:
             raise EmptyStreamError(f"{path}: no frames")
         rows = cur.array((count, len(CSV_COLUMNS)))
         cur.end()
-    _check_times(rows[:, 0], lambda i: row_location(path, i))
+    _check_times(rows[:, 0], path)
     return _unpack_rows(rows, path)
 
 
@@ -306,14 +303,14 @@ def row_location(path, i: int) -> str:
     return f"{path}: frame {i}"
 
 
-def _check_times(t, where):
-    """Raise at where(i) for the first timestamp i that is not finite or not above the one before it."""
+def _check_times(t, path):
+    """Raise at row_location(path, i) for the first timestamp i that is not finite or not above the one before it."""
     bad = ~np.isfinite(t)
     bad[1:] |= ~(t[1:] > t[:-1])
     if bad.any():
         i = int(np.argmax(bad))
         raise SchemaMismatchError(
-            f"{where(i)}: timestamp {float(t[i])!r} is not finite or does not exceed the one before it"
+            f"{row_location(path, i)}: timestamp {float(t[i])!r} is not finite or does not exceed the one before it"
         )
 
 
@@ -328,7 +325,8 @@ def write_contacts(path, t, codes):
 
 
 def read_contacts(path):
-    """(t, codes) of a contacts CSV; timestamps are checked as read_dataset checks them."""
+    """(t, codes) of a contacts CSV; timestamps are checked as read_dataset checks them, and
+    a bad row is named by row_location, which gives `path:line` for a path ending in `.csv`."""
     rows = read_csv(path, CONTACTS_COLUMNS)
-    _check_times(rows[:, 0], lambda i: f"{path}:{i + 2}")
+    _check_times(rows[:, 0], path)
     return rows[:, 0], _contact_codes(rows[:, 1], path)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dataio import FrameSequence, bool_to_codes, upsample
-from .kinematics import fk_jacobian, fk_position, ik_position
+from .kinematics import LEG_NAMES, fk_jacobian, fk_position, ik_position
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -129,7 +129,6 @@ class SimulationResult:
     imu_frames: FrameSequence  # IMU rate, native IMU channels, gt codes
     contacts_encoder: np.ndarray  # (N_enc, 4) bool
     contacts_imu: np.ndarray  # (N_imu, 4) bool
-    traj_t: np.ndarray  # (N_imu,)
     traj_rot: np.ndarray  # (N_imu, 3, 3)
     traj_pos: np.ndarray  # (N_imu, 3)
     traj_vel: np.ndarray  # (N_imu, 3)
@@ -215,28 +214,42 @@ class _BodyMotion:
 
 def _gait_offsets(spec: GaitSpec):
     if spec.gait in ("trot", "air-trot"):
-        return np.array([TROT_OFFSETS[n] for n in ("RF", "LF", "RH", "LH")])
-    return np.zeros(4)
+        return np.array([TROT_OFFSETS[n] for n in LEG_NAMES])
+    return np.zeros(len(LEG_NAMES))
 
 
 def _stance_schedule(spec: GaitSpec, duration: float, rng):
-    """Per-leg jittered (touchdown, liftoff) arrays covering the run."""
-    offsets = _gait_offsets(spec)
+    """Jittered (touchdown, liftoff) times, two (L, K) arrays from two periods before the run
+    to two past it, give or take the jitter; one draw holds each leg's touchdown, then liftoff jitters."""
     t_period = spec.period
-    n_cycles = int(np.ceil(duration / t_period)) + 3
-    schedule = []
-    for leg in range(4):
-        k = np.arange(-2, n_cycles)
-        td = (k + offsets[leg]) * t_period
-        lo = td + spec.duty * t_period
-        if spec.jitter > 0.0:
-            td = td + rng.uniform(-spec.jitter, spec.jitter, size=td.shape) * t_period
-            lo = lo + rng.uniform(-spec.jitter, spec.jitter, size=lo.shape) * t_period
-            # keep both phases at least 10% of a period long
-            lo = np.clip(lo, td + 0.1 * t_period, td + 0.9 * t_period)
-            td[1:] = np.maximum(td[1:], lo[:-1] + 0.1 * t_period)
-        schedule.append((td, lo))
-    return schedule
+    if spec.gait == "stand":
+        # one stance from long before the run to long after it: no foot swings,
+        # and the touchdown transient has died out
+        return np.tile([-1e9, 2e9], (len(LEG_NAMES), 1)), np.tile([1e9, 3e9], (len(LEG_NAMES), 1))
+    k = np.arange(-2, int(np.ceil(duration / t_period)) + 3)
+    td = (k + _gait_offsets(spec)[:, None]) * t_period
+    lo = td + spec.duty * t_period
+    if spec.jitter > 0.0:
+        draws = rng.uniform(-spec.jitter, spec.jitter, size=(len(LEG_NAMES), 2) + k.shape) * t_period
+        td = td + draws[:, 0]
+        lo = lo + draws[:, 1]
+        # keep both phases at least 10% of a period long
+        lo = np.clip(lo, td + 0.1 * t_period, td + 0.9 * t_period)
+        td[:, 1:] = np.maximum(td[:, 1:], lo[:, :-1] + 0.1 * t_period)
+    return td, lo
+
+
+def _stance(td, lo, t):
+    """(N, L) index of each leg's last touchdown at or before t, clipped to [0, K - 2] so a
+    swing has a next touchdown, and (N, L) stance flags, for the foot model and the contacts.
+
+    The schedule runs two periods past the run, so with a jitter below a period no sample
+    reaches the last touchdown and the top clip never changes a flag.
+    """
+    idx = np.stack([np.searchsorted(td_leg, t, side="right") for td_leg in td], axis=-1) - 1
+    idx = np.clip(idx, 0, td.shape[1] - 2)
+    leg = np.arange(len(td))
+    return idx, (t[:, None] >= td[leg, idx]) & (t[:, None] < lo[leg, idx])
 
 
 def _touchdown_transient(u, spec: GaitSpec):
@@ -267,39 +280,36 @@ def _touchdown_transient(u, spec: GaitSpec):
     return z, zdot
 
 
-def _foot_world_ground(spec, body, pivot, td, lo, t):
-    """World foot trajectory for a ground gait leg with abduction pivot `pivot`: anchors plus swing."""
+def _foot_world_ground(spec, body, pivots, td, lo, t):
+    """World foot trajectories (N, L, 3) of a ground gait, legs with abduction
+    pivots `pivots` (L, 3): anchors plus swing."""
     # anchor: ground point under the abduction pivot at mid-stance
     t_mid = (td + lo) / 2.0
     yaw_mid = body.yaw(t_mid)
     c, s = np.cos(yaw_mid), np.sin(yaw_mid)
-    anchors = body.pos(t_mid)[:, :2] + np.stack(
-        [c * pivot[0] - s * pivot[1], s * pivot[0] + c * pivot[1]], axis=-1
-    )
+    px, py = pivots[:, None, 0], pivots[:, None, 1]
+    anchors = body.pos(t_mid)[..., :2] + np.stack([c * px - s * py, s * px + c * py], axis=-1)
 
-    idx = np.searchsorted(td, t, side="right") - 1
-    idx = np.clip(idx, 0, len(td) - 2)
-    in_stance = (t >= td[idx]) & (t < lo[idx])
-
-    pos = np.zeros(t.shape + (3,))
-    vel = np.zeros(t.shape + (3,))
+    idx, in_stance = _stance(td, lo, t)
+    pos = np.zeros(idx.shape + (3,))
+    vel = np.zeros(idx.shape + (3,))
 
     # stance: anchored, plus the touchdown transient on height
-    u = t - td[idx]
-    tz, tzdot = _touchdown_transient(u, spec)
-    pos[in_stance, :2] = anchors[idx[in_stance]]
+    tz, tzdot = _touchdown_transient(t[:, None] - td[np.arange(len(td)), idx], spec)
+    pos[in_stance, :2] = anchors[in_stance.nonzero()[1], idx[in_stance]]
     pos[in_stance, 2] = tz[in_stance]
     vel[in_stance, 2] = tzdot[in_stance]
 
     # swing: cycloid in the plane, bump plus settle blend in height
     sw = ~in_stance
+    n, leg = sw.nonzero()
     j = idx[sw]
-    t0 = lo[j]
-    t1 = td[j + 1]
+    t0 = lo[leg, j]
+    t1 = td[leg, j + 1]
     dur = t1 - t0
-    sphase = (t[sw] - t0) / dur
-    a0 = anchors[j]
-    a1 = anchors[j + 1]
+    sphase = (t[n] - t0) / dur
+    a0 = anchors[leg, j]
+    a1 = anchors[leg, j + 1]
     blend = _cycloid(sphase)[:, None]
     pos[sw, :2] = a0 + (a1 - a0) * blend
     vel[sw, :2] = (a1 - a0) * _cycloid_dot(sphase)[:, None] / dur[:, None]
@@ -329,30 +339,23 @@ def _landing_weight(spec: GaitSpec) -> float:
     return min(w, _MAX_LANDING_WEIGHT)
 
 
-def _foot_body_air(spec, pivot, offset, t):
-    """Body-frame cycling foot target around abduction pivot `pivot` for air gaits (no ground)."""
-    phase = (t / spec.period + offset) % 1.0
+def _foot_body_air(spec, pivots, offsets, t):
+    """Body-frame cycling foot targets (N, L, 3) around abduction pivots `pivots`
+    (L, 3), legs at phase `offsets`, for air gaits (no ground)."""
+    phase = (t[:, None] / spec.period + offsets) % 1.0
     two_pi = 2.0 * np.pi
-    x = pivot[0] + 0.25 * spec.step_length * np.sin(two_pi * phase)
+    x = pivots[:, 0] + 0.25 * spec.step_length * np.sin(two_pi * phase)
     z = -spec.body_height + 0.5 * spec.step_height * (1.0 - np.cos(two_pi * phase))
-    pos = np.stack([x, np.full_like(t, pivot[1]), z], axis=-1)
+    pos = np.stack([x, np.broadcast_to(pivots[:, 1], phase.shape), z], axis=-1)
     vel = np.stack(
         [
             0.25 * spec.step_length * two_pi / spec.period * np.cos(two_pi * phase),
-            np.zeros_like(t),
+            np.zeros_like(phase),
             0.5 * spec.step_height * two_pi / spec.period * np.sin(two_pi * phase),
         ],
         axis=-1,
     )
     return pos, vel
-
-
-def _contacts_at(schedule, t):
-    out = np.zeros(t.shape + (4,), dtype=bool)
-    for leg, (td, lo) in enumerate(schedule):
-        idx = np.clip(np.searchsorted(td, t, side="right") - 1, 0, len(td) - 1)
-        out[:, leg] = (t >= td[idx]) & (t < lo[idx])
-    return out
 
 
 def simulate(spec: GaitSpec, duration: float, legs) -> SimulationResult:
@@ -367,33 +370,24 @@ def simulate(spec: GaitSpec, duration: float, legs) -> SimulationResult:
     n_enc = int(round(duration * spec.encoder_rate)) + 1
     t_enc = dt_enc * np.arange(n_enc)
 
-    if spec.gait == "stand":
-        # one stance from long before the run to long after it: no foot swings,
-        # and the touchdown transient has died out
-        schedule = [(np.array([-1e9, 2e9]), np.array([1e9, 3e9]))] * 4
-    else:
-        schedule = _stance_schedule(spec, duration, rng)
+    td, lo = _stance_schedule(spec, duration, rng)
 
     rot_enc = body.rot(t_enc)
     pos_enc = body.pos(t_enc)
     vel_enc = body.vel(t_enc)
     omega_body = np.array([0.0, 0.0, body.w])
 
-    target_b = np.empty((n_enc, 4, 3))
-    target_bv = np.empty((n_enc, 4, 3))
-    contacts_enc = _contacts_at(schedule, t_enc) & grounded
+    contacts_enc = _stance(td, lo, t_enc)[1] & grounded
     pivots = legs.hip.copy()  # each leg's abduction pivot
     pivots[:, 1] += legs.lateral_sign * legs.abd
-    for leg in range(4):
-        if grounded:
-            foot_w, foot_wv = _foot_world_ground(spec, body, pivots[leg], *schedule[leg], t_enc)
-            target_b[:, leg] = np.einsum("nji,nj->ni", rot_enc, foot_w - pos_enc)
-            # d/dt R^T (x - p) = R^T (dx - v) - omega x R^T (x - p)
-            target_bv[:, leg] = np.einsum("nji,nj->ni", rot_enc, foot_wv - vel_enc) - np.cross(
-                omega_body, target_b[:, leg]
-            )
-        else:  # air gait: body-frame cycling
-            target_b[:, leg], target_bv[:, leg] = _foot_body_air(spec, pivots[leg], _gait_offsets(spec)[leg], t_enc)
+    if grounded:
+        foot_w, foot_wv = _foot_world_ground(spec, body, pivots, td, lo, t_enc)
+        target_b = np.einsum("nji,nlj->nli", rot_enc, foot_w - pos_enc[:, None])
+        # d/dt R^T (x - p) = R^T (dx - v) - omega x R^T (x - p)
+        target_bv = np.einsum("nji,nlj->nli", rot_enc, foot_wv - vel_enc[:, None]) - np.cross(omega_body, target_b)
+        del foot_w, foot_wv  # all legs at once: free them before IK
+    else:  # air gait: body-frame cycling
+        target_b, target_bv = _foot_body_air(spec, pivots, _gait_offsets(spec), t_enc)
     q_true = ik_position(legs, target_b)
     jac_true = fk_jacobian(legs, q_true)
     qd_true = np.linalg.solve(jac_true, target_bv[..., None])[..., 0]
@@ -435,7 +429,7 @@ def simulate(spec: GaitSpec, duration: float, legs) -> SimulationResult:
     acc_imu, gyro_imu = imu_channels(t_imu, rot_imu)
     frames_imu.acc = acc_imu + rng.normal(0.0, 1.0, acc_imu.shape) * noise.accel
     frames_imu.gyro = gyro_imu + rng.normal(0.0, 1.0, gyro_imu.shape) * noise.gyro
-    contacts_imu = _contacts_at(schedule, t_imu) & grounded
+    contacts_imu = _stance(td, lo, t_imu)[1] & grounded
     frames_imu.gt = bool_to_codes(contacts_imu)
 
     return SimulationResult(
@@ -443,7 +437,6 @@ def simulate(spec: GaitSpec, duration: float, legs) -> SimulationResult:
         imu_frames=frames_imu,
         contacts_encoder=contacts_enc,
         contacts_imu=contacts_imu,
-        traj_t=t_imu,
         traj_rot=rot_imu,
         traj_pos=body.pos(t_imu),
         traj_vel=body.vel(t_imu),

@@ -214,11 +214,6 @@ class FilterState:
     def position(self) -> np.ndarray:
         return self.mean.cols[1]
 
-    def contact_position(self, leg: int) -> np.ndarray:
-        if not self.contacts[leg]:
-            raise ValueError(f"leg {leg} is not in contact")
-        return self.mean.cols[2 + leg]
-
 
 def make_initial_state(rot=None, vel=None, pos=None, t=0.0, cov_diag=1e-6) -> FilterState:
     if not 0.0 <= cov_diag < np.inf:

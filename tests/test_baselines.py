@@ -132,6 +132,14 @@ class TestGaitCycle:
         assert np.array_equal(c[:, 0], c[:, 3])  # RF and LH together
         assert np.array_equal(c[:, 0], ~c[:, 1])  # RF opposite LF
 
+    def test_offsets_are_touchdown_phases(self):
+        # leg i touches down at (k + offset_i) * period, the simulator's convention
+        sched = GaitSchedule(period=1.0, offsets=[0.0, 0.25, 0.5, 0.75], duty=0.5)
+        t = np.arange(0.0, 2.0, 0.125)
+        c = gait_cycle_detect(t, sched)
+        touchdowns = [t[1:][c[1:, leg] & ~c[:-1, leg]].tolist() for leg in range(4)]
+        assert touchdowns == [[1.0], [0.25, 1.25], [0.5, 1.5], [0.75, 1.75]]
+
     def test_periodicity(self):
         sched = GaitSchedule(period=0.7, offsets=TROT_OFFSETS, duty=0.41)
         t = np.linspace(0.0, 2.0, 500)

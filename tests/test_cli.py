@@ -292,6 +292,22 @@ def test_eval_requires_inputs(workdir):
     assert main(["--config", cfg, "--out", out, "eval"]) == 1
 
 
+@pytest.mark.parametrize(
+    "given, missing", [("--pred", "--gt"), ("--gt", "--pred"), ("--traj-est", "--traj-gt"), ("--traj-gt", "--traj-est")]
+)
+def test_eval_half_pair_is_usage_error(workdir, tmp_path, capsys, given, missing):
+    # a flag without its partner is refused even when the other pair is whole
+    _, cfg, out = workdir
+    contacts, traj = str(tmp_path / "contacts.csv"), f"{out}/trajectory_gt.csv"
+    dataio.write_contacts(contacts, [0.0, 0.5], [6, 9])
+    files = {"--pred": contacts, "--gt": contacts, "--traj-est": traj, "--traj-gt": traj}
+    argv = [given, files[given]] + [x for flag in files if flag not in (given, missing) for x in (flag, files[flag])]
+    run = tmp_path / "run"
+    assert main(["--config", cfg, "--out", str(run), "eval", *argv]) == 1
+    assert capsys.readouterr().err == f"error: eval {given} needs {missing}\n"
+    assert not any(run.iterdir())
+
+
 def test_missing_file_exit_2(workdir):
     _, cfg, out = workdir
     assert main(["--config", cfg, "--out", out, "label", "--data", "/nonexistent.csv"]) == 2
@@ -465,7 +481,7 @@ def test_filter_contact_code_out_of_range_names_file_and_row(workdir, tmp_path, 
     dataio.write_contacts(contacts, [0.0, 0.5, 1.0], [6, 16, 9])
     args = ["--data", f"{out}/imu.csv", "--contacts", str(contacts)]
     assert main(["--config", cfg, "--out", str(tmp_path / "run"), "filter", *args]) == 2
-    assert f"error: {contacts}: data row 2: bad contact code 16.0" in capsys.readouterr().err
+    assert f"error: {contacts}:3: bad contact code 16.0" in capsys.readouterr().err
     assert not (tmp_path / "run" / "trajectory_est.csv").exists()
 
 
@@ -475,7 +491,7 @@ def test_eval_pred_contact_code_out_of_range_names_file_and_row(workdir, tmp_pat
     dataio.write_contacts(pred, [0.0, 0.5], [16, 9])
     dataio.write_contacts(gt, [0.0, 0.5], [6, 9])
     assert main(["--config", cfg, "--out", str(tmp_path), "eval", "--pred", str(pred), "--gt", str(gt)]) == 2
-    assert f"error: {pred}: data row 1: bad contact code 16.0" in capsys.readouterr().err
+    assert f"error: {pred}:2: bad contact code 16.0" in capsys.readouterr().err
 
 
 def test_sim_unknown_gait_exit_2(tmp_path, capsys):

@@ -674,6 +674,16 @@ class TestTraining:
         with pytest.raises(DataError, match=r"training diverged in epoch 1: loss nan at learning rate 1e\+20"):
             train(self._toy(n=40, seed=17), cfg, self._spec(), val)
 
+    def test_diverged_last_step_rejected_in_float64(self):
+        # float64 logits of weights near 1e20 stay finite; scored in float32,
+        # the dtype inference runs in, they are not
+        from proprio.contactnet import TrainConfig, train
+        from proprio.formats import DataError
+
+        cfg = TrainConfig(batch_size=40, learning_rate=1e20, epochs=1, seed=3, dtype=np.float64)
+        with pytest.raises(DataError, match=r"training diverged in epoch 1: loss nan at learning rate 1e\+20"):
+            train(self._toy(n=40, seed=17), cfg, self._spec())
+
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_epochs_below_one_rejected(self, epochs):
         from proprio.contactnet import TrainConfig

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -421,7 +423,7 @@ class TestDatasetFiles:
         path = tmp_path / "c.csv"
         dataio.write_contacts(path, [0.0, 0.1, 0.2], [6, 0, 9])
         path.write_text(path.read_text().replace("0.1,0", f"0.1,{code!r}"))
-        message = rf"data row 2: bad contact code {code!r}, want an integer in \[0, 15\]"
+        message = re.escape(f"{path}:3: bad contact code {code!r}, want an integer in [0, 15]")
         with pytest.raises(SchemaMismatchError, match=message):
             dataio.read_contacts(path)
 
@@ -431,7 +433,8 @@ class TestDatasetFiles:
         frames.gt[3] = 16
         path = tmp_path / f"d{ext}"
         dataio.write_dataset(frames, path)
-        with pytest.raises(SchemaMismatchError, match=r"data row 4: bad contact code 16\.0"):
+        where = f"{path}:5" if ext == ".csv" else f"{path}: frame 3"
+        with pytest.raises(SchemaMismatchError, match=re.escape(f"{where}: bad contact code 16.0")):
             dataio.read_dataset(path)
 
 

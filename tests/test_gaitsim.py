@@ -198,3 +198,37 @@ class TestDeriveWindows:
         a = simulate(GaitSpec(gait="trot", seed=6, jitter=0.0), 4.0, legs)
         b = simulate(GaitSpec(gait="trot", seed=6, jitter=0.05), 4.0, legs)
         assert (a.contacts_imu != b.contacts_imu).mean() > 0.01
+
+
+class TestSchedule:
+    def test_one_draw_keeps_the_per_leg_order(self):
+        # each leg's touchdown jitters, then its liftoff jitters, leg after leg
+        spec = GaitSpec(gait="trot", jitter=0.01)
+        td, lo = gaitsim._stance_schedule(spec, 3.0, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        k = np.arange(-2, 6)
+        for leg, name in enumerate(("RF", "LF", "RH", "LH")):
+            base = (k + gaitsim.TROT_OFFSETS[name]) * spec.period
+            np.testing.assert_array_equal(td[leg], base + rng.uniform(-0.01, 0.01, k.shape) * spec.period)
+            lo_leg = base + spec.duty * spec.period + rng.uniform(-0.01, 0.01, k.shape) * spec.period
+            np.testing.assert_array_equal(lo[leg], lo_leg)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.3, 0.9])
+    def test_last_touchdown_lies_past_the_run(self, jitter):
+        # so clipping the lookup to K - 2 never changes a stance flag
+        duration = 3.0
+        spec = GaitSpec(gait="trot", jitter=jitter)
+        td, lo = gaitsim._stance_schedule(spec, duration, np.random.default_rng(1))
+        assert np.all(td[:, -1] > duration + spec.period)
+        t = np.arange(0.0, duration + 5e-4, 1e-3)
+        idx, stance = gaitsim._stance(td, lo, t)
+        for leg in range(4):
+            last = np.searchsorted(td[leg], t, side="right") - 1
+            assert np.array_equal(idx[:, leg], last)
+            assert np.array_equal(stance[:, leg], (t >= td[leg, last]) & (t < lo[leg, last]))
+
+    def test_trajectory_runs_on_the_imu_clock(self, legs):
+        # the true trajectory is sampled at the IMU frames' times; no copy of them is kept
+        sim = simulate(GaitSpec(gait="trot", noise=NOISELESS), 2.0, legs)
+        assert len(sim.traj_pos) == len(sim.traj_rot) == len(sim.imu_frames)
+        assert not hasattr(sim, "traj_t")

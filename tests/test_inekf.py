@@ -226,8 +226,14 @@ class TestAugmentMarginalize:
         state = make_initial_state()
         out = augment_contact(state, 1, kinematic_frame(alpha, legs), noise_params())
         np.testing.assert_allclose(
-            out.contact_position(1), fk_position(legs, alpha)[1], atol=1e-15
+            out.mean.cols[2 + 1], fk_position(legs, alpha)[1], atol=1e-15
         )
+
+    def test_foot_positions_live_in_the_mean_only(self, legs):
+        # a contact's foot position is column 2 + leg of the mean; no accessor copies it
+        state = augment_contact(make_initial_state(), 3, kinematic_frame(np.zeros((4, 3)), legs), noise_params())
+        assert state.contacts[3] and np.any(state.mean.cols[2 + 3])
+        assert not hasattr(state, "contact_position")
 
     def test_zero_innovation_after_augment(self, legs):
         alpha = np.tile([0.1, 0.5, 1.1], (4, 1))
@@ -284,11 +290,9 @@ class TestAugmentMarginalize:
         out = marginalize_contact(state, 0)
         assert out.contacts == (False, False, False, True)
         assert_zero_slots(out)
-        assert np.array_equal(out.contact_position(3), state.contact_position(3))
+        assert np.array_equal(out.mean.cols[2 + 3], state.mean.cols[2 + 3])
         kept = np.ix_(np.r_[0:9, 12:DIM], np.r_[0:9, 12:DIM])
         assert np.array_equal(out.cov[kept], state.cov[kept])
-        with pytest.raises(ValueError, match="leg 0 is not in contact"):
-            out.contact_position(0)
 
     def test_unregistered_marginalize(self, legs):
         with pytest.raises(ValueError, match="leg 1 is not in contact"):
