@@ -96,14 +96,25 @@ def maxpool1d_forward(x, k):
 
 
 def maxpool1d_backward(dout, cache):
-    """Route each gradient to the first maximum of its pooling window."""
+    """Route each gradient to the first maximum of its pooling window, or to its
+    first NaN: the element that argmax picks."""
     x, k = cache
     n, t, c = x.shape
-    t_out = t // k
-    arg = x[:, : t_out * k].reshape(n, t_out, k, c).argmax(axis=2)  # ties -> first
+    end = t // k * k
+    w = x[:, :end].reshape(n, t // k, k, c)
+    routed = np.empty(w.shape, bool)
+    routed[:, :, 0] = True
+    best = w[:, :, 0]
+    for i in range(1, k):
+        # element i takes the window when the winner so far is a number and not >= it
+        take = ~(best >= w[:, :, i])
+        take &= ~np.isnan(best)
+        routed[:, :, :i] &= ~take[:, :, None]
+        routed[:, :, i] = take
+        if i < k - 1:
+            best = np.where(take, w[:, :, i], best)
     dx = np.zeros(x.shape, x.dtype)
-    for i in range(k):
-        dx[:, i : t_out * k : k] = dout * (arg == i)
+    np.multiply(dout[:, :, None], routed, out=dx[:, :end].reshape(w.shape))
     return dx
 
 

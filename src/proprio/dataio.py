@@ -22,7 +22,8 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .formats import DataError, EmptyStreamError, SchemaMismatchError, read_csv, read_framed, write_csv, write_framed
+from .formats import DataError, EmptyStreamError, SchemaMismatchError, check_times, read_csv, read_framed
+from .formats import row_location, write_csv, write_framed
 from .formats import ChecksumFailureError, VersionMismatchError  # noqa: F401 (re-exported)
 from .kinematics import LEG_NAMES
 
@@ -292,26 +293,8 @@ def read_dataset(path) -> FrameSequence:
             raise EmptyStreamError(f"{path}: no frames")
         rows = cur.array((count, len(CSV_COLUMNS)))
         cur.end()
-    _check_times(rows[:, 0], path)
+    check_times(rows[:, 0], path)
     return _unpack_rows(rows, path)
-
-
-def row_location(path, i: int) -> str:
-    """Where row i of a dataset file is: `path:line` for a CSV, `path: frame i` for a .pcds."""
-    if str(path).endswith(".csv"):
-        return f"{path}:{i + 2}"  # CSV line 1 is the header
-    return f"{path}: frame {i}"
-
-
-def _check_times(t, path):
-    """Raise at row_location(path, i) for the first timestamp i that is not finite or not above the one before it."""
-    bad = ~np.isfinite(t)
-    bad[1:] |= ~(t[1:] > t[:-1])
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise SchemaMismatchError(
-            f"{row_location(path, i)}: timestamp {float(t[i])!r} is not finite or does not exceed the one before it"
-        )
 
 
 # contact stream files: t, decimal code
@@ -328,5 +311,5 @@ def read_contacts(path):
     """(t, codes) of a contacts CSV; timestamps are checked as read_dataset checks them, and
     a bad row is named by row_location, which gives `path:line` for a path ending in `.csv`."""
     rows = read_csv(path, CONTACTS_COLUMNS)
-    _check_times(rows[:, 0], path)
+    check_times(rows[:, 0], path)
     return rows[:, 0], _contact_codes(rows[:, 1], path)

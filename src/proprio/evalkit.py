@@ -18,7 +18,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .formats import DataError, read_csv, write_csv
+from .formats import DataError, SchemaMismatchError, check_times, read_csv, row_location, write_csv
 from .kinematics import LEG_NAMES
 
 ASSOC_TOL_S = 0.002
@@ -161,7 +161,14 @@ def write_trajectory(path, traj: Trajectory):
 
 
 def read_trajectory(path) -> Trajectory:
+    """A trajectory CSV. Timestamps are checked as the dataset and contact readers
+    check them, and positions must be finite; a bad row is named `path:line`."""
     rows = read_csv(path, TRAJECTORY_COLUMNS)
+    check_times(rows[:, 0], path)
+    bad = ~np.isfinite(rows[:, 1:4]).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SchemaMismatchError(f"{row_location(path, i)}: position {rows[i, 1:4].tolist()} is not finite")
     return Trajectory(rows[:, 0], rows[:, 1:4])
 
 

@@ -115,6 +115,24 @@ def write_csv(path, header, rows):
             f.write(",".join("" if v != v else str(v) for v in row) + "\n")
 
 
+def row_location(path, i: int) -> str:
+    """Where row i of a data file is: `path:line` for a CSV, `path: frame i` otherwise (a .pcds)."""
+    if str(path).endswith(".csv"):
+        return f"{path}:{i + 2}"  # CSV line 1 is the header
+    return f"{path}: frame {i}"
+
+
+def check_times(t, path):
+    """Raise at row_location(path, i) for the first timestamp i that is not finite or not above the one before it."""
+    bad = ~np.isfinite(t)
+    bad[1:] |= ~(t[1:] > t[:-1])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SchemaMismatchError(
+            f"{row_location(path, i)}: timestamp {float(t[i])!r} is not finite or does not exceed the one before it"
+        )
+
+
 def read_csv(path, header) -> np.ndarray:
     """(rows, columns) float64 array of a table whose header is exactly the list `header`."""
     rows = []

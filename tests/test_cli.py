@@ -280,6 +280,18 @@ def test_eval_header_only_trajectory_exit_2(workdir, tmp_path, capsys):
     assert str(est) in capsys.readouterr().err
 
 
+def test_eval_nan_trajectory_position_exit_2(workdir, tmp_path, capsys):
+    # it printed `ATE RMSE: nan m` and exited 0
+    _, cfg, out = workdir
+    lines = open(f"{out}/trajectory_gt.csv").read().splitlines()
+    lines[5] = lines[5].split(",")[0] + ",nan,0,0"
+    est = tmp_path / "nan_traj.csv"
+    est.write_text("\n".join(lines) + "\n")
+    code = main(["--config", cfg, "--out", str(tmp_path), "eval", "--traj-est", str(est), "--traj-gt", f"{out}/trajectory_gt.csv"])
+    assert code == 2
+    assert f"error: {est}:6: position [nan, 0.0, 0.0] is not finite" in capsys.readouterr().err
+
+
 def test_train_dropout_one_exit_2(workdir, tmp_path):
     _, _, out = workdir
     cfg = tmp_path / "dropout.cfg"

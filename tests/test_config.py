@@ -237,6 +237,7 @@ GAIT = ("baselines", "gait")
         # one batch per epoch: the divergence shows only on the stepped weights
         ("[contactnet]\nlearning_rate = 1e20", "contactnet",
          "training diverged in epoch 1: loss nan at learning rate 1e+20"),
+        ("[gaitsim]\njitter = 1.5", "gaitsim", "gait jitter must be at most 0.8 of a period, got 1.5"),
     ],
 )
 def test_out_of_range_value_exits_2_naming_it(sweep_data, tmp_path, capsys, text, command, message):

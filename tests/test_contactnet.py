@@ -328,6 +328,23 @@ class TestLayerReference:
         np.testing.assert_allclose(dx, want_dx, atol=1e-12, rtol=0)
         assert not dx[:, 3].any() and not dx[:, 6].any()  # tie loser, floored tail
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_maxpool_backward_routes_to_the_first_nan(self, k):
+        # as argmax does: a NaN beats every number, and the first of several NaNs wins
+        from proprio.contactnet import layers
+
+        rng = np.random.default_rng(34 + k)
+        x = rng.integers(0, 3, size=(3, 4 * k + 1, 5)).astype(np.float32)
+        x[rng.random(x.shape) < 0.3] = np.nan
+        out, cache = layers.maxpool1d_forward(x, k)
+        dout = rng.normal(size=out.shape).astype(np.float32)
+        dx = layers.maxpool1d_backward(dout, cache)
+        arg = x[:, : 4 * k].reshape(3, 4, k, 5).argmax(axis=2)
+        want = np.zeros_like(x)
+        for i in range(k):
+            want[:, i : 4 * k : k] = dout * (arg == i)
+        assert np.isnan(x).any() and dx.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("k, t", [(1, 6), (3, 7), (5, 9), (7, 2), (9, 3)])
     def test_conv_im2col_bitwise_equals_padded_copy(self, k, t):
         # the columns written in place equal a padded copy's k slices, so the GEMM sees the same bits

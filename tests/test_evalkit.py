@@ -253,3 +253,39 @@ class TestExport:
         back = evalkit.read_trajectory(path)
         np.testing.assert_array_equal(back.t, traj.t)
         np.testing.assert_array_equal(back.p, traj.p)
+
+
+class TestReadTrajectory:
+    """The reader checks what the dataset and contact readers check, naming `path:line`."""
+
+    def _bad_file(self, tmp_path, edit):
+        traj = rich_curve(20)
+        t, p = traj.t.copy(), traj.p.copy()
+        edit(t, p)
+        path = tmp_path / "t.csv"
+        evalkit.write_trajectory(path, Trajectory(t, p))
+        return path
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position(self, tmp_path, value):
+        path = self._bad_file(tmp_path, lambda t, p: p.__setitem__((7, 1), value))
+        with pytest.raises(DataError, match=rf"^{path}:9: position \[.*\] is not finite$"):
+            evalkit.read_trajectory(path)
+
+    def test_nan_timestamp(self, tmp_path):
+        path = self._bad_file(tmp_path, lambda t, p: t.__setitem__(4, np.nan))
+        with pytest.raises(DataError, match=rf"^{path}:6: timestamp nan is not finite"):
+            evalkit.read_trajectory(path)
+
+    def test_swapped_rows(self, tmp_path):
+        path = self._bad_file(tmp_path, lambda t, p: t.__setitem__([10, 11], t[[11, 10]]))
+        with pytest.raises(DataError, match=rf"^{path}:13: timestamp .* does not exceed the one before it"):
+            evalkit.read_trajectory(path)
+
+    def test_duplicated_row(self, tmp_path):
+        def duplicate(t, p):
+            t[12], p[12] = t[11], p[11]
+
+        path = self._bad_file(tmp_path, duplicate)
+        with pytest.raises(DataError, match=rf"^{path}:14: timestamp .* does not exceed the one before it"):
+            evalkit.read_trajectory(path)

@@ -145,6 +145,12 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"gait {name} must be finite and non-negative, got {value}"):
             GaitSpec(**{name: value})
 
+    @pytest.mark.parametrize("jitter", [0.81, 1.5])
+    def test_jitter_at_most_max(self, jitter):
+        with pytest.raises(ValueError, match=f"gait jitter must be at most 0.8 of a period, got {jitter}"):
+            GaitSpec(jitter=jitter)
+        GaitSpec(jitter=gaitsim.MAX_JITTER)
+
     @pytest.mark.parametrize("mass", [-1.0, 0.0])
     def test_mass_positive(self, mass):
         with pytest.raises(ValueError, match=f"mass must be positive and finite, got {mass}"):
@@ -213,7 +219,7 @@ class TestSchedule:
             lo_leg = base + spec.duty * spec.period + rng.uniform(-0.01, 0.01, k.shape) * spec.period
             np.testing.assert_array_equal(lo[leg], lo_leg)
 
-    @pytest.mark.parametrize("jitter", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("jitter", [0.0, 0.3, gaitsim.MAX_JITTER])
     def test_last_touchdown_lies_past_the_run(self, jitter):
         # so clipping the lookup to K - 2 never changes a stance flag
         duration = 3.0
@@ -226,6 +232,26 @@ class TestSchedule:
             last = np.searchsorted(td[leg], t, side="right") - 1
             assert np.array_equal(idx[:, leg], last)
             assert np.array_equal(stance[:, leg], (t >= td[leg, last]) & (t < lo[leg, last]))
+
+    @pytest.mark.parametrize("jitter", [0.2, gaitsim.MAX_JITTER])
+    def test_both_phases_keep_a_tenth_of_a_period(self, jitter):
+        # a delayed touchdown delays its liftoff too, so no stance shrinks below the floor
+        floor = 0.1 * (1.0 - 1e-12)
+        for seed in range(40):
+            td, lo = gaitsim._stance_schedule(GaitSpec(gait="trot", jitter=jitter), 10.0, np.random.default_rng(seed))
+            assert np.all(lo - td >= floor) and np.all(td[:, 1:] - lo[:, :-1] >= floor)
+
+    def test_no_liftoff_moves_up_to_a_fifth_of_a_period(self):
+        # below 0.2 the delays leave every liftoff where the clip put it
+        spec = GaitSpec(gait="trot", jitter=0.2)
+        for seed in range(40):
+            td, lo = gaitsim._stance_schedule(spec, 10.0, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            k = np.arange(td.shape[1]) - 2
+            draws = rng.uniform(-0.2, 0.2, size=(4, 2) + k.shape)
+            td0 = (k + gaitsim._gait_offsets(spec)[:, None]) + draws[:, 0]
+            lo0 = np.clip(k + gaitsim._gait_offsets(spec)[:, None] + spec.duty + draws[:, 1], td0 + 0.1, td0 + 0.9)
+            np.testing.assert_array_equal(lo, lo0)
 
     def test_trajectory_runs_on_the_imu_clock(self, legs):
         # the true trajectory is sampled at the IMU frames' times; no copy of them is kept

@@ -1,15 +1,20 @@
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy.signal import butter, filtfilt, lfilter_zi  # the reference the numpy low-pass reproduces
 
 import proprio
-from proprio import gaitsim
+from proprio import baselines, gaitsim
 from proprio.formats import DataError
 from proprio.labelgen import (
+    FILTER_ORDER,
+    HALF_POWER_FREQ,
     LabelGenConfig,
+    _butter,
     _label_one_leg,
     generate_labels,
     local_extrema,
@@ -108,20 +113,116 @@ class TestLowpass:
             lowpass(np.zeros(100), 0.6)
 
 
+def _padlen(n, half_power_freq):
+    return min(n - 1, 3 * (FILTER_ORDER + 1) * int(1 + 0.05 / half_power_freq))
+
+
+def scipy_lowpass(signal, half_power_freq):
+    """The scipy.signal call that lowpass replaces."""
+    b, a = butter(FILTER_ORDER, 2.0 * half_power_freq)
+    return filtfilt(b, a, signal, axis=0, padtype="even", padlen=_padlen(len(signal), half_power_freq))
+
+
+def exact_lowpass(signal, half_power_freq):
+    """filtfilt's recursion (lfilter's direct form II transposed, started at
+    lfilter_zi times the first sample) on scipy's (b, a), in 60-digit decimals."""
+    b, a = butter(FILTER_ORDER, 2.0 * half_power_freq)
+    padlen = _padlen(len(signal), half_power_freq)
+    ext = np.concatenate((signal[padlen:0:-1], signal, signal[-2 : -(padlen + 2) : -1]))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        bd, ad, zi = ([Decimal(float(v)) for v in arr] for arr in (b, a, lfilter_zi(b, a)))
+
+        def one_pass(x):
+            z, out = [zk * x[0] for zk in zi], []
+            for xn in x:
+                y = z[0] + bd[0] * xn
+                z = [z[i + 1] + bd[i + 1] * xn - ad[i + 1] * y for i in range(3)] + [bd[4] * xn - ad[4] * y]
+                out.append(y)
+            return out
+
+        y = one_pass(one_pass([Decimal(float(v)) for v in ext])[::-1])[::-1]
+    return np.array([float(v) for v in y[padlen : len(y) - padlen]])
+
+
+def _test_signal(n, columns, seed):
+    """Random-walk foot heights around -0.3 m: one column or (n, columns)."""
+    walk = -0.3 + 0.01 * np.cumsum(np.random.default_rng(seed).normal(size=(n, columns or 1)), axis=0)
+    return walk if columns else walk[:, 0]
+
+
+def _gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestAgainstScipy:
+    @pytest.mark.parametrize("half_power_freq", np.r_[np.linspace(0.002, 0.498, 32), 0.01, 0.3, *HALF_POWER_FREQ.values()])
+    def test_design_is_scipy_butter_bit_for_bit(self, half_power_freq):
+        b, a = _butter(half_power_freq)
+        want_b, want_a = butter(FILTER_ORDER, 2.0 * half_power_freq)
+        assert b.tobytes() == want_b.tobytes() and a.tobytes() == want_a.tobytes()
+
+    # lengths 16 and 17 take padlen = len - 1 at these cutoffs
+    @pytest.mark.parametrize("half_power_freq", [0.04, 0.08, 0.15, 0.3])
+    @pytest.mark.parametrize("n", [16, 17, 1001, 20000])
+    @pytest.mark.parametrize("columns", [0, 3])
+    def test_matches_scipy_filtfilt(self, half_power_freq, n, columns):
+        signal = _test_signal(n, columns, seed=n)
+        got = lowpass(signal, half_power_freq)
+        assert got.shape == signal.shape
+        assert _gap(got, scipy_lowpass(signal, half_power_freq)) <= 1e-12
+
+    @pytest.mark.parametrize("half_power_freq", [0.01, 0.02])
+    @pytest.mark.parametrize("n", [16, 17, 1001, 20000])
+    def test_low_cutoffs_match_an_exact_recursion(self, half_power_freq, n):
+        # below 0.04 scipy's own recursion rounds by more than 1e-12 (1.8e-11 at
+        # 0.01), so lowpass is held to the exact filter and scipy is shown no closer
+        columns = 2 if n < 20000 else 0
+        signal = _test_signal(n, columns, seed=n + 1)
+        got, ref = lowpass(signal, half_power_freq), scipy_lowpass(signal, half_power_freq)
+        exact = np.stack([exact_lowpass(col, half_power_freq) for col in signal.reshape(n, -1).T], axis=1)
+        exact = exact.reshape(signal.shape)
+        assert _gap(got, exact) <= 1e-14
+        assert _gap(got, ref) <= _gap(ref, exact) + 1e-13
+
+
+def _labels_by_scipy(heights, cfg):
+    filtered = scipy_lowpass(heights, cfg.cutoff())
+    return np.stack([_label_one_leg(col, cfg.single_min_backoff) for col in filtered.T], axis=1)
+
+
+@pytest.mark.parametrize("gait", gaitsim.GAITS)
+def test_labels_and_grf_contacts_equal_the_scipy_based_ones(gait, legs):
+    cfg = LabelGenConfig(gait if gait in HALF_POWER_FREQ else "trot")
+    grf = baselines.GrfConfig()
+    for seed in range(3):
+        sim = gaitsim.simulate(gaitsim.GaitSpec(gait=gait, seed=seed, jitter=0.05), 4.0, legs)
+        frames = sim.encoder_frames
+        heights = frames.pf.reshape(-1, 4, 3)[:, :, 2]
+        assert np.array_equal(generate_labels(heights, cfg), _labels_by_scipy(heights, cfg))
+        forces, _ = baselines.estimate_grf(frames.tau, frames.q.reshape(-1, 4, 3), legs)
+        by_scipy = np.abs(scipy_lowpass(forces[:, :, 2], grf.cutoff)) > grf.threshold
+        assert np.array_equal(baselines.grf_threshold_detect(frames, grf, legs), by_scipy)
+
+
 IMPORT_CHECK = """
 import sys
 import numpy as np
-import proprio.cli, proprio.inekf, proprio.contactnet
-assert "scipy.signal" not in sys.modules, "scipy.signal loaded at import"
-from proprio.labelgen import lowpass
+from proprio import baselines, gaitsim
+from proprio.kinematics import default_legs
+from proprio.labelgen import LabelGenConfig, generate_labels, lowpass
 out = lowpass(np.sin(np.arange(64.0)), 0.04)
 assert out.shape == (64,) and np.isfinite(out).all()
-assert "scipy.signal" in sys.modules
+sim = gaitsim.simulate(gaitsim.GaitSpec(), 2.0, default_legs())
+assert generate_labels(sim.encoder_frames.pf.reshape(-1, 4, 3)[:, :, 2], LabelGenConfig()).any()
+assert baselines.grf_threshold_detect(sim.encoder_frames, baselines.GrfConfig(), default_legs()).any()
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
 """
 
 
-def test_scipy_signal_loaded_by_lowpass_only():
-    # a fresh process, since this one may have loaded scipy.signal already
+def test_low_pass_stages_load_no_scipy():
+    # a fresh process, since this one has loaded scipy for the references
     src = os.path.dirname(os.path.dirname(os.path.abspath(proprio.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", IMPORT_CHECK], env=env, capture_output=True, text=True, timeout=120)
