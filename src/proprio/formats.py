@@ -8,7 +8,10 @@ CSV tables: lines end in LF (CRLF is read too); the header line must equal
 the expected columns exactly and every later line has as many fields.
 Fields are written with `str`, which for a Python float is its shortest
 round-tripping form (float64 reads back exactly), and NaN as an empty
-field; each field reads back with `float()`, an empty one as NaN. Errors name `path:line`; a table with no rows raises EmptyStreamError.
+field; each field reads back with `float()`, an empty one as NaN. A data
+line may not hold `_`, a space or a tab: `float()` would accept them
+("1_0" as 10, " 1" as 1) and no writer emits them. Errors name
+`path:line`; a table with no rows raises EmptyStreamError.
 """
 
 from __future__ import annotations
@@ -139,13 +142,16 @@ def read_csv(path, header) -> np.ndarray:
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
             try:
-                fields = str(raw, "utf-8").rstrip("\r\n").split(",")
+                line = str(raw, "utf-8").rstrip("\r\n")
             except UnicodeDecodeError:
                 raise SchemaMismatchError(f"{path}:{lineno}: not UTF-8 text") from None
+            fields = line.split(",")
             if lineno == 1:
                 if fields != header:
                     raise SchemaMismatchError(f"{path}:1: header ({len(fields)} columns) differs from the {len(header)} expected")
                 continue
+            if "_" in line or " " in line or "\t" in line:
+                raise SchemaMismatchError(f"{path}:{lineno}: '_', space or tab in a data line")
             if len(fields) != len(header):
                 raise SchemaMismatchError(f"{path}:{lineno}: expected {len(header)} columns, found {len(fields)}")
             try:

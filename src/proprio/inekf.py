@@ -26,16 +26,17 @@ The filter runs in two parts:
     accel, contact x L) covariance with the blocks of the legs out of
     contact zeroed;
   - H is +I on a contact block and -I on the position block, cached per
-    contact set, so each entry of P H^T and H P H^T is one exact difference;
-    the gain K = P H^T S^-1 comes from one LAPACK gesv call, loaded on
-    first use; exp(K v) is formed and left-composed with the mean in one
-    pass (sek3_exp_compose); and the Joseph update
+    contact set, so each entry of H P and H P H^T is one exact difference;
+    the gain comes transposed, K^T = S^-T H P (P is symmetric), from
+    numpy.linalg.solve; exp(K v) is formed and left-composed with the mean
+    in one pass (sek3_exp_compose); and the Joseph update
     (I - KH) P (I - KH)^T + K N K^T is P + W K^T + K W^T with
-    W = K S / 2 - P H^T, P added in place to the symmetric W K^T + K W^T.
+    W^T = S^T K^T / 2 - H P, so P H^T is never formed, and P added in
+    place to the symmetric W K^T + K W^T.
 
 NoiseParams is frozen and caches, once, N_dt and N_dt2 (the skew(g)
-blocks) and Q for every contact set, and Phi for the first PHI_CACHE_SIZE
-distinct dt (a 1 kHz stream has a handful).
+blocks) and Q for every contact set, and Phi and Q dt for the first
+PHI_CACHE_SIZE distinct dt (a 1 kHz stream has a handful).
 
 Symmetry is enforced once per step: propagate symmetrizes the covariance;
 augment_contact adds a symmetric block and the Joseph form
@@ -115,7 +116,8 @@ class NoiseParams:
     Phi = I + N_dt dt + N_dt2 dt^2) and process_cov, the process noise Q of
     each contact set, keyed by its tuple of per-leg bools. phi(dt) keeps
     the read-only Phi and its transpose of the first PHI_CACHE_SIZE
-    distinct dt it is asked for.
+    distinct dt it is asked for, and process_cov_dt the read-only Q dt of
+    the first PHI_CACHE_SIZE * 2**NUM_LEGS (contact set, dt) pairs.
     """
 
     gyro_cov: np.ndarray = field(default_factory=lambda: np.eye(3) * 1e-4)
@@ -128,6 +130,7 @@ class NoiseParams:
     n_dt: np.ndarray = field(init=False, repr=False, compare=False)
     n_dt2: np.ndarray = field(init=False, repr=False, compare=False)
     _phi: dict = field(init=False, repr=False, compare=False)
+    _q_dt: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("gyro_cov", "accel_cov", "contact_cov", "encoder_cov"):
@@ -158,6 +161,7 @@ class NoiseParams:
             object.__setattr__(self, name, _frozen_array(arr))
         object.__setattr__(self, "process_cov", process_cov)
         object.__setattr__(self, "_phi", {})
+        object.__setattr__(self, "_q_dt", {})
 
     def phi(self, dt: float) -> Tuple[np.ndarray, np.ndarray]:
         """Read-only (Phi, Phi^T) of the step dt, Phi = I + N_dt dt + N_dt2 dt^2.
@@ -174,6 +178,16 @@ class NoiseParams:
             if len(self._phi) < PHI_CACHE_SIZE:
                 self._phi[dt] = pair
         return pair
+
+    def process_cov_dt(self, contacts: Tuple[bool, ...], dt: float) -> np.ndarray:
+        """Read-only process_cov[contacts] * dt; the first PHI_CACHE_SIZE * 2**NUM_LEGS pairs are kept."""
+        key = contacts, dt
+        q_dt = self._q_dt.get(key)
+        if q_dt is None:
+            q_dt = _frozen_array(self.process_cov[contacts] * dt)
+            if len(self._q_dt) < PHI_CACHE_SIZE << NUM_LEGS:
+                self._q_dt[key] = q_dt
+        return q_dt
 
 
 class Frame(NamedTuple):
@@ -227,7 +241,11 @@ def make_initial_state(rot=None, vel=None, pos=None, t=0.0, cov_diag=1e-6) -> Fi
 
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
-    return (p + p.T) / 2.0
+    """(p + p^T) / 2, bit for bit; adding to a C-contiguous copy of p^T is faster than to the view."""
+    out = p.T.copy()
+    out += p
+    out *= 0.5
+    return out
 
 
 def _leg_block(leg: int) -> slice:
@@ -240,7 +258,7 @@ class _Layout(NamedTuple):
     h: np.ndarray  # (3m, DIM) measurement Jacobian: +I on each leg's block, -I on the position block
     h_t: np.ndarray  # its transpose, C-contiguous
     h_mean: np.ndarray  # (3m, 3K) -H[:, 3:]: p - d_l of each leg from the flat mean columns
-    diag_flat: np.ndarray  # flat indices of the 3x3 diagonal blocks of an innovation matrix
+    diag_flat: np.ndarray  # flat indices of an innovation matrix's 3x3 diagonal blocks, in (row, leg, column) order
 
 
 @functools.lru_cache(maxsize=None)
@@ -253,13 +271,9 @@ def _contact_layout(contacts: Tuple[bool, ...]) -> Optional[_Layout]:
     h = np.zeros((3 * legs.size, DIM))
     h[rows.ravel(), (9 + 3 * legs[:, None] + np.arange(3)).ravel()] = 1.0
     h[rows.ravel(), np.tile(np.arange(6, 9), legs.size)] = -1.0
-    return _Layout(
-        legs,
-        h,
-        np.ascontiguousarray(h.T),
-        -h[:, 3:],
-        (np.repeat(rows, 3, axis=1) * (3 * legs.size) + np.tile(rows, 3)).ravel(),
-    )
+    block = 3 * np.arange(legs.size)[:, None]
+    diag_flat = (block + np.arange(3)[:, None, None]) * (3 * legs.size) + block + np.arange(3)
+    return _Layout(legs, h, np.ascontiguousarray(h.T), -h[:, 3:], diag_flat.ravel())
 
 
 def propagate(state: FilterState, frame: Frame, noise: NoiseParams) -> FilterState:
@@ -272,35 +286,25 @@ def propagate(state: FilterState, frame: Frame, noise: NoiseParams) -> FilterSta
     cols = state.mean.cols
     dt = frame.dt
 
-    dv = (np.dot(rot, frame.accel) + noise.gravity) * dt
+    # v += dv and p += (v + dv / 2) dt with dv = (R a + g) dt, in place
+    dv = np.dot(rot, frame.accel)
+    dv += noise.gravity
+    dv *= dt
+    dp = 0.5 * dv
+    dp += cols[0]
+    dp *= dt
     new_cols = cols.copy()
     new_cols[0] += dv
-    new_cols[1] += (cols[0] + 0.5 * dv) * dt
+    new_cols[1] += dp
     mean = GroupElement(np.dot(rot, frame.d_rot), new_cols)
 
     # Phi (P + G (Q dt) G^T) Phi^T with G = Ad(mean) before the step
     phi, phi_t = noise.phi(dt)
     g = adjoint(state.mean)
-    cov = np.dot(np.dot(g, noise.process_cov[state.contacts] * dt), g.T)
+    cov = np.dot(np.dot(g, noise.process_cov_dt(state.contacts, dt)), g.T)
     cov += state.cov
     cov = np.dot(np.dot(phi, cov), phi_t)
     return FilterState(mean, state.contacts, _symmetrize(cov), frame.t)
-
-
-@functools.cache
-def _dgesv():
-    """LAPACK dgesv, loaded on first use so that importing the package loads no scipy."""
-    from scipy.linalg.lapack import dgesv
-
-    return dgesv
-
-
-def _gain(pht: np.ndarray, s_mat: np.ndarray) -> np.ndarray:
-    """K = P H^T S^-1 from one LAPACK gesv call (S^T K^T = H P)."""
-    _, _, gain_t, info = _dgesv()(s_mat.T, pht.T)
-    if info > 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return gain_t.T
 
 
 def update_contact_kinematics(state: FilterState, frame: Frame, noise: NoiseParams) -> FilterState:
@@ -315,20 +319,24 @@ def update_contact_kinematics(state: FilterState, frame: Frame, noise: NoisePara
         return state
     rot = state.mean.rot
     # R h(alpha) + p - d_l per leg; each entry of the second term is one exact difference
-    innovation = np.dot(frame.foot[layout.legs], rot.T).ravel()
+    innovation = np.dot(frame.foot.take(layout.legs, axis=0), rot.T).ravel()
     innovation += np.dot(layout.h_mean, state.mean.cols.ravel())
-    meas_cov = rot @ frame.meas_cov[layout.legs] @ rot.T
+    meas_cov = np.dot(np.dot(rot, frame.meas_cov.take(layout.legs, axis=0)), rot.T)  # (3, m, 3)
 
-    # each entry of P H^T and H P H^T is one difference of two entries, so exact
-    pht = np.dot(state.cov, layout.h_t)
-    s_mat = np.dot(layout.h, pht)
+    # each entry of H P and H P H^T is one difference of two entries, so exact
+    hp = np.dot(layout.h, state.cov)
+    s_mat = np.dot(hp, layout.h_t)
     s_mat.reshape(-1)[layout.diag_flat] += meas_cov.ravel()
-    gain = _gain(pht, s_mat)
-    mean = sek3_exp_compose(np.dot(gain, innovation), state.mean)
-    # Joseph form (I - KH) P (I - KH)^T + K N K^T = P + W K^T + K W^T,
-    # the symmetric W K^T + K W^T formed first and P added in place
-    wk = np.dot(np.dot(gain, 0.5 * s_mat) - pht, gain.T)
-    cov = wk + wk.T
+    gain_t = np.linalg.solve(s_mat.T, hp)  # K^T = S^-T H P, as P is symmetric
+    mean = sek3_exp_compose(np.dot(innovation, gain_t), state.mean)
+    # Joseph form (I - KH) P (I - KH)^T + K N K^T = P + W K^T + K W^T with
+    # W^T = S^T K^T / 2 - H P; the symmetric W K^T + K W^T formed first and P added in place
+    w_t = np.dot(s_mat.T, gain_t)
+    w_t *= 0.5
+    w_t -= hp
+    wk = np.dot(w_t.T, gain_t)
+    cov = wk.T.copy()
+    cov += wk
     cov += state.cov
     return FilterState(mean, state.contacts, cov, state.t)
 
@@ -454,7 +462,7 @@ def frame_records(t, gyro, accel, q, legs, noise: NoiseParams, t0: float):
         d_rot = so3_exp(g * dt[:, None])
         foot = fk_position(legs, alpha)
         jac = fk_jacobian(legs, alpha)
-        enc = jac @ noise.encoder_cov @ jac.swapaxes(-1, -2)
+        enc = np.einsum("...ij,jk,...lk->...il", jac, noise.encoder_cov, jac, optimize=True)
         meas_cov = enc + noise.contact_cov
         yield from map(Frame._make, zip(times.tolist(), dt.tolist(), acc, d_rot, foot, enc, meas_cov))
 
@@ -480,18 +488,15 @@ def filter_sequence(frames, contacts, legs, noise, init: Optional[FilterState] =
 
     t_out = np.empty(n)
     rot_out = np.empty((n, 3, 3))
-    vel_out = np.empty((n, 3))
-    pos_out = np.empty((n, 3))
+    vel_pos = np.empty((n, 2, 3))
     t_out[0] = state.t
-    rot_out[0] = state.rotation
-    vel_out[0] = state.velocity
-    pos_out[0] = state.position
+    rot_out[0] = state.mean.rot
+    vel_pos[0] = state.mean.cols[:2]
     for i, frame in enumerate(records, 1):
         if i % CHUNK == 0:
             state = _orthonormalized(state)
         state = step(state, frame, rows[i], noise)
         t_out[i] = state.t
-        rot_out[i] = state.rotation
-        vel_out[i] = state.velocity
-        pos_out[i] = state.position
-    return t_out, rot_out, vel_out, pos_out
+        rot_out[i] = state.mean.rot
+        vel_pos[i] = state.mean.cols[:2]
+    return t_out, rot_out, vel_pos[:, 0], vel_pos[:, 1]

@@ -21,6 +21,7 @@ exact filter's to about 1e-15 of the peak. scipy's own recursion rounds by
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -35,6 +36,7 @@ HALF_POWER_FREQ = {"trot": 0.04, "pronk": 0.08, "gallop": 0.08}
 FILTER_ORDER = 4
 SINGLE_MIN_BACKOFF = 30  # samples
 _FRACTION_BITS = 200  # of the integer recursion that evaluates the filter's responses
+DESIGN_CACHE_SIZE = 64  # cutoffs whose filter design lowpass keeps
 
 
 @dataclass
@@ -97,6 +99,24 @@ def _responses(b, a, zi):
     return np.concatenate(([b[0]], _free_response(after_impulse, fa))), _free_response(fz, fa)
 
 
+@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
+def _design(half_power_freq):
+    """Read-only (b, a, impulse response, zero-input response from lfilter_zi's state).
+
+    lfilter_zi's state is the one a constant unit input holds:
+    (I - companion(a).T) zi = b[1:] - a[1:] b[0]. The two responses take
+    almost all of a short lowpass call, and depend only on the cutoff.
+    """
+    b, a = _butter(half_power_freq)
+    n = FILTER_ORDER
+    i_minus_a = np.eye(n) - np.eye(n, k=1)
+    i_minus_a[:, 0] += a[1:]
+    design = (b, a) + _responses(b, a, np.linalg.solve(i_minus_a, b[1:] - a[1:] * b[0]))
+    for arr in design:
+        arr.flags.writeable = False
+    return design
+
+
 def _fft_size(n):
     """Smallest 2**i 3**j 5**k >= n: the lengths pocketfft transforms fastest."""
     best, p5 = 1 << (n - 1).bit_length(), 1
@@ -124,19 +144,15 @@ def lowpass(signal, half_power_freq: float) -> np.ndarray:
     zi times its first sample. A pass is the FFT convolution of its input
     with the impulse response, plus the first sample times the response to
     zi; both responses are exact (`_free_response`), so no state is rounded
-    sample after sample. How close this is to scipy: see the module notes.
+    sample after sample, and are kept per cutoff (`_design`). How close
+    this is to scipy: see the module notes.
     """
     signal = np.asarray(signal, dtype=float)
     if signal.ndim not in (1, 2) or len(signal) < 16:
         raise DataError(f"need a signal of >= 16 samples along axis 0 (1-D or 2-D), got {signal.shape}")
     if not 0.0 < half_power_freq < 0.5:
         raise ValueError(f"half-power frequency {half_power_freq} outside (0, 0.5)")
-    b, a = _butter(half_power_freq)
-    n = FILTER_ORDER
-    # lfilter_zi: the state that a constant unit input holds, (I - companion(a).T) zi = b[1:] - a[1:] b[0]
-    i_minus_a = np.eye(n) - np.eye(n, k=1)
-    i_minus_a[:, 0] += a[1:]
-    impulse, from_zi = _responses(b, a, np.linalg.solve(i_minus_a, b[1:] - a[1:] * b[0]))
+    b, a, impulse, from_zi = _design(float(half_power_freq))
 
     padlen = min(len(signal) - 1, 3 * max(len(a), len(b)) * int(1 + 0.05 / half_power_freq))
     rows = signal.reshape(len(signal), -1).T

@@ -71,12 +71,13 @@ def project_rotation(rot) -> np.ndarray:
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     """SE_K(3) element: a rotation plus K ordered 3-columns.
 
     For the filter mean the columns are (v, p, d_1, ..., d_L). Treated as an
-    immutable value; operations return new elements.
+    immutable value; operations return new elements. Slots make the frozen
+    constructor cheaper; the filter builds two elements per step.
     """
 
     rot: np.ndarray  # (3, 3)
@@ -85,14 +86,6 @@ class GroupElement:
     @property
     def k(self) -> int:
         return self.cols.shape[0]
-
-    def as_matrix(self) -> np.ndarray:
-        """(3+K)x(3+K) embedding [[R, cols^T], [0, I_K]]."""
-        k = self.k
-        m = np.eye(3 + k)
-        m[:3, :3] = self.rot
-        m[:3, 3:] = self.cols.T
-        return m
 
 
 def _rodrigues_entries(p, q, x, y, z) -> tuple:
@@ -165,14 +158,14 @@ def adjoint(g: GroupElement) -> np.ndarray:
     """Adjoint matrix: Ad(X) xi = vee(X hat(xi) X^-1).
 
     Block structure: R on every diagonal block, skew(col_i) R in the
-    (i+1, 0) block, zero elsewhere. The diagonal is one assignment to a
-    (K+1, 3, K+1, 3) array. skew(c) R is linear in c, so with E the (3, 9)
-    stack of skew(e_k) R, the first block column is cols @ E: two np.dot
-    calls, one to form E and one to apply it.
+    (i+1, 0) block, zero elsewhere. The diagonal blocks are one broadcast
+    assignment through the einsum view ad[i, :, i, :] of a (K+1, 3, K+1, 3)
+    array. skew(c) R is linear in c, so with E the (3, 9) stack of
+    skew(e_k) R, the first block column is cols @ E: two np.dot calls, one
+    to form E and one to apply it.
     """
     n = g.k + 1
     ad = np.zeros((n, 3, n, 3))
-    blocks = np.arange(n)
-    ad[blocks, :, blocks, :] = g.rot
+    np.einsum("ijik->ijk", ad)[...] = g.rot
     ad[1:, :, 0, :] = np.dot(g.cols, np.dot(_SKEW_MAP_ROWS, g.rot).reshape(3, 9)).reshape(-1, 3, 3)
     return ad.reshape(3 * n, 3 * n)

@@ -57,11 +57,18 @@ class TestCsv:
             (b"a,b,c\n1,2,3\n", SchemaMismatchError, ":1: header (3 columns) differs from the 2 expected"),
             (b"a,b\n1,2\n3\n", SchemaMismatchError, ":3: expected 2 columns, found 1"),
             (b"a,b\n1,2\n3,x\n", SchemaMismatchError, ":3: could not convert"),
+            (b"a,b\n1,2\n3,1_0\n", SchemaMismatchError, ":3: '_', space or tab in a data line"),
+            (b"a,b\n1, 2\n", SchemaMismatchError, ":2: '_', space or tab in a data line"),
+            (b"a,b\n1,2\n3,4 \r\n", SchemaMismatchError, ":3: '_', space or tab in a data line"),
+            (b"a,b\n1,\t2\n", SchemaMismatchError, ":2: '_', space or tab in a data line"),
             (b"a,b\n1,\xff\n", SchemaMismatchError, ":2: not UTF-8"),
             (b"a,b\n", EmptyStreamError, ": no data rows"),
             (b"", EmptyStreamError, ": no data rows"),
         ],
-        ids=["header-name", "header-count", "field-count", "not-a-number", "not-utf8", "header-only", "empty"],
+        ids=[
+            "header-name", "header-count", "field-count", "not-a-number", "underscore", "space", "trailing-space",
+            "tab", "not-utf8", "header-only", "empty",
+        ],
     )
     def test_rejections_name_path_and_line(self, tmp_path, text, error, expected):
         path = tmp_path / "t.csv"

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgesv
+from scipy.linalg.lapack import dgesv  # an independent LAPACK reference for the gain
 
 import proprio
 from proprio import gaitsim, inekf
@@ -725,6 +725,10 @@ class TestPhiCache:
                     arr[0, 0] = 2.0
             again = noise.phi(dt)
             assert again[0] is phi and again[1] is phi_t
+            for contacts in ((False,) * NUM_LEGS, (True, False, False, True)):
+                q_dt = noise.process_cov_dt(contacts, dt)
+                assert np.array_equal(q_dt, noise.process_cov[contacts] * dt) and not q_dt.flags.writeable
+                assert noise.process_cov_dt(contacts, dt) is q_dt
 
     def test_bounded_when_every_dt_differs(self):
         noise = noise_params()
@@ -741,6 +745,15 @@ class TestPhiCache:
         assert not phi.flags.writeable and not phi_t.flags.writeable
         np.testing.assert_array_equal(phi, np.eye(DIM) + noise.n_dt * dt + noise.n_dt2 * (dt * dt))
         assert len(noise._phi) == inekf.PHI_CACHE_SIZE
+
+    def test_process_noise_cache_bounded(self):
+        noise = noise_params()
+        contacts = (True,) * NUM_LEGS
+        limit = inekf.PHI_CACHE_SIZE << NUM_LEGS
+        for dt in 1e-3 + 1e-9 * np.arange(limit + 5):
+            q_dt = noise.process_cov_dt(contacts, float(dt))
+            assert np.array_equal(q_dt, noise.process_cov[contacts] * dt) and not q_dt.flags.writeable
+        assert len(noise._q_dt) == limit
 
 
 def matrix_form_propagate(state, frame, noise):
@@ -819,24 +832,41 @@ class TestMatrixFormReference:
         assert_states_close(state, chain, 1e-12)
 
 
-SCIPY_CHECK = """
+NO_SCIPY_CHECK = """
 import sys
 import numpy as np
-import proprio.cli
-from proprio import inekf
+from proprio import cli, inekf
 from proprio.kinematics import default_legs
-assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy loaded at import"
+
+
+def assert_no_scipy(after):
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, f"{after} loaded {loaded}"
+
+
+assert_no_scipy("import")
 frame = next(inekf.frame_records([0.0], np.zeros((1, 3)), np.zeros((1, 3)), np.tile([0.0, 0.5, 1.0], (1, 4)),
                                  default_legs(), inekf.NoiseParams(), 0.0))
 state = inekf.augment_contact(inekf.make_initial_state(), 0, frame, inekf.NoiseParams())
 inekf.update_contact_kinematics(state, frame, inekf.NoiseParams())
-assert "scipy.linalg.lapack" in sys.modules
+assert_no_scipy("a gain")
+out, cfg = sys.argv[1], sys.argv[2]
+assert cli.main(["--out", out, "sim", "--duration", "2"]) == 0
+assert cli.main(["--out", out, "label", "--data", f"{out}/imu.csv"]) == 0
+assert cli.main(["--out", out, "filter", "--data", f"{out}/imu.csv", "--contacts", f"{out}/imu_labels.csv"]) == 0
+assert_no_scipy("filter")
+assert cli.main(["--config", cfg, "--out", f"{out}/pipe", "pipeline"]) == 0
+assert_no_scipy("pipeline")
 """
 
 
-def test_scipy_loaded_by_first_gain_only():
-    # a fresh process, since this one has loaded scipy already
+def test_filter_stages_load_no_scipy(tmp_path):
+    # a fresh process, since this one has loaded scipy for the dgesv reference
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text("[gaitsim]\nduration = 2\n[contactnet]\nepochs = 1\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(proprio.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", SCIPY_CHECK], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_CHECK, str(tmp_path), str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    assert os.path.exists(tmp_path / "trajectory_est.csv") and os.path.exists(tmp_path / "pipe" / "trajectory_est.csv")

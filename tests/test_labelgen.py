@@ -15,6 +15,7 @@ from proprio.labelgen import (
     HALF_POWER_FREQ,
     LabelGenConfig,
     _butter,
+    _design,
     _label_one_leg,
     generate_labels,
     local_extrema,
@@ -111,6 +112,19 @@ class TestLowpass:
     def test_bad_cutoff(self):
         with pytest.raises(ValueError):
             lowpass(np.zeros(100), 0.6)
+
+    def test_design_cached_read_only_and_calls_repeat_byte_for_byte(self):
+        signal = _test_signal(1000, 4, seed=3)
+        first = lowpass(signal, 0.04)
+        for freq in (0.04, np.float64(0.04)):
+            assert lowpass(signal, freq).tobytes() == first.tobytes()
+        design = _design(0.04)
+        assert _design(0.04) is design and len(design) == 4
+        for arr in design:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert lowpass(signal, 0.04).tobytes() == first.tobytes()
 
 
 def _padlen(n, half_power_freq):
