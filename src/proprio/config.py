@@ -60,7 +60,15 @@ class InekfConfig:
     init_cov: float = _defaults(inekf.make_initial_state)["cov_diag"]  # right-invariant coordinates
 
     def noise(self) -> inekf.NoiseParams:
-        covs = {f"{n}_cov": np.eye(3) * getattr(self, f"{n}_std") ** 2 for n in ("gyro", "accel", "contact", "encoder")}
+        """NoiseParams with each std squared to a variance v (covariance v I)."""
+        covs = {}
+        for n in ("gyro", "accel", "contact", "encoder"):
+            std = getattr(self, f"{n}_std")
+            if not (std >= 0.0 and std * std < np.inf):
+                raise ConfigError(
+                    f"[inekf] {n}_std must be non-negative with a finite square, as {n}_cov must be finite, got {std}"
+                )
+            covs[f"{n}_cov"] = std * std
         gravity = np.array([0.0, 0.0, self.gravity_z])
         return inekf.NoiseParams(**covs, gravity=gravity, new_contact_prior=self.contact_prior)
 

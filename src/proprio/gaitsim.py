@@ -373,6 +373,10 @@ def simulate(spec: GaitSpec, duration: float, legs) -> SimulationResult:
     """Generate a synthetic run of the given duration (s)."""
     if not 2.0 * spec.period <= duration < np.inf:
         raise ValueError(f"duration must cover at least two gait periods and be finite, got {duration}")
+    for name in ("encoder_rate", "imu_rate"):
+        rate = getattr(spec, name)
+        if not duration * rate < np.inf:
+            raise ValueError(f"duration {duration} s at {name} {rate} Hz is not a finite sample count")
     rng = np.random.default_rng(spec.seed)
     body = _BodyMotion(spec)
     grounded = spec.gait != "air-trot"

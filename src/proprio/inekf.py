@@ -4,39 +4,36 @@ Leg l owns column 2+l of the mean (v, p, d_0..d_{L-1}) and block
 9+3l : 12+3l of the covariance, which is in right-invariant error
 coordinates (rotation, v, p, d_0..d_{L-1}). Zero-slot rule: while leg l is
 out of contact its column and its block rows and columns are exactly zero.
-The process noise Q has a zero block for such a leg, the adjoint of a zero
-column is R on the leg's own block alone, and a zero block stays zero
-through Phi (P + G (Q dt) G^T) Phi^T and the Joseph update, so no step
-needs a mask.
+The process noise Q has a zero block for such a leg, the adjoint's first
+block column is zero on a zero column, and a zero block stays zero through
+Phi (P + G (Q dt) G^T) Phi^T and the Joseph update.
 
 The filter runs in two parts:
 
 - frame_records, the per-sequence pass, checks the inputs and computes all
   that a step needs and the state does not change: dt, the rotation
-  increments so3_exp(omega dt), every leg's body-frame foot position, its
-  encoder covariance J Sigma_enc J^T through the kinematic Jacobian, and
-  its measurement covariance J Sigma_enc J^T + contact_cov. It does so in
-  a few vectorised calls per CHUNK frames; CHUNK = 4096 keeps those arrays
-  near 4 MB for any sequence length.
+  increments so3_exp(omega dt), every leg's body-frame foot position and
+  its encoder covariance v_enc J J^T through the kinematic Jacobian. It
+  does so in a few vectorised calls per CHUNK frames; CHUNK = 4096 keeps
+  those arrays near 4 MB for any sequence length.
 - step (propagate, reconcile the contact set, correct) does the
   state-dependent algebra on whole 21x21 matrices:
-  - propagate sets P to Phi (P + G (Q dt) G^T) Phi^T with G =
-    adjoint(mean), four GEMMs. Phi = I + N_dt dt + N_dt2 dt^2 is exact (the
-    error dynamics are nilpotent), and Q is the block-diagonal (gyro,
-    accel, contact x L) covariance with the blocks of the legs out of
-    contact zeroed;
+  - propagate sets P to Phi (P + G (Q dt) G^T) Phi^T, three GEMMs.
+    Phi = I + N_dt dt + N_dt2 dt^2 is exact (the error dynamics are
+    nilpotent), cached per dt in NoiseParams. Q is block-diagonal (gyro,
+    accel, contact x L, the legs out of contact zeroed), each block one
+    variance v times I, and R (v I) R^T = v I, so G (Q dt) G^T is
+    gyro dt T T^T, T = adjoint_column(mean) (21x3), plus the accel and
+    contact variances times dt on their diagonals;
   - H is +I on a contact block and -I on the position block, cached per
     contact set, so each entry of H P and H P H^T is one exact difference;
+    S = H P H^T + R enc R^T per leg, plus contact on its diagonal;
     the gain comes transposed, K^T = S^-T H P (P is symmetric), from
     numpy.linalg.solve; exp(K v) is formed and left-composed with the mean
     in one pass (sek3_exp_compose); and the Joseph update
     (I - KH) P (I - KH)^T + K N K^T is P + W K^T + K W^T with
     W^T = S^T K^T / 2 - H P, so P H^T is never formed, and P added in
     place to the symmetric W K^T + K W^T.
-
-NoiseParams is frozen and caches, once, N_dt and N_dt2 (the skew(g)
-blocks) and Q for every contact set, and Phi and Q dt for the first
-PHI_CACHE_SIZE distinct dt (a 1 kHz stream has a handful).
 
 Symmetry is enforced once per step: propagate symmetrizes the covariance;
 augment_contact adds a symmetric block and the Joseph form
@@ -56,7 +53,6 @@ and a lift-off zeroes it.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Tuple
 
@@ -64,10 +60,11 @@ import numpy as np
 
 from .formats import DataError
 from .kinematics import LEG_NAMES, fk_jacobian, fk_position
-from .liegroup import (  # noqa: F401 (perfbench traces sek3_exp and sek3_compose by their names here)
+from .liegroup import (  # noqa: F401 (perfbench traces adjoint, sek3_exp and sek3_compose by their names here)
     GroupElement,
     ORTHOGONALITY_TOL,
     adjoint,
+    adjoint_column,
     orthogonality_defect,
     project_rotation,
     sek3_compose,
@@ -103,41 +100,37 @@ def _frozen_array(value) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Process/measurement noise, isotropic defaults.
+    """Process/measurement noise, one variance per sensor.
 
-    gyro/accel are IMU white-noise covariances; contact is the heuristic
-    foot-slip covariance used both as process noise on contact columns and
-    as additive measurement noise; encoder covariance maps through the
-    kinematic Jacobian. new_contact_prior inflates freshly augmented
-    contact columns.
+    Each *_cov is a non-negative float v whose covariance is v I (per axis,
+    in the units of the sensor squared): gyro and accel are the IMU
+    white-noise variances; contact is the heuristic foot-slip variance, used
+    both as process noise on contact columns and as additive measurement
+    noise; the encoder variance maps through the kinematic Jacobian.
+    new_contact_prior inflates freshly augmented contact columns.
 
     Frozen, with read-only arrays: after validation __post_init__ caches
-    what every step reuses, Phi's constant matrices N_dt and N_dt2 (so that
-    Phi = I + N_dt dt + N_dt2 dt^2) and process_cov, the process noise Q of
-    each contact set, keyed by its tuple of per-leg bools. phi(dt) keeps
-    the read-only Phi and its transpose of the first PHI_CACHE_SIZE
-    distinct dt it is asked for, and process_cov_dt the read-only Q dt of
-    the first PHI_CACHE_SIZE * 2**NUM_LEGS (contact set, dt) pairs.
+    Phi's constant matrices N_dt and N_dt2 (so that
+    Phi = I + N_dt dt + N_dt2 dt^2), and phi(dt) keeps the read-only Phi and
+    its transpose of the first PHI_CACHE_SIZE distinct dt it is asked for.
     """
 
-    gyro_cov: np.ndarray = field(default_factory=lambda: np.eye(3) * 1e-4)
-    accel_cov: np.ndarray = field(default_factory=lambda: np.eye(3) * 1e-2)
-    contact_cov: np.ndarray = field(default_factory=lambda: np.eye(3) * 1e-2)
-    encoder_cov: np.ndarray = field(default_factory=lambda: np.eye(3) * 4e-6)
+    gyro_cov: float = 1e-4
+    accel_cov: float = 1e-2
+    contact_cov: float = 1e-2
+    encoder_cov: float = 4e-6
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -9.81]))
     new_contact_prior: float = 1e-4
-    process_cov: dict = field(init=False, repr=False, compare=False)
     n_dt: np.ndarray = field(init=False, repr=False, compare=False)
     n_dt2: np.ndarray = field(init=False, repr=False, compare=False)
     _phi: dict = field(init=False, repr=False, compare=False)
-    _q_dt: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("gyro_cov", "accel_cov", "contact_cov", "encoder_cov"):
-            arr = _frozen_array(getattr(self, name))
-            if not np.all(np.isfinite(arr)) or np.any(np.diag(arr) < 0.0):
-                raise ValueError(f"{name} must be finite with a non-negative diagonal")
-            object.__setattr__(self, name, arr)
+            value = getattr(self, name)
+            if np.ndim(value) != 0 or not 0.0 <= float(value) < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative, one variance, got {value!r}")
+            object.__setattr__(self, name, float(value))
         object.__setattr__(self, "gravity", _frozen_array(self.gravity))
         if not (np.all(np.isfinite(self.gravity)) and 0.0 <= self.new_contact_prior < np.inf):
             raise ValueError("gravity must be finite and new_contact_prior finite and non-negative")
@@ -150,18 +143,9 @@ class NoiseParams:
         n_dt[6:9, 3:6] = _EYE3
         n_dt2 = np.zeros((DIM, DIM))
         n_dt2[6:9, 0:3] = 0.5 * gx
-        blocks = np.arange(3 + NUM_LEGS)
-        process_cov = {}
-        for contacts in itertools.product((False, True), repeat=NUM_LEGS):
-            q = np.zeros((3 + NUM_LEGS, 3, 3 + NUM_LEGS, 3))
-            diag = [self.gyro_cov, self.accel_cov, 0.0 * _EYE3] + [self.contact_cov * on for on in contacts]
-            q[blocks, :, blocks, :] = diag
-            process_cov[contacts] = _frozen_array(q.reshape(DIM, DIM))
         for name, arr in (("n_dt", n_dt), ("n_dt2", n_dt2)):
             object.__setattr__(self, name, _frozen_array(arr))
-        object.__setattr__(self, "process_cov", process_cov)
         object.__setattr__(self, "_phi", {})
-        object.__setattr__(self, "_q_dt", {})
 
     def phi(self, dt: float) -> Tuple[np.ndarray, np.ndarray]:
         """Read-only (Phi, Phi^T) of the step dt, Phi = I + N_dt dt + N_dt2 dt^2.
@@ -179,16 +163,6 @@ class NoiseParams:
                 self._phi[dt] = pair
         return pair
 
-    def process_cov_dt(self, contacts: Tuple[bool, ...], dt: float) -> np.ndarray:
-        """Read-only process_cov[contacts] * dt; the first PHI_CACHE_SIZE * 2**NUM_LEGS pairs are kept."""
-        key = contacts, dt
-        q_dt = self._q_dt.get(key)
-        if q_dt is None:
-            q_dt = _frozen_array(self.process_cov[contacts] * dt)
-            if len(self._q_dt) < PHI_CACHE_SIZE << NUM_LEGS:
-                self._q_dt[key] = q_dt
-        return q_dt
-
 
 class Frame(NamedTuple):
     """The state-independent inputs of one step (see frame_records)."""
@@ -198,8 +172,7 @@ class Frame(NamedTuple):
     accel: np.ndarray  # (3,) specific force, body frame
     d_rot: np.ndarray  # (3, 3) rotation increment so3_exp(gyro dt)
     foot: np.ndarray  # (L, 3) body-frame foot positions
-    enc: np.ndarray  # (L, 3, 3) encoder covariance of each foot, J Sigma_enc J^T (body frame)
-    meas_cov: np.ndarray  # (L, 3, 3) its measurement covariance, enc + contact_cov (body frame)
+    enc: np.ndarray  # (L, 3, 3) encoder covariance of each foot, v_enc J J^T (body frame)
 
 
 @dataclass
@@ -215,18 +188,6 @@ class FilterState:
     contacts: Tuple[bool, ...]  # one plain bool per leg
     cov: np.ndarray  # (9+3L, 9+3L), right-invariant coordinates
     t: float
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return self.mean.rot
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.mean.cols[0]
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.mean.cols[1]
 
 
 def make_initial_state(rot=None, vel=None, pos=None, t=0.0, cov_diag=1e-6) -> FilterState:
@@ -255,6 +216,7 @@ def _leg_block(leg: int) -> slice:
 
 class _Layout(NamedTuple):
     legs: np.ndarray  # legs in contact
+    on: np.ndarray  # (3L,) 1.0 on the slot of each leg in contact, else 0.0
     h: np.ndarray  # (3m, DIM) measurement Jacobian: +I on each leg's block, -I on the position block
     h_t: np.ndarray  # its transpose, C-contiguous
     h_mean: np.ndarray  # (3m, 3K) -H[:, 3:]: p - d_l of each leg from the flat mean columns
@@ -262,18 +224,17 @@ class _Layout(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
-def _contact_layout(contacts: Tuple[bool, ...]) -> Optional[_Layout]:
-    """Index arrays and H of a contact set; None when no foot is down."""
+def _contact_layout(contacts: Tuple[bool, ...]) -> _Layout:
+    """Slot mask, index arrays and H of a contact set (with no rows when no foot is down)."""
     legs = np.flatnonzero(contacts)
-    if legs.size == 0:
-        return None
     rows = 3 * np.arange(legs.size)[:, None] + np.arange(3)
     h = np.zeros((3 * legs.size, DIM))
     h[rows.ravel(), (9 + 3 * legs[:, None] + np.arange(3)).ravel()] = 1.0
     h[rows.ravel(), np.tile(np.arange(6, 9), legs.size)] = -1.0
     block = 3 * np.arange(legs.size)[:, None]
     diag_flat = (block + np.arange(3)[:, None, None]) * (3 * legs.size) + block + np.arange(3)
-    return _Layout(legs, h, np.ascontiguousarray(h.T), -h[:, 3:], diag_flat.ravel())
+    on = np.repeat(np.asarray(contacts, dtype=float), 3)
+    return _Layout(legs, on, h, np.ascontiguousarray(h.T), -h[:, 3:], diag_flat.ravel())
 
 
 def propagate(state: FilterState, frame: Frame, noise: NoiseParams) -> FilterState:
@@ -298,11 +259,15 @@ def propagate(state: FilterState, frame: Frame, noise: NoiseParams) -> FilterSta
     new_cols[1] += dp
     mean = GroupElement(np.dot(rot, frame.d_rot), new_cols)
 
-    # Phi (P + G (Q dt) G^T) Phi^T with G = Ad(mean) before the step
-    phi, phi_t = noise.phi(dt)
-    g = adjoint(state.mean)
-    cov = np.dot(np.dot(g, noise.process_cov_dt(state.contacts, dt)), g.T)
+    # Phi (P + G (Q dt) G^T) Phi^T with G = Ad(mean) before the step: R (v I) R^T = v I, so
+    # G (Q dt) G^T is gyro dt T T^T plus accel dt and contact dt on the diagonals of their blocks
+    col = adjoint_column(state.mean)
+    cov = np.dot(col * (noise.gyro_cov * dt), col.T)
     cov += state.cov
+    diag = cov.reshape(-1)[:: DIM + 1]
+    diag[3:6] += noise.accel_cov * dt
+    diag[9:] += _contact_layout(state.contacts).on * (noise.contact_cov * dt)
+    phi, phi_t = noise.phi(dt)
     cov = np.dot(np.dot(phi, cov), phi_t)
     return FilterState(mean, state.contacts, _symmetrize(cov), frame.t)
 
@@ -311,22 +276,25 @@ def update_contact_kinematics(state: FilterState, frame: Frame, noise: NoisePara
     """Stacked forward-kinematic correction for the feet in contact.
 
     The feet in contact are the state's contact flags; their body-frame
-    positions and measurement covariances come from the frame record. A
-    singular innovation matrix raises np.linalg.LinAlgError.
+    positions and encoder covariances come from the frame record, and the
+    contact variance adds to the innovation matrix's diagonal. A singular
+    innovation matrix raises np.linalg.LinAlgError.
     """
     layout = _contact_layout(state.contacts)
-    if layout is None:
+    if layout.legs.size == 0:
         return state
     rot = state.mean.rot
     # R h(alpha) + p - d_l per leg; each entry of the second term is one exact difference
     innovation = np.dot(frame.foot.take(layout.legs, axis=0), rot.T).ravel()
     innovation += np.dot(layout.h_mean, state.mean.cols.ravel())
-    meas_cov = np.dot(np.dot(rot, frame.meas_cov.take(layout.legs, axis=0)), rot.T)  # (3, m, 3)
+    enc = np.dot(np.dot(rot, frame.enc.take(layout.legs, axis=0)), rot.T)  # (3, m, 3)
 
     # each entry of H P and H P H^T is one difference of two entries, so exact
     hp = np.dot(layout.h, state.cov)
     s_mat = np.dot(hp, layout.h_t)
-    s_mat.reshape(-1)[layout.diag_flat] += meas_cov.ravel()
+    s_flat = s_mat.reshape(-1)
+    s_flat[layout.diag_flat] += enc.ravel()
+    s_flat[:: len(s_mat) + 1] += noise.contact_cov
     gain_t = np.linalg.solve(s_mat.T, hp)  # K^T = S^-T H P, as P is symmetric
     mean = sek3_exp_compose(np.dot(innovation, gain_t), state.mean)
     # Joseph form (I - KH) P (I - KH)^T + K N K^T = P + W K^T + K W^T with
@@ -462,9 +430,9 @@ def frame_records(t, gyro, accel, q, legs, noise: NoiseParams, t0: float):
         d_rot = so3_exp(g * dt[:, None])
         foot = fk_position(legs, alpha)
         jac = fk_jacobian(legs, alpha)
-        enc = np.einsum("...ij,jk,...lk->...il", jac, noise.encoder_cov, jac, optimize=True)
-        meas_cov = enc + noise.contact_cov
-        yield from map(Frame._make, zip(times.tolist(), dt.tolist(), acc, d_rot, foot, enc, meas_cov))
+        enc = np.matmul(jac, jac.swapaxes(-1, -2))
+        enc *= noise.encoder_cov
+        yield from map(Frame._make, zip(times.tolist(), dt.tolist(), acc, d_rot, foot, enc))
 
 
 def filter_sequence(frames, contacts, legs, noise, init: Optional[FilterState] = None):

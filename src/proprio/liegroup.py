@@ -154,18 +154,26 @@ def sek3_compose(a: GroupElement, b: GroupElement) -> GroupElement:
     return GroupElement(np.dot(a.rot, b.rot), np.dot(b.cols, a.rot.T) + a.cols)
 
 
+def adjoint_column(g: GroupElement) -> np.ndarray:
+    """First block column of adjoint(g), (3(K+1), 3): R, then skew(col_i) R per column.
+
+    skew(c) R is linear in c, so with E the (3, 9) stack of skew(e_k) R the
+    blocks below R are cols @ E: two np.dot calls, one to form E and one to
+    apply it.
+    """
+    return np.concatenate((g.rot, np.dot(g.cols, np.dot(_SKEW_MAP_ROWS, g.rot).reshape(3, 9)).reshape(-1, 3)))
+
+
 def adjoint(g: GroupElement) -> np.ndarray:
     """Adjoint matrix: Ad(X) xi = vee(X hat(xi) X^-1).
 
-    Block structure: R on every diagonal block, skew(col_i) R in the
-    (i+1, 0) block, zero elsewhere. The diagonal blocks are one broadcast
-    assignment through the einsum view ad[i, :, i, :] of a (K+1, 3, K+1, 3)
-    array. skew(c) R is linear in c, so with E the (3, 9) stack of
-    skew(e_k) R, the first block column is cols @ E: two np.dot calls, one
-    to form E and one to apply it.
+    Block structure: R on every diagonal block, adjoint_column(g) as the
+    first block column, zero elsewhere. The diagonal blocks are one
+    broadcast assignment through the einsum view ad[i, :, i, :] of a
+    (K+1, 3, K+1, 3) array.
     """
     n = g.k + 1
     ad = np.zeros((n, 3, n, 3))
     np.einsum("ijik->ijk", ad)[...] = g.rot
-    ad[1:, :, 0, :] = np.dot(g.cols, np.dot(_SKEW_MAP_ROWS, g.rot).reshape(3, 9)).reshape(-1, 3, 3)
+    ad[:, :, 0, :] = adjoint_column(g).reshape(n, 3, 3)
     return ad.reshape(3 * n, 3 * n)

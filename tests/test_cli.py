@@ -402,6 +402,12 @@ def test_sim_inf_duration_exit_2(tmp_path, capsys):
     assert "must cover at least two gait periods and be finite" in capsys.readouterr().err
 
 
+def test_sim_duration_past_the_sample_count_exit_2(tmp_path, capsys):
+    # finite, but 1e308 s at 500 Hz is more samples than a float holds
+    assert main(["--out", str(tmp_path), "sim", "--duration", "1e308"]) == 2
+    assert "error: duration 1e+308 s at encoder_rate 500.0 Hz is not a finite sample count" in capsys.readouterr().err
+
+
 def test_filter_nan_noise_exit_2(workdir, tmp_path, capsys):
     _, cfg, out = workdir
     frames = dataio.read_dataset(f"{out}/imu.csv").rows(slice(0, 1000))

@@ -89,7 +89,7 @@ def test_derived_objects(tmp_path):
     path.write_text("[inekf]\ngyro_std = 0.5\n[baselines]\ngait_duty = 0.4\n")
     cfg = parse_config(path)
     noise = cfg.inekf.noise()
-    np.testing.assert_allclose(noise.gyro_cov, np.eye(3) * 0.25)
+    assert noise.gyro_cov == 0.25  # one variance, the std squared
     sched = cfg.baselines.schedule()
     assert sched.duty == 0.4
     assert cfg.kinematics.legs().hip.shape == (4, 3)
@@ -124,7 +124,7 @@ def test_defaults_are_the_library_defaults():
 # Hostile-value sweep: every key of every section, each value through a
 # subcommand that reads that key. A non-finite value in a float key must
 # exit 2; anything else must exit 0 or 2, never raise.
-HOSTILE = ("nan", "inf", "-inf", "-1", "0", "1e20")
+HOSTILE = ("nan", "inf", "-inf", "-1", "0", "1e20", "1e308")
 BIG_INT = str(10**20)  # 1e20 does not parse as an int key
 # valid values that never finish, left out of the sweep
 NEVER_FINISH = {("contactnet", "epochs", BIG_INT): "trains 10**20 epochs"}
@@ -238,6 +238,20 @@ GAIT = ("baselines", "gait")
         ("[contactnet]\nlearning_rate = 1e20", "contactnet",
          "training diverged in epoch 1: loss nan at learning rate 1e+20"),
         ("[gaitsim]\njitter = 1.5", "gaitsim", "gait jitter must be at most 0.8 of a period, got 1.5"),
+        # a std is squared to a variance: a negative one or one whose square overflows is refused
+        ("[inekf]\ngyro_std = -1", "inekf",
+         "[inekf] gyro_std must be non-negative with a finite square, as gyro_cov must be finite, got -1.0"),
+        ("[inekf]\naccel_std = 1e200", "inekf",
+         "[inekf] accel_std must be non-negative with a finite square, as accel_cov must be finite, got 1e+200"),
+        ("[inekf]\ncontact_std = -1e308", "inekf",
+         "[inekf] contact_std must be non-negative with a finite square, as contact_cov must be finite, got -1e+308"),
+        ("[inekf]\nencoder_std = inf", "inekf",
+         "[inekf] encoder_std must be non-negative with a finite square, as encoder_cov must be finite, got inf"),
+        ("[gaitsim]\nduration = 1e308", ("gaitsim", "duration"),
+         "duration 1e+308 s at encoder_rate 500.0 Hz is not a finite sample count"),
+        ("[gaitsim]\nencoder_rate = 1e308", "gaitsim",
+         "duration 2.0 s at encoder_rate 1e+308 Hz is not a finite sample count"),
+        ("[gaitsim]\nimu_rate = 1e308", "gaitsim", "duration 2.0 s at imu_rate 1e+308 Hz is not a finite sample count"),
     ],
 )
 def test_out_of_range_value_exits_2_naming_it(sweep_data, tmp_path, capsys, text, command, message):

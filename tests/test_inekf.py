@@ -59,7 +59,7 @@ def kinematic_frame(alpha, legs, noise=NoiseParams()):
 
 def hover_frame(state, t, legs):
     # accel that exactly cancels gravity in the body frame
-    return one_frame(state, np.zeros(3), state.rotation.T @ (-GRAVITY), STANCE, t, legs)
+    return one_frame(state, np.zeros(3), state.mean.rot.T @ (-GRAVITY), STANCE, t, legs)
 
 
 def assert_psd(p, tol=1e-9):
@@ -83,9 +83,9 @@ class TestPropagate:
     def test_hover_keeps_state(self, legs):
         state = make_initial_state(rot=so3_exp([0.1, -0.2, 0.3]))
         out = propagate(state, hover_frame(state, 0.001, legs), noise_params())
-        np.testing.assert_allclose(out.velocity, 0.0, atol=1e-15)
-        np.testing.assert_allclose(out.position, 0.0, atol=1e-18)
-        np.testing.assert_allclose(out.rotation, state.rotation, atol=1e-15)
+        np.testing.assert_allclose(out.mean.cols[0], 0.0, atol=1e-15)
+        np.testing.assert_allclose(out.mean.cols[1], 0.0, atol=1e-18)
+        np.testing.assert_allclose(out.mean.rot, state.mean.rot, atol=1e-15)
 
     def test_constant_acceleration_closed_form(self, legs):
         # net world acceleration of 1 m/s^2 along x for one second at 1 kHz
@@ -94,11 +94,11 @@ class TestPropagate:
         dt = 1e-3
         accel_world = np.array([1.0, 0.0, 0.0])
         for k in range(1000):
-            accel = state.rotation.T @ (accel_world - GRAVITY)
+            accel = state.mean.rot.T @ (accel_world - GRAVITY)
             frame = one_frame(state, np.zeros(3), accel, STANCE, state.t + dt, legs)
             state = propagate(state, frame, noise)
-        assert abs(state.velocity[0] - 1.0) < 1e-6
-        assert abs(state.position[0] - 0.5) < 1e-4
+        assert abs(state.mean.cols[0][0] - 1.0) < 1e-6
+        assert abs(state.mean.cols[1][0] - 0.5) < 1e-4
 
     def test_zero_noise_is_exact_conjugation(self, legs):
         rng = np.random.default_rng(0)
@@ -106,10 +106,7 @@ class TestPropagate:
         p0 = np.zeros((DIM, DIM))
         p0[:9, :9] = np.diag(rng.uniform(0.1, 1.0, 9))
         state = FilterState(state.mean, state.contacts, p0, 0.0)
-        zero = NoiseParams(
-            gyro_cov=np.zeros((3, 3)), accel_cov=np.zeros((3, 3)),
-            contact_cov=np.zeros((3, 3)), encoder_cov=np.zeros((3, 3)),
-        )
+        zero = NoiseParams(gyro_cov=0.0, accel_cov=0.0, contact_cov=0.0, encoder_cov=0.0)
         dt = 1e-3
         out = propagate(state, one_frame(state, rng.normal(size=3), rng.normal(size=3), STANCE, dt, legs), zero)
         gx = np.zeros((DIM, DIM))
@@ -132,7 +129,9 @@ class TestPropagate:
         state = FilterState(GroupElement(so3_exp(rng.normal(size=3)), cols), contacts, a @ a.T * 1e-3, 0.0)
         gyro, accel = rng.normal(size=3), rng.normal(size=3) - GRAVITY
         noise = noise_params()
-        out = propagate(state, one_frame(state, gyro, accel, STANCE, 1e-3, legs), noise)
+        frame = one_frame(state, gyro, accel, STANCE, 1e-3, legs)
+        out = propagate(state, frame, noise)
+        assert_states_close(out, matrix_form_propagate(state, frame, noise), 1e-12)  # TestMatrixFormReference's check
         ref = ref_propagate(state, gyro, accel, 1e-3, noise)
         np.testing.assert_allclose(out.cov, ref.cov, rtol=0, atol=1e-15)
         np.testing.assert_allclose(out.mean.rot, ref.mean.rot, rtol=0, atol=1e-15)
@@ -157,10 +156,18 @@ class TestPropagate:
         ("gyro_cov", np.eye(3) * np.nan), ("encoder_cov", np.diag([1.0, -1.0, 1.0])),
         ("gravity", np.array([0.0, 0.0, np.inf])), ("gravity", np.array([0.0, 1e3, -1.0])),
         ("new_contact_prior", np.nan),
+        # each noise is one variance: a matrix, nan, inf or a negative value is refused by name
+        ("gyro_cov", np.eye(3)), ("accel_cov", np.nan), ("contact_cov", np.inf), ("encoder_cov", -1.0),
     ])
     def test_noise_validation(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=field) as got:
             NoiseParams(**{field: value})
+        assert got.type is ValueError
+
+    def test_noise_fields_are_plain_variances(self):
+        noise = NoiseParams(gyro_cov=np.float32(0.5), accel_cov=2, contact_cov=np.array(0.25))
+        for name, want in (("gyro_cov", 0.5), ("accel_cov", 2.0), ("contact_cov", 0.25), ("encoder_cov", 4e-6)):
+            assert type(getattr(noise, name)) is float and getattr(noise, name) == want
 
 
 class TestUpdate:
@@ -213,7 +220,7 @@ class TestUpdate:
 
     def test_singular_innovation_raises(self, legs):
         # no covariance and no measurement noise: S = H P H^T + N is exactly zero
-        zero = NoiseParams(contact_cov=np.zeros((3, 3)), encoder_cov=np.zeros((3, 3)), new_contact_prior=0.0)
+        zero = NoiseParams(contact_cov=0.0, encoder_cov=0.0, new_contact_prior=0.0)
         frame = kinematic_frame(STANCE, legs, zero)
         state = augment_contact(make_initial_state(cov_diag=0.0), 2, frame, zero)
         with pytest.raises(np.linalg.LinAlgError):
@@ -242,7 +249,7 @@ class TestAugmentMarginalize:
         frame = kinematic_frame(alpha, legs)
         state = augment_contact(state, 2, frame, noise)
         out = update_contact_kinematics(state, frame, noise)
-        np.testing.assert_allclose(out.position, state.position, atol=1e-12)
+        np.testing.assert_allclose(out.mean.cols[1], state.mean.cols[1], atol=1e-12)
 
     def test_covariance_grows_and_stays_psd(self, legs):
         alpha = np.zeros((4, 3))
@@ -310,7 +317,7 @@ class TestStep:
             frame = one_frame(s_step, rng.normal(0, 0.1, 3), rng.normal(0, 0.1, 3) - GRAVITY, alpha, k * 1e-3, legs)
             s_step = step(s_step, frame, [False] * 4, noise)
             s_prop = propagate(s_prop, frame, noise)
-        np.testing.assert_allclose(s_step.position, s_prop.position, atol=0)
+        np.testing.assert_allclose(s_step.mean.cols[1], s_prop.mean.cols[1], atol=0)
         np.testing.assert_allclose(s_step.cov, s_prop.cov, atol=0)
 
     def test_static_stance_stays_put(self, legs):
@@ -507,6 +514,14 @@ class TestFixedSlots:
             inekf.filter_sequence(frames, contacts[:-1], legs, noise, init)
 
 
+def dense_process_cov(noise, contacts):
+    """The (DIM, DIM) block-diagonal Q: gyro, accel, zero, then contact on each leg in contact, each v I."""
+    q = np.zeros((DIM, DIM))
+    for blk, v in enumerate([noise.gyro_cov, noise.accel_cov, 0.0] + [noise.contact_cov * on for on in contacts]):
+        q[3 * blk : 3 * blk + 3, 3 * blk : 3 * blk + 3] = v * np.eye(3)
+    return q
+
+
 def ref_propagate(state, gyro, accel, t, noise):
     """Propagation as a dense per-frame computation: the dt checks, a 21-wide
     Phi and Ad Qc Ad^T through adjoint."""
@@ -525,12 +540,7 @@ def ref_propagate(state, gyro, accel, t, noise):
     phi[3:6, 0:3] = gx * dt
     phi[6:9, 0:3] = gx * (0.5 * dt * dt)
     phi[6:9, 3:6] = np.eye(3) * dt
-    qc = np.zeros((DIM, DIM))
-    qc[0:3, 0:3] = noise.gyro_cov
-    qc[3:6, 3:6] = noise.accel_cov
-    for leg, on in enumerate(state.contacts):
-        if on:
-            qc[9 + 3 * leg : 12 + 3 * leg, 9 + 3 * leg : 12 + 3 * leg] = noise.contact_cov
+    qc = dense_process_cov(noise, state.contacts)
     ad = adjoint(state.mean)
     cov = phi @ (state.cov + ad @ qc @ ad.T * dt) @ phi.T
     return FilterState(GroupElement(rot @ so3_exp(gyro * dt), new_cols), state.contacts, (cov + cov.T) / 2, t)
@@ -555,7 +565,7 @@ def ref_filter_step(state, gyro, accel, alpha, t, contacts, legs, noise):
             cov[blk, :] = cov[6:9, :]
             cov[:, blk] = cov[:, 6:9]
             g_mat = state.mean.rot @ jacs[leg]
-            cov[blk, blk] += g_mat @ noise.encoder_cov @ g_mat.T + noise.new_contact_prior * np.eye(3)
+            cov[blk, blk] += g_mat @ (noise.encoder_cov * np.eye(3)) @ g_mat.T + noise.new_contact_prior * np.eye(3)
             flags = state.contacts[:leg] + (True,) + state.contacts[leg + 1 :]
             state = FilterState(GroupElement(state.mean.rot, cols), flags, (cov + cov.T) / 2, t)
         elif not want and state.contacts[leg]:
@@ -572,7 +582,7 @@ def ref_filter_step(state, gyro, accel, alpha, t, contacts, legs, noise):
         innovation[sl] = rot @ feet[leg] + state.mean.cols[1] - state.mean.cols[2 + leg]
         h_mat[sl, 6:9] = -np.eye(3)
         h_mat[sl, 9 + 3 * leg : 12 + 3 * leg] = np.eye(3)
-        n_mat[sl, sl] = rot @ (jac @ noise.encoder_cov @ jac.T + noise.contact_cov) @ rot.T
+        n_mat[sl, sl] = rot @ (jac @ (noise.encoder_cov * np.eye(3)) @ jac.T + noise.contact_cov * np.eye(3)) @ rot.T
     pht = state.cov @ h_mat.T
     gain = np.linalg.solve((h_mat @ pht + n_mat).T, pht.T).T
     mean = sek3_compose(sek3_exp(gain @ innovation), state.mean)
@@ -587,13 +597,13 @@ def ref_filter(frames, contacts, legs, noise, state):
     for leg, want in enumerate(contacts[0]):
         if want:
             state = augment_contact(state, leg, kinematic_frame(q[0], legs, noise), noise)
-    pos, rot = [state.position], [state.rotation]
+    pos, rot = [state.mean.cols[1]], [state.mean.rot]
     for i in range(1, len(frames)):
         state = ref_filter_step(
             state, frames.gyro[i], frames.acc[i], q[i], float(frames.t[i]), contacts[i], legs, noise
         )
-        pos.append(state.position)
-        rot.append(state.rotation)
+        pos.append(state.mean.cols[1])
+        rot.append(state.mean.rot)
     return np.array(pos), np.array(rot)
 
 
@@ -681,7 +691,7 @@ class TestFrameRecords:
 
     def test_init_rotation_projected_before_first_record(self, monkeypatch):
         frames, contacts, legs, noise, init = self._run(monkeypatch)
-        rot = init.rotation * (1.0 + 5e-7)
+        rot = init.mean.rot * (1.0 + 5e-7)
         assert 5e-7 < orthogonality_defect(rot) < 2e-6
         init = FilterState(GroupElement(rot, init.mean.cols), init.contacts, init.cov, init.t)
         _, rots, _, _ = inekf.filter_sequence(frames, contacts, legs, noise, init)
@@ -725,10 +735,6 @@ class TestPhiCache:
                     arr[0, 0] = 2.0
             again = noise.phi(dt)
             assert again[0] is phi and again[1] is phi_t
-            for contacts in ((False,) * NUM_LEGS, (True, False, False, True)):
-                q_dt = noise.process_cov_dt(contacts, dt)
-                assert np.array_equal(q_dt, noise.process_cov[contacts] * dt) and not q_dt.flags.writeable
-                assert noise.process_cov_dt(contacts, dt) is q_dt
 
     def test_bounded_when_every_dt_differs(self):
         noise = noise_params()
@@ -745,15 +751,6 @@ class TestPhiCache:
         assert not phi.flags.writeable and not phi_t.flags.writeable
         np.testing.assert_array_equal(phi, np.eye(DIM) + noise.n_dt * dt + noise.n_dt2 * (dt * dt))
         assert len(noise._phi) == inekf.PHI_CACHE_SIZE
-
-    def test_process_noise_cache_bounded(self):
-        noise = noise_params()
-        contacts = (True,) * NUM_LEGS
-        limit = inekf.PHI_CACHE_SIZE << NUM_LEGS
-        for dt in 1e-3 + 1e-9 * np.arange(limit + 5):
-            q_dt = noise.process_cov_dt(contacts, float(dt))
-            assert np.array_equal(q_dt, noise.process_cov[contacts] * dt) and not q_dt.flags.writeable
-        assert len(noise._q_dt) == limit
 
 
 def matrix_form_propagate(state, frame, noise):
@@ -772,7 +769,7 @@ def matrix_form_propagate(state, frame, noise):
     phi = np.eye(DIM) + noise.n_dt * dt + noise.n_dt2 * (dt * dt)
     phi_g = np.dot(phi, adjoint(state.mean))
     cov = np.dot(np.dot(phi, state.cov), phi.T)
-    cov += np.dot(np.dot(phi_g, noise.process_cov[state.contacts] * dt), phi_g.T)
+    cov += np.dot(np.dot(phi_g, dense_process_cov(noise, state.contacts) * dt), phi_g.T)
     return FilterState(mean, state.contacts, (cov + cov.T) / 2.0, frame.t)
 
 
@@ -790,7 +787,7 @@ def exp_then_compose_update(state, frame, noise):
     rot = state.mean.rot
     cols = state.mean.cols
     innovation = (np.dot(frame.foot[legs], rot.T) + cols[1] - cols[2 + legs]).ravel()
-    meas_cov = rot @ (frame.enc[legs] + noise.contact_cov) @ rot.T
+    meas_cov = rot @ (frame.enc[legs] + noise.contact_cov * np.eye(3)) @ rot.T
 
     pht = np.dot(state.cov, h.T)
     s_mat = np.dot(h, pht)

@@ -6,6 +6,7 @@ from proprio.liegroup import (
     SMALL_ANGLE,
     GroupElement,
     adjoint,
+    adjoint_column,
     sek3_compose,
     sek3_exp,
     sek3_exp_compose,
@@ -321,6 +322,15 @@ class TestAdjoint:
             ad = adjoint(g).reshape(k + 1, 3, k + 1, 3)
             np.testing.assert_allclose(ad[1:, :, 0, :], skew(g.cols) @ g.rot, rtol=0, atol=1e-15)
             assert np.array_equal(ad[0, :, 0, :], g.rot)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_column_helper_is_the_first_block_column(self, k):
+        rng = np.random.default_rng(60 + k)
+        for _ in range(20):
+            g = random_element(rng, k)
+            col = adjoint_column(g)
+            assert col.shape == (3 * (k + 1), 3)
+            assert np.array_equal(col, adjoint(g)[:, :3])
 
     def test_identity(self):
         assert np.array_equal(adjoint(GroupElement(np.eye(3), np.zeros((3, 3)))), np.eye(12))
