@@ -160,12 +160,12 @@ def cmd_train(args, cfg):
 
 
 def _infer_stage(frames, params, spec, out):
-    """Classify every stride-1 window in the compute dtype; writes contacts_pred.csv.
+    """Classify every stride-1 window in the parameters' dtype; writes contacts_pred.csv.
 
     Returns (window end times, codes).
     """
     windows = dataio.window_set(frames, spec.window, stride=1)
-    codes = predict_codes(cast_params(params), spec, windows)
+    codes = predict_codes(params, spec, windows)
     t = frames.t[windows.end_indices]
     dataio.write_contacts(os.path.join(out, "contacts_pred.csv"), t, codes)
     return t, codes
@@ -174,6 +174,7 @@ def _infer_stage(frames, params, spec, out):
 def cmd_infer(args, cfg):
     frames = dataio.read_dataset(args.data)
     params, spec = load_params(args.weights)
+    params = cast_params(params)  # the compute dtype, and the float64 copy is freed
     _infer_stage(frames, params, spec, args.out)
     print(f"wrote {os.path.join(args.out, 'contacts_pred.csv')}")
     return 0

@@ -2,11 +2,13 @@
 
 Data layout is time-major (N, T, C): batch, time, channels, the layout the
 windows arrive in. Convolutions slide along the time axis with stride 1
-and zero same-padding, lowered to one GEMM: each tap's shifted copy of
-the input is written straight into its columns of one im2col buffer, and
-only the padding rows are zeroed, so no padded copy of the input is made.
-Pooling floor-divides the length. Weights keep the (O, C, k) layout of
-the weight files.
+and zero same-padding, lowered to one GEMM. The input is copied once into
+a zero-padded (N, T + 2p, C) buffer, whose rows r .. r + k - 1 are one
+run of k * C values, so the im2col matrix is one contiguous copy of an
+overlapping row window over it. The GEMM runs over all N(T + 2p) - (k - 1)
+rows; the output is the (N, T, O) view of the valid ones, and the rows
+that straddle two windows get zero gradient. Pooling floor-divides the
+length. Weights keep the (O, C, k) layout of the weight files.
 Every forward returns (output, cache) and the matching backward consumes
 (grad_output, cache). Outputs, gradients and masks keep the dtype of the
 activations they are computed from.
@@ -15,43 +17,51 @@ activations they are computed from.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 def conv1d_forward(x, weight, bias):
-    """Same-padded stride-1 correlation. x: (N, T, C), weight: (O, C, k), bias: (O,).
+    """Same-padded stride-1 correlation. x: (N, T, C), weight: (O, C, k) with k odd, bias: (O,).
 
     out[n, t, o] = bias[o] + sum_{c,i} weight[o, c, i] * xpad[n, t + i, c].
     """
     n, t, c = x.shape
     o, _, k = weight.shape
     pad = (k - 1) // 2
-    # column i*C + c of row (n, t) holds xpad[n, t + i, c] = x[n, t + i - pad, c]
-    cols = np.empty((n, t, k, c), x.dtype)
-    for i in range(k):
-        s = i - pad
-        lo, hi = (min(max(r, 0), t) for r in (-s, t - s))  # rows [lo, hi) read x[lo + s : hi + s]
-        cols[:, :lo, i] = 0.0
-        cols[:, hi:, i] = 0.0
-        cols[:, lo:hi, i] = x[:, lo + s : hi + s]
-    cols = cols.reshape(n * t, k * c)
+    tp = t + 2 * pad
+    xpad = np.empty((n, tp, c), x.dtype)
+    xpad[:, :pad] = 0.0
+    xpad[:, pad + t :] = 0.0
+    xpad[:, pad : pad + t] = x
+    rows = n * tp - (k - 1)  # row n * tp + s is valid for s < t
+    flat = xpad.reshape(-1)
+    cols = as_strided(flat, (rows, k * c), (c * flat.itemsize, flat.itemsize), writeable=False).copy()
+    del xpad, flat  # free the padded input before the GEMM allocates its output
     wcols = weight.transpose(2, 1, 0).reshape(k * c, o)
-    out = cols @ wcols
-    out += bias
-    return out.reshape(n, t, o), (cols, wcols, weight, pad, t)
+    out = np.empty((n * tp, o), cols.dtype)
+    valid = out[:rows]  # the last window's straddling rows are never written
+    np.matmul(cols, wcols, out=valid)
+    valid += bias
+    return out.reshape(n, tp, o)[:, :t], (cols, wcols, weight, pad, t)
 
 
 def conv1d_backward(dout, cache):
+    """Gradients through the padded rows of the forward im2col, straddling rows at zero."""
     cols, wcols, weight, pad, t = cache
     o, c, k = weight.shape
     n = dout.shape[0]
-    d2 = dout.reshape(n * t, o)
-    db = d2.sum(axis=0)
-    dw = np.ascontiguousarray((cols.T @ d2).reshape(k, c, o).transpose(2, 1, 0))
-    dcols = (d2 @ wcols.T).reshape(n, t, k, c)
-    dxp = np.zeros((n, t + 2 * pad, c), dout.dtype)
+    tp = t + 2 * pad
+    rows = cols.shape[0]
+    dpad = np.zeros((n * tp, o), dout.dtype)
+    dpad.reshape(n, tp, o)[:, :t] = dout
+    dpad = dpad[:rows]
+    db = dout.reshape(n * t, o).sum(axis=0)
+    dw = np.ascontiguousarray((cols.T @ dpad).reshape(k, c, o).transpose(2, 1, 0))
+    dcols = dpad @ wcols.T
+    dxp = np.zeros((n * tp, c), dout.dtype)
     for i in range(k):
-        dxp[:, i : i + t] += dcols[:, :, i]
-    return dxp[:, pad : pad + t], dw, db
+        dxp[i : i + rows] += dcols[:, i * c : (i + 1) * c]
+    return dxp.reshape(n, tp, c)[:, pad : pad + t], dw, db
 
 
 def relu_forward(x):

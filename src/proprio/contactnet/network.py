@@ -54,11 +54,17 @@ WEIGHTS_VERSION = 1
 DEFAULT_DTYPE = np.float32
 
 # Windows per block of the blocked eval trunk. For "2blocks" at window 150
-# a block's largest im2col matrix is 9,600 x 192 float32 (7.4 MB), where a
-# 256-window batch makes one of 29.5 MB that goes out to memory and back.
-# On a 2-core Xeon a 256-window batch took 105-115 ms in blocks of 16 to
-# 128 windows and 140 ms in one pass.
-TRUNK_BLOCK = 64
+# a block's largest im2col matrix is 4,862 x 192 float32 (3.7 MB: 32
+# padded windows of 152 rows, less the last 2), where a 256-window batch
+# makes one of 29.9 MB that goes out to memory and back. On a 2-core Xeon
+# a 256-window batch took 87 ms in blocks of 16 or 32 windows, 98 ms in
+# blocks of 64 or 128 and 103 ms in one pass. `dataio.NORMALIZE_BLOCK`
+# blocks the input normalization the same way.
+TRUNK_BLOCK = 32
+
+# float64 values per block of an init_params weight draw: 512 KB, where
+# one draw of the first 2blocks Dense weight (2048 x 4736) made 78 MB
+DRAW_BLOCK = 65536
 
 
 class ShapeMismatchError(ValueError):
@@ -277,8 +283,10 @@ def trace_shapes(spec: ArchitectureSpec):
 def init_params(spec: ArchitectureSpec, rng, dtype=DEFAULT_DTYPE) -> list:
     """Kaiming-uniform fan-in weights, zero biases; one entry per layer.
 
-    The weights are drawn in float64 and then cast, so every dtype consumes
-    the same random numbers.
+    Each weight is drawn in float64 blocks of whole rows, about DRAW_BLOCK
+    values each, cast into the `dtype` array. The blocks consume the
+    generator as one draw of the whole weight would, so every dtype gets
+    the same random numbers, and no float64 copy of a weight is made.
     """
     trace_shapes(spec)
     params = []
@@ -289,7 +297,11 @@ def init_params(spec: ArchitectureSpec, rng, dtype=DEFAULT_DTYPE) -> list:
             continue
         w_shape, b_shape = shapes
         bound = np.sqrt(6.0 / math.prod(w_shape[1:]))  # fan-in: every weight axis but the output
-        weight = rng.uniform(-bound, bound, size=w_shape).astype(dtype, copy=False)
+        weight = np.empty(w_shape, dtype)
+        rows = weight.reshape(w_shape[0], -1)
+        step = max(1, DRAW_BLOCK // rows.shape[1])
+        for s in range(0, len(rows), step):
+            rows[s : s + step] = rng.uniform(-bound, bound, size=rows[s : s + step].shape)
         params.append((weight, np.zeros(b_shape, dtype)))
     return params
 

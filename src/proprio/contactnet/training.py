@@ -125,7 +125,8 @@ def predict_codes(params, spec, windows: WindowSet, batch=256) -> np.ndarray:
     codes = np.zeros(n, dtype=np.int64)
     for start in range(0, n, batch):
         idx = np.arange(start, min(start + batch, n))
-        codes[idx] = net.predict_batch(params, spec, normalize_window(windows.batch(idx)))
+        x = normalize_window(windows.batch(idx), net.params_dtype(params))
+        codes[idx] = net.predict_batch(params, spec, x)
     return codes
 
 
@@ -168,7 +169,7 @@ def train(train_windows: WindowSet, config: TrainConfig, spec, val_windows=None)
         total_loss = 0.0
         total_correct = 0
         for idx in _batches(n, config.batch_size, rng):
-            x = normalize_window(train_windows.batch(idx))
+            x = normalize_window(train_windows.batch(idx), config.dtype)
             y = train_windows.labels[idx]
             value, grads, logits = net.loss_and_grads(params, spec, x, y, "train", rng)
             adam.step(params, grads)

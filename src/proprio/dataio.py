@@ -165,16 +165,22 @@ class WindowSet:
         return self.end_indices.shape[0]
 
     def batch(self, idx) -> np.ndarray:
-        """Stack windows idx into an (B, w, 54) array.
+        """Windows idx as a read-only (B, w, 54) array.
 
         Window s is row s of a read-only (starts, w, 54) view over the
-        features, so the gather copies each window's rows once and builds
-        no (B, w) index array.
+        features. Consecutive windows are a slice of that view and copy
+        nothing; any other request gathers each window's rows once into a
+        read-only copy, building no (B, w) index array.
         """
         f = self.features
         starts = max(f.shape[0] - self.w + 1, 0)
         view = as_strided(f, (starts, self.w, f.shape[1]), (f.strides[0], *f.strides), writeable=False)
-        return view[self.end_indices[np.asarray(idx)] - (self.w - 1)]
+        first = self.end_indices[np.asarray(idx)] - (self.w - 1)
+        if len(first) and np.all(np.diff(first) == 1):
+            return view[first[0] : first[-1] + 1]
+        gathered = view[first]
+        gathered.flags.writeable = False
+        return gathered
 
     def subset(self, idx) -> "WindowSet":
         idx = np.asarray(idx)
@@ -202,22 +208,33 @@ def window_set(frames: FrameSequence, w: int, stride: int = 1) -> WindowSet:
     return WindowSet(frames.features(), ends, labels, w)
 
 
-def normalize_window(data) -> np.ndarray:
-    """Z-score each channel over the time axis; sigma < 1e-8 zero-fills.
+# Windows per block of normalize_window: a block's float64 temporaries
+# (16 x 150 x 54 x 8 B = 1 MB at the default window) stay in a core's L2.
+NORMALIZE_BLOCK = 16
+
+
+def normalize_window(data, dtype=np.float32) -> np.ndarray:
+    """Z-score each channel over the time axis into a `dtype` array; sigma < 1e-8 zero-fills.
 
     Accepts (w, C) or a batch (N, w, C). Two passes in float64: the mean
     from a sum, then the variance of the centred data, so a large channel
     offset does not cancel; each channel is then scaled by 1/sigma, or by
     zero when sigma < 1e-8, which leaves degenerate channels exactly zero
-    and NaN input NaN.
+    and NaN input NaN. Each NORMALIZE_BLOCK windows' float64 result is
+    rounded once into the output, so float32 output is the float64 one
+    cast, bit for bit, with no whole-batch float64 temporary.
     """
-    data = np.asarray(data, dtype=float)
-    w = data.shape[-2]
-    out = data - data.sum(axis=-2, keepdims=True) / w
-    std = np.sqrt(np.einsum("...tc,...tc->...c", out, out) / w)
-    scale = np.divide(1.0, std, out=np.zeros_like(std), where=std >= 1e-8)
-    out *= scale[..., None, :]
-    return out
+    data = np.asarray(data, dtype=np.float64)
+    batch = data[None] if data.ndim == 2 else data
+    w = batch.shape[-2]
+    out = np.empty(batch.shape, dtype)
+    for s in range(0, len(batch), NORMALIZE_BLOCK):
+        block = batch[s : s + NORMALIZE_BLOCK]
+        centred = block - block.sum(axis=-2, keepdims=True) / w
+        std = np.sqrt(np.einsum("...tc,...tc->...c", centred, centred) / w)
+        scale = np.divide(1.0, std, out=np.zeros_like(std), where=std >= 1e-8)
+        np.multiply(centred, scale[..., None, :], out=out[s : s + NORMALIZE_BLOCK])
+    return out[0] if data.ndim == 2 else out
 
 
 def split_dataset(windows: WindowSet, seed: int):

@@ -408,8 +408,8 @@ def simulate(spec: GaitSpec, duration: float, legs) -> SimulationResult:
     qd_true = np.linalg.solve(jac_true, target_bv[..., None])[..., 0]
 
     noise = spec.noise
-    q_meas = q_true + rng.normal(0.0, 1.0, q_true.shape) * noise.encoder
-    qd_meas = qd_true + rng.normal(0.0, 1.0, qd_true.shape) * noise.joint_rate
+    q_meas = q_true + _noise(rng, q_true.shape, noise, "encoder")
+    qd_meas = qd_true + _noise(rng, qd_true.shape, noise, "joint_rate")
 
     pf = fk_position(legs, q_meas) - legs.hip
     vf = np.einsum("nlij,nlj->nli", fk_jacobian(legs, q_meas), qd_meas)
@@ -430,8 +430,8 @@ def simulate(spec: GaitSpec, duration: float, legs) -> SimulationResult:
         t=t_enc,
         q=q_meas.reshape(n_enc, 12),
         qd=qd_meas.reshape(n_enc, 12),
-        acc=acc_enc + rng.normal(0.0, 1.0, acc_enc.shape) * noise.accel,
-        gyro=gyro_enc + rng.normal(0.0, 1.0, gyro_enc.shape) * noise.gyro,
+        acc=acc_enc + _noise(rng, acc_enc.shape, noise, "accel"),
+        gyro=gyro_enc + _noise(rng, gyro_enc.shape, noise, "gyro"),
         pf=pf.reshape(n_enc, 12),
         vf=vf.reshape(n_enc, 12),
         tau=tau.reshape(n_enc, 12),
@@ -442,8 +442,8 @@ def simulate(spec: GaitSpec, duration: float, legs) -> SimulationResult:
     t_imu = frames_imu.t
     rot_imu = body.rot(t_imu)
     acc_imu, gyro_imu = imu_channels(t_imu, rot_imu)
-    frames_imu.acc = acc_imu + rng.normal(0.0, 1.0, acc_imu.shape) * noise.accel
-    frames_imu.gyro = gyro_imu + rng.normal(0.0, 1.0, gyro_imu.shape) * noise.gyro
+    frames_imu.acc = acc_imu + _noise(rng, acc_imu.shape, noise, "accel")
+    frames_imu.gyro = gyro_imu + _noise(rng, gyro_imu.shape, noise, "gyro")
     contacts_imu = _stance(td, lo, t_imu)[1] & grounded
     frames_imu.gt = bool_to_codes(contacts_imu)
 
@@ -456,6 +456,20 @@ def simulate(spec: GaitSpec, duration: float, legs) -> SimulationResult:
         traj_pos=body.pos(t_imu),
         traj_vel=body.vel(t_imu),
     )
+
+
+def _noise(rng, shape, noise, channel):
+    """Gaussian noise with the `channel` sigma of `noise`.
+
+    A sigma so large that the noise, and so the noisy stream, is not finite
+    raises a ValueError naming its `[gaitsim] noise_<channel>` key.
+    """
+    sigma = getattr(noise, channel)
+    with np.errstate(over="ignore"):
+        draw = rng.normal(0.0, 1.0, shape) * sigma
+    if not (np.isfinite(draw.min()) and np.isfinite(draw.max())):  # no boolean temporary
+        raise ValueError(f"[gaitsim] noise_{channel} = {sigma} makes the {channel} stream non-finite")
+    return draw
 
 
 def _dilate(mask, before, after):
@@ -492,6 +506,6 @@ def _synthetic_torques(spec, jac, qd_true, contacts, rot, t, rng):
     f_inertial = -LEG_MASS * foot_acc * (~contacts)[..., None]
     f_body = np.einsum("nji,nlj->nli", rot, f_world) + f_inertial
     tau = np.einsum("nlji,nlj->nli", jac, f_body)
-    tau += rng.normal(0.0, 1.0, tau.shape) * spec.noise.torque
+    tau += _noise(rng, tau.shape, spec.noise, "torque")
     return tau
 

@@ -252,6 +252,12 @@ GAIT = ("baselines", "gait")
         ("[gaitsim]\nencoder_rate = 1e308", "gaitsim",
          "duration 2.0 s at encoder_rate 1e+308 Hz is not a finite sample count"),
         ("[gaitsim]\nimu_rate = 1e308", "gaitsim", "duration 2.0 s at imu_rate 1e+308 Hz is not a finite sample count"),
+        # a sigma whose noisy stream overflows is refused, not written out as inf samples
+        ("[gaitsim]\nnoise_gyro = 1e308", "gaitsim", "[gaitsim] noise_gyro = 1e+308 makes the gyro stream non-finite"),
+        ("[gaitsim]\nnoise_accel = 1e308", "gaitsim",
+         "[gaitsim] noise_accel = 1e+308 makes the accel stream non-finite"),
+        ("[gaitsim]\nnoise_torque = 1e308", "gaitsim",
+         "[gaitsim] noise_torque = 1e+308 makes the torque stream non-finite"),
     ],
 )
 def test_out_of_range_value_exits_2_naming_it(sweep_data, tmp_path, capsys, text, command, message):

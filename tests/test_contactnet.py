@@ -137,7 +137,7 @@ BLOCK = net.TRUNK_BLOCK
 
 
 class TestBlockedForward:
-    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 257])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 257])
     @pytest.mark.parametrize("name", net.PRESET_NAMES)
     def test_eval_bitwise_equals_layerwise(self, name, n):
         spec = preset(name)
@@ -253,6 +253,24 @@ def ref_conv(x, w, b):
     return out
 
 
+def ref_scattered_conv(x, w, b):
+    """Same-padded correlation through an (N*T, k*C) im2col whose taps are written as k
+    shifted pieces with zero-filled edges: the layout the padded-row im2col replaced."""
+    n, t, c = x.shape
+    o, _, k = w.shape
+    pad = (k - 1) // 2
+    cols = np.empty((n, t, k, c), x.dtype)
+    for i in range(k):
+        s = i - pad
+        lo, hi = (min(max(r, 0), t) for r in (-s, t - s))
+        cols[:, :lo, i] = 0.0
+        cols[:, hi:, i] = 0.0
+        cols[:, lo:hi, i] = x[:, lo + s : hi + s]
+    out = cols.reshape(n * t, k * c) @ w.transpose(2, 1, 0).reshape(k * c, o)
+    out += b
+    return out.reshape(n, t, o)
+
+
 def ref_conv_backward(x, w, dout):
     """Direct-loop (dx, dw, db) of ref_conv."""
     n, t, c = x.shape
@@ -347,7 +365,7 @@ class TestLayerReference:
 
     @pytest.mark.parametrize("k, t", [(1, 6), (3, 7), (5, 9), (7, 2), (9, 3)])
     def test_conv_im2col_bitwise_equals_padded_copy(self, k, t):
-        # the columns written in place equal a padded copy's k slices, so the GEMM sees the same bits
+        # the im2col rows of valid outputs equal a padded copy's k slices, so the GEMM sees the same bits
         from proprio.contactnet import layers
 
         rng = np.random.default_rng(35 + k)
@@ -358,9 +376,50 @@ class TestLayerReference:
         pad = (k - 1) // 2
         xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
         want_cols = np.concatenate([xp[:, i : i + t] for i in range(k)], axis=2).reshape(3 * t, k * 5)
-        assert cols.tobytes() == want_cols.tobytes()
+        valid = (np.arange(3)[:, None] * (t + 2 * pad) + np.arange(t)).ravel()
+        assert cols[valid].tobytes() == want_cols.tobytes()
         want = want_cols @ w.transpose(2, 1, 0).reshape(k * 5, 4) + b
         assert out.dtype == np.float32 and out.tobytes() == want.reshape(3, t, 4).tobytes()
+
+    # (k, t, n, c, o): small cases with t < k, and two at network size. Each GEMM stays on one
+    # side of the BLAS small-matrix switch (M*N*K near 1e6), where a different kernel may round
+    # the same row differently, so both im2col layouts meet the same kernel.
+    @pytest.mark.parametrize(
+        "k, t, n, c, o",
+        [(1, 4, 3, 5, 4), (3, 2, 3, 5, 4), (3, 7, 3, 5, 4), (5, 3, 3, 5, 4), (7, 2, 3, 5, 4),
+         (9, 3, 3, 5, 4), (9, 1, 2, 5, 4), (3, 150, 4, 54, 64), (9, 150, 2, 54, 16)],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_bitwise_equals_scattered_im2col(self, k, t, n, c, o, dtype):
+        from proprio.contactnet import layers
+
+        rng = np.random.default_rng(60 + k + t)
+        x = rng.normal(size=(n, t, c)).astype(dtype)
+        w = rng.normal(size=(o, c, k)).astype(dtype)
+        b = rng.normal(size=o).astype(dtype)
+        out, _ = layers.conv1d_forward(x, w, b)
+        assert out.dtype == dtype and out.tobytes() == ref_scattered_conv(x, w, b).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv_nan_stays_in_its_window(self, k):
+        # the padded rows between windows are zeros and rows that straddle two windows are
+        # dropped, so a NaN reaches neither another window's output nor its dx
+        from proprio.contactnet import layers
+
+        rng = np.random.default_rng(70 + k)
+        x = rng.normal(size=(4, 6, 5)).astype(np.float32)
+        w = rng.normal(size=(3, 5, k)).astype(np.float32)
+        x[1, 5, 2] = np.nan  # the last row of window 1, next to window 2's first
+        x[2, 0, 0] = np.nan
+        out, cache = layers.conv1d_forward(x, w, np.zeros(3, np.float32))
+        assert np.isnan(out[1]).any() and np.isnan(out[2]).any()
+        assert np.isfinite(out[[0, 3]]).all()
+        dout = rng.normal(size=out.shape).astype(np.float32)
+        dout[0, 5, 1] = np.nan
+        dout[3, 0, 0] = np.nan
+        dx, _, _ = layers.conv1d_backward(dout, cache)
+        assert np.isnan(dx[0]).any() and np.isnan(dx[3]).any()
+        assert np.isfinite(dx[[1, 2]]).all()
 
     @pytest.mark.parametrize("k, t", [(1, 5), (2, 7), (3, 11), (4, 4)])
     def test_maxpool_and_dense_bitwise_equal_reductions(self, k, t):
@@ -828,6 +887,24 @@ class TestComputeDtype:
         assert all(t.dtype == np.float32 for p in p32 if p is not None for t in p)
         assert cast_params(p32)[0][0] is p32[0][0]  # already float32: no copy
         assert [p is None for p in p32] == [p is None for p in p64]
+
+    @pytest.mark.parametrize(("name", "draw_block"), [("2blocks", net.DRAW_BLOCK), ("1block", 100)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_params_equal_one_float64_draw_cast(self, monkeypatch, name, draw_block, dtype):
+        # drawn a block of rows at a time (one row per block when a row outgrows it),
+        # each weight is bit for bit the whole weight drawn once in float64, then cast
+        monkeypatch.setattr(net, "DRAW_BLOCK", draw_block)
+        spec = preset(name)
+        got = init_params(spec, np.random.default_rng(45), dtype)
+        rng = np.random.default_rng(45)
+        for layer, p in zip(spec.layers, got):
+            if p is None:
+                continue
+            w_shape, b_shape = layer.param_shapes()
+            bound = np.sqrt(6.0 / np.prod(w_shape[1:]))
+            want = rng.uniform(-bound, bound, size=w_shape).astype(dtype)
+            assert p[0].dtype == dtype and p[0].tobytes() == want.tobytes()
+            assert p[1].dtype == dtype and p[1].shape == b_shape and not p[1].any()
 
 
 class TestPredict:

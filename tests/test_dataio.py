@@ -218,15 +218,22 @@ def merged_window_set(seed, lengths, w):
 
 
 class TestStridedBatch:
-    @pytest.mark.parametrize(
-        "order", ["contiguous", "shuffled", "repeated", "empty"],
-    )
+    # order -> whether the batch is a view of the features (consecutive windows) or a gathered copy
+    ORDERS = {
+        "contiguous": True, "single": True,
+        "every-third": False, "shuffled": False, "descending": False, "repeated": False, "empty": False,
+    }
+
+    @pytest.mark.parametrize("order", list(ORDERS))
     def test_matches_fancy_index_gather(self, order):
         rng = np.random.default_rng(15)
         ws = window_set(random_frames(rng, 60), 9)
         idx = {
             "contiguous": np.arange(10, 30),
+            "every-third": np.arange(2, 50, 3),
+            "single": np.array([7]),
             "shuffled": rng.permutation(len(ws)),
+            "descending": np.arange(30, 10, -1),
             "repeated": np.array([4, 4, 0, 51, 4, 51]),
             "empty": np.array([], dtype=np.int64),
         }[order]
@@ -234,12 +241,16 @@ class TestStridedBatch:
         want = fancy_gather(ws, idx)
         assert got.shape == want.shape == (len(idx), 9, 54)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+        assert np.shares_memory(got, ws.features) == self.ORDERS[order]
 
-    def test_result_is_a_fresh_writable_copy(self):
+    @pytest.mark.parametrize("idx", [[0, 1, 2], [2, 0]], ids=["view", "gathered"])
+    def test_no_write_reaches_the_features(self, idx):
         ws = window_set(random_frames(np.random.default_rng(16), 20), 5)
         before = ws.features.copy()
-        batch = ws.batch([0, 1])
-        batch[:] = -1.0
+        batch = ws.batch(idx)
+        with pytest.raises(ValueError, match="read-only"):
+            batch[:] = -1.0
         assert np.array_equal(ws.features, before)
 
     def test_subset_and_split(self):
@@ -275,7 +286,7 @@ class TestNormalize:
     def test_mean_and_std(self):
         rng = np.random.default_rng(12)
         data = rng.normal(2.0, 5.0, size=(64, 54))
-        out = normalize_window(data)
+        out = normalize_window(data, np.float64)
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-10)
 
@@ -284,19 +295,19 @@ class TestNormalize:
         data = rng.normal(size=(32, 54))
         scaled = data.copy()
         scaled[:, 7] *= 10.0
-        np.testing.assert_allclose(normalize_window(scaled), normalize_window(data), atol=1e-12)
+        np.testing.assert_allclose(normalize_window(scaled, np.float64), normalize_window(data, np.float64), atol=1e-12)
 
     def test_idempotent(self):
         rng = np.random.default_rng(14)
         data = rng.normal(size=(48, 54))
-        once = normalize_window(data)
-        np.testing.assert_allclose(normalize_window(once), once, atol=1e-9)
+        once = normalize_window(data, np.float64)
+        np.testing.assert_allclose(normalize_window(once, np.float64), once, atol=1e-9)
 
     def test_batch_constant_channel_exact_zeros(self):
         data = np.random.default_rng(20).normal(size=(6, 40, 54))
         data[:, :, 3] = 0.1  # a sum of 40 copies of 0.1 divided by 40 is not exactly 0.1
         data[2, :, 9] = -7.3e5
-        out = normalize_window(data)
+        out = normalize_window(data, np.float64)
         assert np.all(out[:, :, 3] == 0.0) and np.all(out[2, :, 9] == 0.0)
         assert np.count_nonzero(out[:, :, 3:4] != 0.0) == 0
         np.testing.assert_allclose(out[:, :, 10].std(axis=1), 1.0, atol=1e-12)
@@ -308,7 +319,7 @@ class TestNormalize:
         data[:, :, 4] = 1e6 + 1e-3 * rng.normal(size=(5, 150))
         centred = data - data.mean(axis=1, keepdims=True)
         want = centred / np.sqrt((centred * centred).sum(axis=1, keepdims=True) / 150)
-        out = normalize_window(data)
+        out = normalize_window(data, np.float64)
         assert out.dtype == np.float64
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out[:, :, 4].std(axis=1), 1.0, atol=1e-12)
@@ -318,7 +329,7 @@ class TestNormalize:
         data = rng.normal(3.0, 50.0, size=(8, 150, 54))
         std = data.std(axis=1, keepdims=True)
         want = (data - data.mean(axis=1, keepdims=True)) / std
-        np.testing.assert_allclose(normalize_window(data), want, rtol=0, atol=9e-16)
+        np.testing.assert_allclose(normalize_window(data, np.float64), want, rtol=0, atol=9e-16)
 
     def test_batch_nan_stays_nan(self):
         data = np.random.default_rng(23).normal(size=(3, 20, 54))
@@ -326,6 +337,45 @@ class TestNormalize:
         out = normalize_window(data)
         assert np.all(np.isnan(out[1, :, 2]))
         assert np.isfinite(np.delete(out[1], 2, axis=1)).all() and np.isfinite(out[[0, 2]]).all()
+
+    def test_float32_is_the_float64_result_cast_once(self):
+        data = np.random.default_rng(24).normal(3.0, 50.0, size=(37, 150, 54))
+        got = normalize_window(data)
+        assert got.dtype == np.float32
+        assert got.tobytes() == normalize_window(data, np.float64).astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_partial_block_equals_per_window(self, dtype):
+        n = 2 * dataio.NORMALIZE_BLOCK + 3
+        data = np.random.default_rng(25).normal(-4.0, 20.0, size=(n, 30, 54))
+        got = normalize_window(data, dtype)
+        assert got.shape == data.shape and got.dtype == dtype
+        for i in range(n):
+            assert got[i].tobytes() == normalize_window(data[i], dtype).tobytes()
+
+    def test_view_of_the_features_equals_a_gathered_copy(self):
+        ws = window_set(random_frames(np.random.default_rng(26), 300), 150)
+        idx = np.arange(20, 20 + 2 * dataio.NORMALIZE_BLOCK + 5)
+        view = ws.batch(idx)
+        assert np.shares_memory(view, ws.features)
+        for dtype in (np.float32, np.float64):
+            assert normalize_window(view, dtype).tobytes() == normalize_window(fancy_gather(ws, idx), dtype).tobytes()
+
+    def test_float32_keeps_exact_zeros_and_nan(self):
+        # constant, large-offset and NaN channels in a batch that crosses a block edge
+        rng = np.random.default_rng(27)
+        n = dataio.NORMALIZE_BLOCK + 4
+        data = rng.normal(size=(n, 40, 54))
+        data[:, :, 3] = 0.1
+        data[n - 1, :, 9] = -7.3e5
+        data[:, :, 4] = 1e6 + 1e-3 * rng.normal(size=(n, 40))
+        data[1, 7, 2] = np.nan
+        out = normalize_window(data)
+        assert out.dtype == np.float32
+        assert np.count_nonzero(out[:, :, 3]) == 0 and np.count_nonzero(out[n - 1, :, 9]) == 0
+        np.testing.assert_allclose(out[:, :, 4].std(axis=1), 1.0, atol=1e-5)
+        assert np.all(np.isnan(out[1, :, 2]))
+        assert np.isfinite(np.delete(out[1], 2, axis=1)).all() and np.isfinite(np.delete(out, 1, axis=0)).all()
 
 
 class TestDatasetFiles:
